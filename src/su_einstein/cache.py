@@ -2,26 +2,33 @@
 
 Format (diffable, one file per configuration, named f_s{scheme}_n{n}_p{p}.sc):
 
-    line 1: ``scheme n p d``        (p is 0 for the three-class basis)
+    line 1: ``scheme n p d nnz``    (p is 0 for the three-class basis)
     line 2: the d Gram diagonal entries
-    rest:   one ``a b c value`` record per nonzero f^c_ab, 0-based indices
+    rest:   one ``a b c value`` record per nonzero f^c_ab, 0-based indices,
+            in the order of (c, a, b)
 
-Entries with |f| <= 1e-12 are treated as zeros.  Values are written with
-repr(), so a load/save round trip is bit-exact.
+``nnz`` is the number of records.  Values are written with repr(), so a
+load/save round trip is bit-exact.  Files are written atomically and checked
+when read (see load_structure_constants).
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import liealg
 from .liealg import StructureConstants
+from .sparse import Nonzeros
 
-SPARSE_EPS = 1e-12
 ENV_CACHE_DIR = "SU_EINSTEIN_CACHE_DIR"
+
+
+class CacheError(ValueError):
+    """A cache file that does not hold what its header and name say."""
 
 
 def cache_filename(scheme: int, n: int, p: int | None) -> str:
@@ -29,35 +36,62 @@ def cache_filename(scheme: int, n: int, p: int | None) -> str:
 
 
 def save_structure_constants(path: str | Path, sc: StructureConstants) -> Path:
+    """Write the file next to its final name, then move it there in one step,
+    so a concurrent reader sees either no file or a complete one."""
     path = Path(path)
-    lines = [f"{sc.scheme} {sc.n} {0 if sc.p is None else sc.p} {sc.d}"]
+    f = sc.nonzeros
+    lines = [f"{sc.scheme} {sc.n} {0 if sc.p is None else sc.p} {sc.d} {f.nnz}"]
     lines.append(" ".join(repr(float(v)) for v in np.diag(sc.gram)))
-    c_idx, a_idx, b_idx = np.nonzero(np.abs(sc.f) > SPARSE_EPS)
-    for c, a, b in zip(c_idx, a_idx, b_idx):
-        lines.append(f"{a} {b} {c} {float(sc.f[c, a, b])!r}")
-    path.write_text("\n".join(lines) + "\n")
+    c, a, b = (idx.tolist() for idx in f.index)
+    lines += [f"{ai} {bi} {ci} {v!r}" for ci, ai, bi, v in zip(c, a, b, f.values.tolist())]
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as out:
+            out.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
     return path
 
 
 def load_structure_constants(path: str | Path) -> StructureConstants:
+    """Read a cache file, checking it against its header and the rebuilt basis.
+
+    Raises CacheError when the file is malformed or truncated, an index is out
+    of range, or the Gram diagonal differs from the basis the header names.
+    """
     path = Path(path)
     lines = path.read_text().splitlines()
-    scheme, n, p, d = (int(t) for t in lines[0].split())
-    gram_diag = np.array([float(t) for t in lines[1].split()])
-    if gram_diag.shape != (d,):
-        raise ValueError(f"{path}: expected {d} Gram entries, got {gram_diag.size}")
-    f = np.zeros((d, d, d))
-    for line in lines[2:]:
-        if not line.strip():
-            continue
-        a_s, b_s, c_s, v_s = line.split()
-        f[int(c_s), int(a_s), int(b_s)] = float(v_s)
-    basis = _rebuild_basis(scheme, n, p)
-    if basis.dim != d:
-        raise ValueError(f"{path}: dimension {d} does not match scheme={scheme} n={n} p={p}")
+    try:
+        scheme, n, p, d, nnz = (int(t) for t in lines[0].split())
+        gram_diag = np.array([float(t) for t in lines[1].split()])
+        rows = [line.split() for line in lines[2:] if line.strip()]
+        if any(len(r) != 4 for r in rows):
+            raise ValueError("a record does not have 4 fields")
+        a, b, c = (np.array([int(r[k]) for r in rows], dtype=np.intp) for k in range(3))
+        values = np.array([float(r[3]) for r in rows])
+        basis = _rebuild_basis(scheme, n, p)
+    except (ValueError, IndexError) as exc:
+        raise CacheError(f"{path}: malformed cache file ({exc})") from None
+
+    def check(ok: bool, what: str) -> None:
+        if not ok:
+            raise CacheError(f"{path}: {what}; delete the file to rebuild it")
+
+    check(basis.dim == d, f"dimension {d} does not match scheme={scheme} n={n} p={p}")
+    check(len(rows) == nnz, f"{len(rows)} records, header says {nnz}")
+    check(gram_diag.shape == (d,), f"expected {d} Gram entries, got {gram_diag.size}")
+    check(np.allclose(gram_diag, basis.gram_diagonal(), rtol=1e-12, atol=0.0),
+          "Gram diagonal does not match the basis")
+    check(all(np.all((0 <= idx) & (idx < d)) for idx in (a, b, c)),
+          f"an index is outside 0..{d - 1}")
+    key = (c * d + a) * d + b
+    check(bool(np.all(np.diff(key) > 0)), "records are not distinct and in order")
+    check(bool(np.all(np.isfinite(values) & (values != 0.0))), "a value is zero or not finite")
     return StructureConstants(
         d=d,
-        f=f,
+        nonzeros=Nonzeros((d, d, d), (c, a, b), values),
         gram=np.diag(gram_diag),
         scheme=scheme,
         n=n,
@@ -69,7 +103,9 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
 def _rebuild_basis(scheme: int, n: int, p: int) -> liealg.GeneratorBasis:
     if scheme == 1:
         return liealg.build_scheme1_basis(n)
-    return liealg.build_scheme2_basis(n, p)
+    if scheme == 2:
+        return liealg.build_scheme2_basis(n, p)
+    raise ValueError(f"unknown scheme {scheme}")
 
 
 def resolve_cache_dir(cli_value: str | None) -> Path | None:

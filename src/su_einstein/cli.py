@@ -6,7 +6,8 @@ Commands
   solve    closed forms + multistart for one (scheme, n, p) configuration
   catalog  enumerate all configurations for n and classify by I1
 
-Exit codes: 0 success, 1 validation or verdict failure, 2 usage error.
+Exit codes: 0 success, 1 validation or verdict failure, 2 usage error or a
+cache file that fails its checks.
 JSON output is canonical: sorted keys, floats with 17 significant digits, so
 parse -> re-serialize is byte-identical.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass
 
@@ -124,8 +126,11 @@ def _validate(args: argparse.Namespace) -> RunConfig:
         want = 3 if scheme == 1 else 4
         if len(x) != want:
             raise UsageError(f"--x needs {want} comma-separated values for scheme {scheme}")
-        if any(t <= 0 for t in x):
-            raise UsageError("--x entries must be strictly positive")
+        if not all(math.isfinite(t) and t > 0 for t in x):
+            raise UsageError("--x entries must be finite and strictly positive")
+    starts = getattr(args, "starts", 400)
+    if starts < 0:
+        raise UsageError(f"--starts must be non-negative (got {starts})")
     fmt = getattr(args, "format", "table")
     if fmt == "csv" and args.command in ("basis", "check"):
         raise UsageError(f"csv output is not defined for '{args.command}'")
@@ -136,7 +141,7 @@ def _validate(args: argparse.Namespace) -> RunConfig:
         p=p,
         x=x,
         tol=getattr(args, "tol", curvature.DEFAULT_EINSTEIN_TOL),
-        starts=getattr(args, "starts", 400),
+        starts=starts,
         seed=getattr(args, "seed", 0),
         fmt=fmt,
         cache_dir=getattr(args, "cache_dir", None),
@@ -158,7 +163,7 @@ def cmd_basis(cfg: RunConfig) -> int:
         basis = liealg.build_scheme2_basis(cfg.n, cfg.p)
     report = liealg.validate_basis(basis)
     sc = _sc_for(cfg)
-    nnz = int(np.count_nonzero(np.abs(sc.f) > cache.SPARSE_EPS))
+    nnz = sc.nonzeros.nnz
     total = sc.d**3
     exact_result = None
     if cfg.exact:
@@ -361,10 +366,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _validate(args)
-    except UsageError as exc:
+        return _DISPATCH[cfg.command](cfg)
+    except (UsageError, cache.CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _DISPATCH[cfg.command](cfg)
 
 
 if __name__ == "__main__":

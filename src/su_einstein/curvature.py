@@ -16,21 +16,30 @@ constant connection coefficients
     Gamma^c_ab = (F_abc - F_bca + F_cab) / (2 g_cc),   F_abc = f^c_ab g_cc,
 
 and the curvature operator R(e_a, e_b) e_c = (grad_a grad_b - grad_b grad_a
-- grad_[a,b]) e_c yields the frame Riemann tensor.  Everything here is a pure
-function of (f, g); results are deterministic and safe to share.
+- grad_[a,b]) e_c yields the frame Riemann tensor.
+
+The engine works on nonzero entries (``sparse.Nonzeros``): Gamma lives on the
+nonzeros of f, and Ricci and |Riem|^2 are sums of products of Gamma and f
+entries joined on their shared indices, so no d^4 array is built.  The dense
+``riemann``, ``ricci``, ``lower_riemann`` and ``riem_norm_sq`` remain as test
+oracles.  Everything here is a pure function of (f, g); results are
+deterministic and safe to share.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .liealg import StructureConstants
+from .sparse import Nonzeros, join
 
 DEFAULT_EINSTEIN_TOL = 1e-8
 
 _BIINVARIANT_WEIGHT = 4.0  # fixes lambda = n/8 at x = (1,...,1)
+_PAIR_BUDGET = 1 << 20     # Riemann products formed at once
 
 
 def frame_weights(sc: StructureConstants) -> np.ndarray:
@@ -69,8 +78,8 @@ class MetricSpec:
         x = tuple(float(v) for v in x)
         if len(x) != sc.num_classes:
             raise ValueError(f"expected {sc.num_classes} metric constants, got {len(x)}")
-        if any(v <= 0 for v in x):
-            raise ValueError(f"metric constants must be strictly positive, got {x}")
+        if not all(math.isfinite(v) and v > 0 for v in x):
+            raise ValueError(f"metric constants must be finite and strictly positive, got {x}")
         w = frame_weights(sc)
         g = np.asarray(x)[sc.class_of] * w
         return cls(
@@ -96,22 +105,128 @@ class MetricSpec:
         )
 
 
-def levi_civita(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
-    """Connection coefficients Gamma[c, a, b] of the Levi-Civita connection.
+def levi_civita(sc: StructureConstants, metric: MetricSpec) -> Nonzeros:
+    """Connection coefficients Gamma^c_ab of the Levi-Civita connection, at (c, a, b).
 
     Satisfies 2 g(grad_a e_b, e_c) = g([a,b],c) - g([b,c],a) + g([c,a],b),
-    hence metric compatibility and Gamma^c_ab - Gamma^c_ba = f^c_ab.
+    hence metric compatibility and Gamma^c_ab - Gamma^c_ba = f^c_ab.  The
+    trace form is ad-invariant, so f_abc = f^c_ab G_cc is totally
+    antisymmetric and the three Koszul terms share the factor f^c_ab:
+
+        Gamma^c_ab = f^c_ab (y_c - y_a + y_b) / (2 y_c),   y = g / G.
+
+    Gamma therefore lives on the nonzeros of f.
+    """
+    f = sc.nonzeros
+    c, a, b = f.index
+    y = metric.g / np.diag(sc.gram)
+    values = f.values * (y[c] - y[a] + y[b]) / (2.0 * y[c])
+    keep = values != 0.0
+    return Nonzeros(f.shape, (c[keep], a[keep], b[keep]), values[keep])
+
+
+def ricci_fast(gamma: Nonzeros, sc: StructureConstants) -> np.ndarray:
+    """Ricci matrix Ric[c, b] from the nonzeros of Gamma and f.
+
+    The same contraction as ricci(riemann(...)),
+
+        Ric_cb = v_e Gamma^e_bc - Gamma^a_be Gamma^e_ac - f^e_ab Gamma^a_ec,
+        v_e = Gamma^a_ae,
+
+    with each product formed only for entry pairs whose shared indices agree.
+    """
+    d = sc.d
+    gc, ga, gb = gamma.index
+    gv = gamma.values
+    fc, fa, fb = sc.nonzeros.index
+    fv = sc.nonzeros.values
+    on_trace = gc == ga
+    v = np.bincount(gb[on_trace], weights=gv[on_trace], minlength=d)
+    # Gamma^a_be Gamma^e_ac: entries (a, b, e) and (e, a, c)
+    i, j = join(gc * d + gb, ga * d + gc)
+    # f^e_ab Gamma^a_ec: entries (e, a, b) and (a, e, c)
+    k, m = join(fa * d + fc, gc * d + ga)
+    keys = np.concatenate([gb * d + ga, gb[j] * d + ga[i], gb[m] * d + fb[k]])
+    terms = np.concatenate([v[gc] * gv, -gv[i] * gv[j], -fv[k] * gv[m]])
+    return np.bincount(keys, weights=terms, minlength=d * d).reshape(d, d)
+
+
+def riemann_nonzeros(gamma: Nonzeros, sc: StructureConstants) -> Nonzeros:
+    """The nonzero Riem[d, c, a, b] with d < c and a < b, from the nonzeros of Gamma and f.
+
+    The lowered tensor g_d Riem_dcab is antisymmetric in (d, c) and in (a, b),
+    so these entries determine Riem.  Each entry is a sum of key-joined products
+
+        Riem_dcab = P_dcab - P_dcba - f^e_ab Gamma^d_ec,   P_dcab = Gamma^d_ae Gamma^e_bc,
+
+    where a P term with a > b is moved to (d, c, b, a) with its sign flipped.
+    """
+    blocks = list(_riemann_blocks(gamma, sc))
+    return Nonzeros(blocks[0].shape,
+                    tuple(np.concatenate(k) for k in zip(*(b.index for b in blocks))),
+                    np.concatenate([b.values for b in blocks]))
+
+
+def _riemann_blocks(gamma: Nonzeros, sc: StructureConstants):
+    """riemann_nonzeros split by ranges of the first index d; the ranges are
+    chosen so that each forms at most about _PAIR_BUDGET P products."""
+    D = sc.d
+    gc, ga, gb = gamma.index
+    gv = gamma.values
+    fc, fa, fb = sc.nonzeros.index
+    fv = sc.nonzeros.values
+    upper = np.flatnonzero(fa < fb)
+    # Gamma is sorted by its first index: entries [first[d], first[d+1]) have c = d
+    first = np.searchsorted(gc, np.arange(D + 1))
+    pairs = np.bincount(gc, weights=np.bincount(gc, minlength=D)[gb], minlength=D)
+    before = np.cumsum(pairs) - pairs
+    block = before // _PAIR_BUDGET
+    edges = np.flatnonzero(np.diff(block, prepend=-1, append=block[-1] + 1))
+    for d0, d1 in zip(edges[:-1], edges[1:]):
+        lo, hi = first[d0], first[d1]
+        # P: entries (d, a, e) and (e, b, c)
+        i, j = join(gb[lo:hi], gc)
+        i += lo
+        keep = (gc[i] < gb[j]) & (ga[i] != ga[j])
+        i, j = i[keep], j[keep]
+        sign = np.sign(ga[j] - ga[i])
+        # f^e_ab Gamma^d_ec: entries (e, a, b) with a < b and (d, e, c) with d < c
+        k, m = join(fc[upper], ga[lo:hi])
+        k, m = upper[k], m + lo
+        keep = gc[m] < gb[m]
+        k, m = k[keep], m[keep]
+        index = (np.concatenate([gc[i], gc[m]]),
+                 np.concatenate([gb[j], gb[m]]),
+                 np.concatenate([np.minimum(ga[i], ga[j]), fa[k]]),
+                 np.concatenate([np.maximum(ga[i], ga[j]), fb[k]]))
+        terms = np.concatenate([sign * gv[i] * gv[j], -fv[k] * gv[m]])
+        yield Nonzeros.from_sums((D, D, D, D), index, terms)
+
+
+def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec) -> float:
+    """|Riem|^2 from the nonzeros of Riemann, without building the d^4 tensor.
+
+    Same value as riem_norm_sq(riemann(gamma, sc), metric): with a diagonal
+    metric an entry contributes Riem_dcab^2 g_d / (g_c g_a g_b), and the four
+    entries related by the pair antisymmetries contribute equally.
     """
     g = metric.g
-    F = np.einsum("cab,c->abc", sc.f, g)  # F[a,b,c] = f^c_ab g_cc
-    F_bca = np.einsum("bca->abc", F)
-    F_cab = np.einsum("cab->abc", F)
-    gamma = (F - F_bca + F_cab) / (2.0 * g[None, None, :])
-    return np.ascontiguousarray(np.einsum("abc->cab", gamma))
+    total = 0.0
+    for riem in _riemann_blocks(gamma, sc):
+        d, c, a, b = riem.index
+        total += float(np.sum(riem.values**2 * g[d] / (g[c] * g[a] * g[b])))
+    return 4.0 * total
 
 
-def riemann(gamma: np.ndarray, sc: StructureConstants) -> np.ndarray:
-    """Frame Riemann tensor Riem[d, c, a, b], i.e. R(e_a, e_b) e_c = Riem[d,c,a,b] e_d."""
+# -- dense oracles -----------------------------------------------------------
+#
+# The functions below build the d^4 Riemann tensor.  They are the test
+# oracles of the nonzero engine above and are not used by the engine.
+
+
+def riemann(gamma, sc: StructureConstants) -> np.ndarray:
+    """Dense frame Riemann tensor Riem[d, c, a, b], i.e. R(e_a, e_b) e_c = Riem[d,c,a,b] e_d."""
+    gamma = np.asarray(gamma)
     t1 = np.einsum("dae,ebc->dcab", gamma, gamma, optimize=True)
     t2 = np.einsum("dcab->dcba", t1)
     t3 = np.einsum("eab,dec->dcab", sc.f, gamma, optimize=True)
@@ -119,20 +234,8 @@ def riemann(gamma: np.ndarray, sc: StructureConstants) -> np.ndarray:
 
 
 def ricci(riem: np.ndarray) -> np.ndarray:
-    """Ricci matrix by contracting the first and third slots of Riem[d, c, a, b]."""
+    """Ricci matrix by contracting the first and third slots of a dense Riem[d, c, a, b]."""
     return np.einsum("acab->cb", riem)
-
-
-def ricci_fast(gamma: np.ndarray, sc: StructureConstants) -> np.ndarray:
-    """Ricci directly from the connection, without materializing Riemann.
-
-    Same contraction as ricci(riemann(...)); O(d^3) memory instead of O(d^4).
-    """
-    v = np.einsum("aae->e", gamma)
-    t1 = np.einsum("e,ebc->cb", v, gamma)
-    t2 = np.einsum("abe,eac->cb", gamma, gamma, optimize=True)
-    t3 = np.einsum("eab,aec->cb", sc.f, gamma, optimize=True)
-    return t1 - t2 - t3
 
 
 def lower_riemann(riem: np.ndarray, metric: MetricSpec) -> np.ndarray:
@@ -141,7 +244,7 @@ def lower_riemann(riem: np.ndarray, metric: MetricSpec) -> np.ndarray:
 
 
 def riem_norm_sq(riem: np.ndarray, metric: MetricSpec) -> float:
-    """|Riem|^2: all four indices of the lowered tensor raised with g^-1."""
+    """|Riem|^2 of a dense Riem: all four indices of the lowered tensor raised with g^-1."""
     g = metric.g
     low = lower_riemann(riem, metric)
     up = low / g[:, None, None, None] / g[None, :, None, None]
@@ -158,8 +261,7 @@ def scalar_curvature(ric: np.ndarray, metric: MetricSpec) -> float:
 class CurvatureBundle:
     """All curvature data of one metric."""
 
-    gamma: np.ndarray
-    riem: np.ndarray | None
+    gamma: Nonzeros
     ric: np.ndarray
     scalar: float
     riem_norm_sq: float | None
@@ -169,25 +271,18 @@ class CurvatureBundle:
 
 def curvature_bundle(sc: StructureConstants, metric: MetricSpec,
                      with_riemann: bool = True) -> CurvatureBundle:
-    """Compute connection, curvature tensors and the Einstein fit for a metric.
+    """Compute connection, Ricci, |Riem|^2 and the Einstein fit for a metric.
 
     With ``with_riemann=False`` only the Ricci-level quantities are computed
-    (enough for Einstein residuals), which is much lighter for large n.
+    (enough for Einstein residuals); |Riem|^2 is then None.
     """
     gamma = levi_civita(sc, metric)
-    if with_riemann:
-        riem = riemann(gamma, sc)
-        ric = ricci(riem)
-        rnorm = riem_norm_sq(riem, metric)
-    else:
-        riem = None
-        ric = ricci_fast(gamma, sc)
-        rnorm = None
+    ric = ricci_fast(gamma, sc)
+    rnorm = riemann_norm_sq(gamma, sc, metric) if with_riemann else None
     lam = float(np.mean(np.diag(ric) / metric.g))
     res = float(np.abs(ric - lam * np.diag(metric.g)).max())
     return CurvatureBundle(
         gamma=gamma,
-        riem=riem,
         ric=ric,
         scalar=scalar_curvature(ric, metric),
         riem_norm_sq=rnorm,

@@ -18,16 +18,20 @@ combinations, and class 4 is the single trace-balance generator
 q*sum(E_aa, a<=p) - p*sum(E_bb, b>p), kept unnormalized.
 
 Generators T_a are Hermitian, so the real structure constants are defined
-through [T_a, T_b] = i f^c_ab T_c and recovered from matrix commutators by
-projecting with the Gram matrix G_ab = Re tr(T_a T_b).  The dual frame
+through [T_a, T_b] = i f^c_ab T_c.  The basis is trace-orthogonal with Gram
+matrix G_ab = Re tr(T_a T_b), so f^c_ab = 2 Im tr(T_a T_b T_c) / G_cc, and the
+trace is evaluated on the generators' few nonzero entries.  The dual frame
 then obeys d sigma^c = -1/2 f^c_ab sigma^a ^ sigma^b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .sparse import CANCEL_RTOL, Nonzeros, join, sum_by_key
 
 SCHEME1_CLASSES = ("offdiag_sym", "offdiag_anti", "diag")
 SCHEME2_CLASSES = ("su_p", "su_q", "cross", "balance")
@@ -80,23 +84,31 @@ class GeneratorBasis:
 class StructureConstants:
     """Real structure constants f^c_ab and Gram data of a generator basis.
 
-    ``f[c, a, b]`` is the coefficient of T_c in -i [T_a, T_b].  The context
-    fields (scheme, n, p, class_of) are carried along so curvature code can
-    be driven from this object alone.
+    ``nonzeros`` holds the nonzero f^c_ab, the coefficient of T_c in
+    -i [T_a, T_b], at index (c, a, b); entries that vanish are exact zeros
+    and are not stored.  The context fields (scheme, n, p, class_of) are
+    carried along so curvature code can be driven from this object alone.
     """
 
     d: int
-    f: np.ndarray      # (d, d, d)
-    gram: np.ndarray   # (d, d)
+    nonzeros: Nonzeros  # f^c_ab at (c, a, b), shape (d, d, d)
+    gram: np.ndarray    # (d, d), diagonal
     scheme: int
     n: int
     p: int | None
     class_of: np.ndarray
 
     def __post_init__(self):
-        self.f.flags.writeable = False
         self.gram.flags.writeable = False
         self.class_of.flags.writeable = False
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        """Dense f[c, a, b], materialized from the nonzeros (d^3 floats: for
+        tests and basis validation, not for the engine)."""
+        f = self.nonzeros.toarray()
+        f.flags.writeable = False
+        return f
 
     @property
     def q(self) -> int | None:
@@ -237,30 +249,57 @@ def build_scheme2_basis(n: int, p: int) -> GeneratorBasis:
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureConstants:
-    """Extract real f^c_ab from matrix commutators via Gram projection.
+    """Real f^c_ab from the generators' nonzero entries, by index rules.
 
-    Solves [T_a, T_b] = i f^c_ab T_c by f^c_ab = (G^-1)_cd Re tr(-i [T_a,T_b] T_d).
-    A singular Gram matrix signals a linearly dependent basis.
+    The T_a are Hermitian, so tr([T_a, T_b] T_c) = 2i Im tr(T_a T_b T_c) and,
+    for a trace-orthogonal basis, f^c_ab = 2 Im tr(T_a T_b T_c) / G_cc.  The
+    trace is the sum of A_ij B_jk C_ki over entries that share matrix indices;
+    a generator has at most n nonzero entries, so there are few such triples.
+    Sums that cancel to rounding level are exact zeros and are not stored.
     """
-    T = basis.generators
-    d = basis.dim
-    gram = np.real(np.einsum("aij,bji->ab", T, T))
-    try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Gram matrix is singular: generators are linearly dependent") from exc
-    comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
-    proj = np.real(np.einsum("abij,dji->abd", -1.0j * comm, T))
-    f = np.einsum("cd,abd->cab", gram_inv, proj)
+    n, d = basis.n, basis.dim
+    gen, row, col = np.nonzero(basis.generators)
+    val = basis.generators[gen, row, col]
+    gram_diag = _gram_diagonal(d, n, gen, row, col, val)
+    first, second = join(col, row)                          # A_ij B_jk
+    pair, third = join(col[second] * n + row[first], row * n + col)  # ... C_ki
+    first, second = first[pair], second[pair]
+    c = gen[third]
+    term = 2.0 * np.imag(val[first] * val[second] * val[third]) / gram_diag[c]
+    live = term != 0.0
+    nonzeros = Nonzeros.from_sums(
+        (d, d, d), (c[live], gen[first][live], gen[second][live]), term[live])
     return StructureConstants(
         d=d,
-        f=f,
-        gram=gram,
+        nonzeros=nonzeros,
+        gram=np.diag(gram_diag),
         scheme=basis.scheme,
         n=basis.n,
         p=basis.p,
         class_of=basis.class_of.copy(),
     )
+
+
+def _gram_diagonal(d: int, n: int, gen, row, col, val) -> np.ndarray:
+    """Diagonal of G_ab = Re tr(T_a T_b) from the entries; raises unless G is
+    diagonal (up to rounding) and nonsingular."""
+    left, right = join(row * n + col, col * n + row)
+    key, total, scale = sum_by_key(gen[left] * d + gen[right],
+                                   np.real(val[left] * val[right]))
+    a, b = np.divmod(key, d)
+    on_diag = a == b
+    diag = np.zeros(d)
+    diag[a[on_diag]] = total[on_diag]
+    off = ~on_diag & (np.abs(total) > CANCEL_RTOL * scale)
+    if np.any(off):
+        gram = np.zeros(d * d)
+        gram[key] = total
+        if np.linalg.matrix_rank(gram.reshape(d, d)) < d:
+            raise ValueError("Gram matrix is singular: generators are linearly dependent")
+        raise ValueError("Gram matrix is not diagonal: the basis is not trace-orthogonal")
+    if np.any(diag <= 0.0):
+        raise ValueError("Gram matrix is singular: the basis has a zero generator")
+    return diag
 
 
 @dataclass
@@ -335,8 +374,13 @@ def validate_basis(basis: GeneratorBasis, tol: float = 1e-12) -> BasisReport:
         problems.append(f"Gram matrix near-singular (min eig {min_eig:.2e})")
 
     f_anti = jacobi = low_anti = 0.0
+    sc = None
     if min_eig > tol:
-        sc = structure_constants(basis)
+        try:
+            sc = structure_constants(basis)
+        except ValueError as exc:
+            problems.append(f"no structure constants: {exc}")
+    if sc is not None:
         f = sc.f
         f_anti = float(np.abs(f + np.transpose(f, (0, 2, 1))).max())
         jac = np.einsum("eab,dec->abcd", f, f, optimize=True)

@@ -1,7 +1,8 @@
-"""Structure-constant cache: file format and round trips."""
+"""Structure-constant cache: file format, round trips, load checks, atomic saves."""
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from su_einstein import cache
 from conftest import sc_for
@@ -13,7 +14,7 @@ def test_round_trip(tmp_path):
     loaded = cache.load_structure_constants(path)
     assert loaded.d == sc.d
     assert loaded.scheme == 2 and loaded.n == 5 and loaded.p == 3
-    npt.assert_allclose(loaded.f, sc.f, atol=cache.SPARSE_EPS)
+    npt.assert_array_equal(loaded.f, sc.f)
     npt.assert_array_equal(np.diag(loaded.gram), np.diag(sc.gram))
     npt.assert_array_equal(loaded.class_of, sc.class_of)
 
@@ -35,7 +36,7 @@ def test_fetch_computes_then_hits(tmp_path):
     sc1 = cache.fetch_structure_constants(1, 3, None, tmp_path)
     assert (tmp_path / "f_s1_n3_p0.sc").exists()
     sc2 = cache.fetch_structure_constants(1, 3, None, tmp_path)
-    npt.assert_allclose(sc1.f, sc2.f, atol=cache.SPARSE_EPS)
+    npt.assert_array_equal(sc1.f, sc2.f)
 
 
 def test_fetch_without_dir_computes():
@@ -47,7 +48,8 @@ def test_header_and_format(tmp_path):
     sc = sc_for(1, 2)
     path = cache.save_structure_constants(tmp_path / "su2.sc", sc)
     lines = path.read_text().splitlines()
-    assert lines[0] == "1 2 0 3"
+    assert lines[0] == "1 2 0 3 6"
+    assert len(lines) == 2 + 6
     npt.assert_allclose([float(t) for t in lines[1].split()], [2.0, 2.0, 1.0],
                         atol=1e-14)
     # sparse records: a b c value with 0-based indices
@@ -63,3 +65,38 @@ def test_env_var_resolution(monkeypatch, tmp_path):
     assert cache.resolve_cache_dir("explicit") == cache.Path("explicit")
     monkeypatch.delenv(cache.ENV_CACHE_DIR)
     assert cache.resolve_cache_dir(None) is None
+
+
+def test_truncated_file_is_rejected(tmp_path):
+    path = cache.save_structure_constants(tmp_path / "f.sc", sc_for(1, 3))
+    path.write_text("\n".join(path.read_text().splitlines()[:20]) + "\n")
+    with pytest.raises(cache.CacheError, match="records, header says"):
+        cache.load_structure_constants(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda lines: [lines[0].rsplit(" ", 1)[0]] + lines[1:], "malformed"),
+    (lambda lines: lines[:2] + ["0 1 99 1.0"] + lines[3:], "outside"),
+    (lambda lines: [lines[0], " ".join(["3.0"] * 8)] + lines[2:], "Gram diagonal"),
+    (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:], "in order"),
+])
+def test_corrupted_file_is_rejected(tmp_path, edit, match):
+    path = cache.save_structure_constants(tmp_path / "f.sc", sc_for(1, 3))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(cache.CacheError, match=match):
+        cache.load_structure_constants(path)
+
+
+def test_save_is_atomic(tmp_path, monkeypatch):
+    path = cache.save_structure_constants(tmp_path / "f.sc", sc_for(1, 3))
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cache.save_structure_constants(path, sc_for(1, 4))
+    # the old file is untouched and no temporary file is left behind
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["f.sc"]

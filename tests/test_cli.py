@@ -88,6 +88,13 @@ class TestCheck:
                          "--x", "7,-1,7")
         assert code == 2
 
+    @pytest.mark.parametrize("x", ["nan,1,1", "inf,1,1", "7,1,-inf"])
+    def test_non_finite_x_usage_error(self, capsys, x):
+        code, out, err = run(capsys, "check", "--scheme", "1", "--n", "4", "--x", x)
+        assert code == 2
+        assert "finite" in err
+        assert "verdict" not in out
+
     def test_scheme2_check(self, capsys):
         code, out, _ = run(capsys, "check", "--scheme", "2", "--n", "4",
                            "--p", "2", "--x", "1,1,1,0.125")
@@ -118,6 +125,12 @@ class TestSolve:
                            "--starts", "150", "--format", "json")
         assert code == 0
         assert len(json.loads(out)["results"]) == 1
+
+    def test_negative_starts_usage_error(self, capsys):
+        code, out, err = run(capsys, "solve", "--scheme", "1", "--n", "3", "--starts", "-5")
+        assert code == 2
+        assert "--starts" in err
+        assert out == ""
 
     def test_p_equal_n_rejected(self, capsys):
         code, _, err = run(capsys, "solve", "--scheme", "2", "--n", "5", "--p", "5")
@@ -156,6 +169,12 @@ class TestCatalog:
         assert doc["results"]["count_inequivalent"] == 3
         assert doc["results"]["paper_count"] == 5
         assert doc["results"]["agreement"] is False
+
+    def test_negative_starts_usage_error(self, capsys):
+        code, out, err = run(capsys, "catalog", "--n", "3", "--starts", "-1")
+        assert code == 2
+        assert "--starts" in err
+        assert out == ""
 
     def test_table_output(self, capsys):
         code, out, _ = run(capsys, "catalog", "--n", "3", "--starts", "120")
@@ -200,3 +219,15 @@ class TestCacheWiring:
                          "--x", "1,1,1")
         assert code == 0
         assert (tmp_path / "f_s1_n3_p0.sc").exists()
+
+    def test_truncated_cache_file_is_an_error_not_a_verdict(self, capsys, tmp_path):
+        argv = ("check", "--scheme", "1", "--n", "3", "--x", "11,1,11",
+                "--cache-dir", str(tmp_path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "verdict: EINSTEIN" in out
+        path = tmp_path / "f_s1_n3_p0.sc"
+        path.write_text("\n".join(path.read_text().splitlines()[:20]) + "\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "verdict" not in out

@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su_einstein as se
-from su_einstein.curvature import lower_riemann, ricci_fast
+from su_einstein.curvature import (
+    lower_riemann,
+    ricci_fast,
+    riemann_nonzeros,
+    riemann_norm_sq,
+)
 from conftest import sc_for
 
 SQ2 = np.sqrt(2.0)
@@ -33,6 +38,11 @@ class TestMetricSpec:
             se.MetricSpec.from_x(sc, (1.0, -1.0, 2.0))
         with pytest.raises(ValueError):
             se.MetricSpec.from_x(sc, (0.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            se.MetricSpec.from_x(sc_for(1, 3), (bad, 1.0, 1.0))
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -56,7 +66,7 @@ class TestLeviCivita:
         # the two off-diagonal directions connect with +-sqrt(2)/2, the
         # diagonal one with +-sqrt(2)
         sc = sc_for(1, 2)
-        gamma = se.levi_civita(sc, metric(1, 2, None, (1, 1, 1)))
+        gamma = np.asarray(se.levi_civita(sc, metric(1, 2, None, (1, 1, 1))))
         nonzero = {idx: gamma[idx] for idx in zip(*np.nonzero(np.abs(gamma) > 1e-14))}
         assert len(nonzero) == 6
         expected = {
@@ -118,7 +128,7 @@ class TestRiemann:
         sc = sc_for(1, 2)
         m = metric(1, 2, None, (1, 1, 1))
         bundle = se.curvature_bundle(sc, m)
-        low = lower_riemann(bundle.riem, m)
+        low = lower_riemann(se.riemann(bundle.gamma, sc), m)
         for a in range(3):
             for b in range(a + 1, 3):
                 K = low[a, b, a, b] / (m.g[a] * m.g[b])
@@ -157,6 +167,53 @@ class TestRiemann:
             for c in range(sc.num_classes):
                 vals = sigma[sc.class_of == c]
                 assert np.ptp(vals) < 1e-10
+
+
+ORACLE_CONFIGS = ([(1, n, None) for n in range(2, 7)]
+                  + [(2, n, p) for n in range(3, 7) for p in range(1, n)])
+
+
+class TestNonzeroEngine:
+    """The nonzero engine against the dense d^4 oracle, and at sizes the oracle cannot reach."""
+
+    @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS)
+    def test_matches_dense_oracle(self, scheme, n, p, rng):
+        sc = sc_for(scheme, n, p)
+        for _ in range(3):
+            m = metric(scheme, n, p, random_x(rng, sc.num_classes))
+            gamma = se.levi_civita(sc, m)
+            riem = se.riemann(gamma, sc)
+            ric = se.ricci(riem)
+            npt.assert_allclose(ricci_fast(gamma, sc), ric,
+                                rtol=0, atol=1e-12 * np.abs(ric).max())
+            assert riemann_norm_sq(gamma, sc, m) == pytest.approx(
+                se.riem_norm_sq(riem, m), rel=1e-12)
+
+    @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (2, 5, 2)])
+    def test_riemann_nonzeros_are_the_dense_entries(self, scheme, n, p, rng):
+        sc = sc_for(scheme, n, p)
+        m = metric(scheme, n, p, random_x(rng, sc.num_classes))
+        gamma = se.levi_civita(sc, m)
+        dense = se.riemann(gamma, sc)
+        i = np.arange(sc.d)
+        quarter = ((i[:, None, None, None] < i[None, :, None, None])
+                   & (i[None, None, :, None] < i[None, None, None, :]))
+        npt.assert_allclose(np.asarray(riemann_nonzeros(gamma, sc)), dense * quarter,
+                            rtol=0, atol=1e-12 * np.abs(dense).max())
+
+    def test_connection_lives_on_the_support_of_f(self, rng):
+        sc = sc_for(2, 5, 3)
+        gamma = se.levi_civita(sc, metric(2, 5, 3, random_x(rng, 4)))
+        assert set(zip(*gamma.index)) <= set(zip(*sc.nonzeros.index))
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_second_family_I1_beyond_the_dense_oracle(self, n):
+        # the dense Riemann tensor would take 1.1 GB at n = 12 and 34 GB at n = 16
+        X = (3 * n + 2) / (n - 2)
+        I1_formula = (2 * n * n + 3 * n + 2) * (n - 1) * (3 * n + 4) / (n * (5 * n + 6))
+        sc = sc_for(1, n)
+        assert se.invariant_I1(metric(1, n, None, (X, 1.0, X)), sc) == pytest.approx(
+            I1_formula, rel=1e-8)
 
 
 class TestEinsteinResidual:

@@ -173,6 +173,24 @@ class TestStructureConstants:
         rebuilt = 1j * np.einsum("cab,cij->abij", sc.f, T)
         npt.assert_allclose(comm, rebuilt, atol=1e-12)
 
+    @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 6, None), (2, 5, 2), (2, 6, 6)])
+    def test_matches_commutator_projection(self, scheme, n, p):
+        # oracle: project dense commutators with the inverse Gram matrix
+        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+        T = basis.generators
+        gram = np.real(np.einsum("aij,bji->ab", T, T))
+        comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
+        proj = np.real(np.einsum("abij,dji->abd", -1.0j * comm, T))
+        dense = np.einsum("cd,abd->cab", np.linalg.inv(gram), proj)
+        npt.assert_allclose(structure_constants(basis).f, dense, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("scheme,n,p", [(1, n, None) for n in range(2, 10)]
+                             + [(2, n, p) for n in range(2, 10) for p in range(n + 1)])
+    def test_zeros_are_exact(self, scheme, n, p):
+        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+        values = np.abs(structure_constants(basis).nonzeros.values)
+        assert values.size and values.min() >= 1e-12
+
     def test_singular_gram_rejected(self):
         T = np.zeros((2, 2, 2), dtype=complex)
         T[0] = [[0, 1], [1, 0]]
