@@ -202,9 +202,10 @@ def cmd_basis(cfg: RunConfig) -> int:
 def cmd_check(cfg: RunConfig) -> int:
     sc = _sc_for(cfg)
     metric = curvature.MetricSpec.from_x(sc, cfg.x)
-    residual, lam = curvature.einstein_residual(metric, sc)
+    fit = curvature.curvature_bundle(sc, metric, with_riemann=False)
+    residual, lam = fit.residual, fit.lambda_best
     einstein = residual <= cfg.tol
-    I1 = curvature.invariant_I1(metric, sc, tol=cfg.tol) if einstein else None
+    I1 = curvature.invariant_I1(metric, sc, tol=cfg.tol, fit=fit) if einstein else None
     verdict = "EINSTEIN" if einstein else "NOT-EINSTEIN"
 
     if cfg.fmt == "json":

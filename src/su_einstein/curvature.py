@@ -303,20 +303,27 @@ def einstein_residual(metric: MetricSpec, sc: StructureConstants) -> tuple[float
 
 
 def invariant_I1(metric: MetricSpec, sc: StructureConstants,
-                 tol: float = DEFAULT_EINSTEIN_TOL) -> float:
+                 tol: float = DEFAULT_EINSTEIN_TOL,
+                 fit: CurvatureBundle | None = None) -> float:
     """The dimensionless invariant |Riem|^2 / lambda^2 of an Einstein metric.
 
     Invariant under uniform rescaling of the metric.  Raises ValueError when
     the metric is not Einstein within ``tol`` or when lambda vanishes.
+    ``fit`` is an already computed ``curvature_bundle`` of the same metric
+    (with or without |Riem|^2); its connection and Ricci are then reused.
     """
-    bundle = curvature_bundle(sc, metric, with_riemann=True)
-    if bundle.residual > tol:
+    if fit is None:
+        fit = curvature_bundle(sc, metric, with_riemann=False)
+    if fit.residual > tol:
         raise ValueError(
-            f"I1 undefined: metric is not Einstein (residual {bundle.residual:.3e} > {tol:.1e})"
+            f"I1 undefined: metric is not Einstein (residual {fit.residual:.3e} > {tol:.1e})"
         )
-    if bundle.lambda_best == 0.0:
+    if fit.lambda_best == 0.0:
         raise ValueError("I1 undefined: lambda is zero")
-    return bundle.riem_norm_sq / bundle.lambda_best**2
+    rnorm = fit.riem_norm_sq
+    if rnorm is None:
+        rnorm = riemann_norm_sq(fit.gamma, sc, metric)
+    return rnorm / fit.lambda_best**2
 
 
 def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec,

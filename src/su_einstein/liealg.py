@@ -105,7 +105,7 @@ class StructureConstants:
     @cached_property
     def f(self) -> np.ndarray:
         """Dense f[c, a, b], materialized from the nonzeros (d^3 floats: for
-        tests and basis validation, not for the engine)."""
+        tests, not for the engine)."""
         f = self.nonzeros.toarray()
         f.flags.writeable = False
         return f
@@ -119,7 +119,8 @@ class StructureConstants:
         return 3 if self.scheme == 1 else 4
 
     def lowered(self) -> np.ndarray:
-        """Fully lowered tensor f_abc = f^e_ab G_ec (totally antisymmetric)."""
+        """Fully lowered tensor f_abc = f^e_ab G_ec (totally antisymmetric);
+        dense, for tests."""
         return np.einsum("eab,ec->abc", self.f, self.gram)
 
 
@@ -381,17 +382,7 @@ def validate_basis(basis: GeneratorBasis, tol: float = 1e-12) -> BasisReport:
         except ValueError as exc:
             problems.append(f"no structure constants: {exc}")
     if sc is not None:
-        f = sc.f
-        f_anti = float(np.abs(f + np.transpose(f, (0, 2, 1))).max())
-        jac = np.einsum("eab,dec->abcd", f, f, optimize=True)
-        jac += np.einsum("ebc,dea->abcd", f, f, optimize=True)
-        jac += np.einsum("eca,deb->abcd", f, f, optimize=True)
-        jacobi = float(np.abs(jac).max())
-        low = sc.lowered()
-        low_anti = max(
-            float(np.abs(low + np.einsum("bac->abc", low)).max()),
-            float(np.abs(low + np.einsum("acb->abc", low)).max()),
-        )
+        f_anti, jacobi, low_anti = _identity_deviations(sc)
         if f_anti > tol:
             problems.append(f"f not antisymmetric (dev {f_anti:.2e})")
         if jacobi > tol:
@@ -415,6 +406,41 @@ def validate_basis(basis: GeneratorBasis, tol: float = 1e-12) -> BasisReport:
         lowered_antisymmetry_dev=low_anti,
         problems=problems,
     )
+
+
+def _identity_deviations(sc: StructureConstants) -> tuple[float, float, float]:
+    """Largest violation of f^c_ab = -f^c_ba, of the Jacobi identity
+
+        f^e_ab f^d_ec + f^e_bc f^d_ea + f^e_ca f^d_eb = 0,
+
+    and of the total antisymmetry of f_abc = f^c_ab G_cc, from the nonzeros of f.
+
+    Each left-hand side is a sum of key-joined entry products, so the result
+    is the max-norm of the dense tensor without building it.
+    """
+    d = sc.d
+    c, a, b = sc.nonzeros.index
+    v = sc.nonzeros.values
+
+    def key(*idx):
+        return np.ravel_multi_index(idx, (d,) * len(idx))
+
+    def max_sum(values, *keys) -> float:
+        """max |sum over equal keys|, with each value entered once per key array."""
+        if not values.size:
+            return 0.0
+        total = sum_by_key(np.concatenate(keys), np.tile(values, len(keys)))[1]
+        return float(np.abs(total).max())
+
+    f_anti = max_sum(v, key(c, a, b), key(c, b, a))
+    # every Jacobi term pairs an entry (e, s, t) with an entry (d, e, u)
+    i, j = join(c, a)
+    s, t, u, dd = a[i], b[i], b[j], c[j]
+    jacobi = max_sum(v[i] * v[j], key(s, t, u, dd), key(u, s, t, dd), key(t, u, s, dd))
+    low = v * np.diag(sc.gram)[c]  # f_abc at (a, b, c)
+    low_anti = max(max_sum(low, key(a, b, c), key(b, a, c)),
+                   max_sum(low, key(a, b, c), key(a, c, b)))
+    return f_anti, jacobi, low_anti
 
 
 def _expected_class_sizes(basis: GeneratorBasis) -> tuple[int, ...] | None:

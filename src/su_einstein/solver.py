@@ -168,7 +168,19 @@ class EinsteinSystem:
 
         Gauge entries and constants of empty classes are set to 1.
         """
-        vals = dict(zip(self.unknowns, (float(t) for t in v)))
+        x, lam = self._columns(v)
+        return tuple(float(t) for t in x), float(lam)
+
+    def _columns(self, v: np.ndarray):
+        """The full gauge-fixed x and lambda for unknowns of shape (k,) or (B, k).
+
+        Each entry is a scalar or a length-B column; gauge entries and
+        constants of empty classes are the constant 1.
+        """
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1:] != (self.size,) or v.ndim > 2:
+            raise ValueError(f"expected (k,) or (B, k) unknowns {self.unknowns}, got {v.shape}")
+        vals = dict(zip(self.unknowns, np.ascontiguousarray(v.T)))
         if self.scheme == 1:
             x = (vals["x1"], 1.0, vals["x3"])
         else:
@@ -176,45 +188,49 @@ class EinsteinSystem:
         return x, vals["lambda"]
 
     def residual(self, v: np.ndarray) -> np.ndarray:
-        x, lam = self.full_x_lambda(v)
+        """Residuals at unknowns of shape (k,) or (B, k); same shape out."""
+        x, lam = self._columns(v)
         if self.scheme == 1:
             full = scheme1_system(self.n, *x, lam)
         else:
             full = scheme2_system(self.n, self.p, *x, lam)
-        return full[list(self._rows)]
+        return full[list(self._rows)].T
 
     def jacobian(self, v: np.ndarray) -> np.ndarray:
-        """Analytic Jacobian of ``residual`` with respect to the unknowns."""
-        x, lam = self.full_x_lambda(v)
+        """Analytic Jacobian of ``residual``: (k, k) for v of shape (k,), (B, k, k) for (B, k)."""
+        x, lam = self._columns(v)
+        J = np.zeros(np.shape(lam) + (len(x), len(x)))
         if self.scheme == 1:
             n = self.n
             x1, x2, x3 = x
-            J = np.array([
-                [(n - 2) / 8 * x2 / x1**2 + 0.5 * x1 / (x2 * x3) - lam,
-                 -0.25 * x1**2 / (x2 * x3**2) - 0.25 / x2 + 0.25 * x2 / x3**2,
-                 -x1],
-                [-(n - 2) / 8 * x2**2 / x1**3 - 0.25 * x2**2 / (x1**2 * x3)
-                 + 0.25 * x3 / x1**2 - 0.25 / x3,
-                 -0.25 * x2**2 / (x1 * x3**2) - 0.25 / x1 + 0.25 * x1 / x3**2,
-                 -x2],
-                [n / 8 * (x2 / x1**2 - 1.0 / x2 - x3**2 / (x1**2 * x2)),
-                 n / 8 * 2 * x3 / (x1 * x2) - lam,
-                 -x3],
-            ])
+            J[..., 0, 0] = (n - 2) / 8 * x2 / x1**2 + 0.5 * x1 / (x2 * x3) - lam
+            J[..., 0, 1] = -0.25 * x1**2 / (x2 * x3**2) - 0.25 / x2 + 0.25 * x2 / x3**2
+            J[..., 0, 2] = -x1
+            J[..., 1, 0] = (-(n - 2) / 8 * x2**2 / x1**3 - 0.25 * x2**2 / (x1**2 * x3)
+                            + 0.25 * x3 / x1**2 - 0.25 / x3)
+            J[..., 1, 1] = -0.25 * x2**2 / (x1 * x3**2) - 0.25 / x1 + 0.25 * x1 / x3**2
+            J[..., 1, 2] = -x2
+            J[..., 2, 0] = n / 8 * (x2 / x1**2 - 1.0 / x2 - x3**2 / (x1**2 * x2))
+            J[..., 2, 1] = n / 8 * 2 * x3 / (x1 * x2) - lam
+            J[..., 2, 2] = -x3
             return J
         n, p = self.n, self.p
         q = n - p
         x1, x2, x3, x4 = x
-        full = np.array([
-            [q / 4 * x1 - lam, 0.0, 0.0, -x1],
-            [0.0, p / 4 * x2 - lam, 0.0, -x2],
-            [-(p - 1) * (p + 1) / (8 * p), -(q - 1) * (q + 1) / (8 * q),
-             -n**2 / 16, -1.0],
-            [0.0, 0.0, p * q * n**2 / 8 * x4 - lam, -x4],
-        ])
+        # columns x1, x2, x4, lambda of the four equations
+        J[..., 0, 0] = q / 4 * x1 - lam
+        J[..., 0, 3] = -x1
+        J[..., 1, 1] = p / 4 * x2 - lam
+        J[..., 1, 3] = -x2
+        J[..., 2, 0] = -(p - 1) * (p + 1) / (8 * p)
+        J[..., 2, 1] = -(q - 1) * (q + 1) / (8 * q)
+        J[..., 2, 2] = -n**2 / 16
+        J[..., 2, 3] = -1.0
+        J[..., 3, 2] = p * q * n**2 / 8 * x4 - lam
+        J[..., 3, 3] = -x4
         cols = {"x1": 0, "x2": 1, "x4": 2, "lambda": 3}
         keep = [cols[name] for name in self.unknowns]
-        return full[np.ix_(list(self._rows), keep)]
+        return J[(Ellipsis, *np.ix_(list(self._rows), keep))]
 
     def record(self, v: np.ndarray, provenance: str = "numeric",
                engine_tol: float = DEFAULT_EINSTEIN_TOL) -> EinsteinRecord:
@@ -222,12 +238,13 @@ class EinsteinSystem:
         x, lam = self.full_x_lambda(v)
         sc = _structure(self.scheme, self.n, self.p)
         metric = MetricSpec.from_x(sc, x)
-        residual, lam_best = curvature.einstein_residual(metric, sc)
+        fit = curvature.curvature_bundle(sc, metric, with_riemann=False)
+        residual, lam_best = fit.residual, fit.lambda_best
         valid = residual <= engine_tol and lam_best > 0 and all(t > 0 for t in x)
         I1 = None
         notes = None
         if valid:
-            I1 = curvature.invariant_I1(metric, sc, tol=engine_tol)
+            I1 = curvature.invariant_I1(metric, sc, tol=engine_tol, fit=fit)
         else:
             notes = f"engine residual {residual:.3e} exceeds {engine_tol:.1e}"
         return EinsteinRecord(
@@ -248,48 +265,124 @@ def einstein_system(scheme: int, n: int, p: int | None = None) -> EinsteinSystem
     return EinsteinSystem(scheme, n, p)
 
 
+NEWTON_OUTCOMES = (
+    "converged",           # the final residual is below tol
+    "singular_jacobian",   # the Newton step has no solution
+    "nonfinite_step",      # the Newton step has a nan or inf component
+    "line_search_failed",  # no halving of the step gave an acceptable positive iterate
+    "stalled_off_root",    # the step stalled, but the residual is not below tol
+    "max_iter",            # max_iter steps taken, and the residual is not below tol
+)
+_OUTCOME = {name: code for code, name in enumerate(NEWTON_OUTCOMES)}
+
+# Line-search step fractions 1, 1/2, ..., 2^-59 (exact powers of two), tried
+# in four blocks of 15: a block is evaluated at once for every start that has
+# not yet accepted a step.  Most starts accept within the first blocks, and a
+# single 60-wide block of 400 starts would hold several MB of trial points.
+_HALVINGS = 0.5 ** np.arange(60)
+_HALVING_BLOCKS = np.split(np.arange(60), 4)
+
+
 def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200,
-                 tol: float = 1e-12) -> np.ndarray | None:
+                 tol: float = 1e-12):
     """Damped Newton iteration on the reduced system, staying positive.
 
     Steps are halved until the iterate keeps all components positive and the
-    residual norm does not grow.  Iterates past the ``tol`` threshold until
-    the step stalls, which sharpens roots where two solution branches collide
-    (there the Jacobian is singular and plain Newton converges only linearly).
-    Returns the root or None.
+    residual norm does not grow (below a step fraction of 1e-8 any positive
+    iterate is taken).  Iterates past the ``tol`` threshold until the step
+    stalls, which sharpens roots where two solution branches collide (there
+    the Jacobian is singular and plain Newton converges only linearly).
+
+    ``x0`` of shape (k,) is one start: returns the root or None.  ``x0`` of
+    shape (B, k) is a batch of starts iterated together: returns
+    ``(roots, outcomes)``, the (B, k) roots (nan rows where a start did not
+    converge) and each start's entry of NEWTON_OUTCOMES.  Every start takes
+    the steps it would take alone; a start leaves the batch as soon as it
+    finishes, and a singular Jacobian fails only its own start.
     """
-    v = np.asarray(x0, dtype=float).copy()
-    if v.shape != (system.size,):
+    v = np.array(x0, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != system.size:
         raise ValueError(f"expected {system.size} unknowns {system.unknowns}, got {v.shape}")
     if np.any(v <= 0):
         raise ValueError("starting point must be strictly positive")
-    r = system.residual(v)
-    for _ in range(max_iter):
-        rnorm = np.abs(r).max()
-        if rnorm < 1e-15:
-            break
-        try:
-            step = np.linalg.solve(system.jacobian(v), -r)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        t = 1.0
-        accepted = False
-        for _ in range(60):
-            vn = v + t * step
-            if np.all(vn > 0):
-                rn = system.residual(vn)
-                if np.abs(rn).max() <= rnorm or t <= 1e-8:
-                    v, r = vn, rn
-                    accepted = True
+    single = v.ndim == 1
+    v = v.reshape(-1, system.size)
+    outcome = np.full(len(v), _OUTCOME["max_iter"])
+    live = np.arange(len(v))  # starts still iterating
+    with np.errstate(all="ignore"):
+        r = system.residual(v)
+        for _ in range(max_iter):
+            rnorm = np.abs(r[live]).max(axis=1)
+            # a start that stops early is judged by its final residual below
+            done = rnorm < 1e-15
+            outcome[live[done]] = _OUTCOME["stalled_off_root"]
+            live, rnorm = live[~done], rnorm[~done]
+            if live.size == 0:
+                break
+            step, singular = _newton_steps(system.jacobian(v[live]), -r[live])
+            nonfinite = ~singular & ~np.isfinite(step).all(axis=1)
+            outcome[live[singular]] = _OUTCOME["singular_jacobian"]
+            outcome[live[nonfinite]] = _OUTCOME["nonfinite_step"]
+            ok = ~(singular | nonfinite)
+            live, rnorm, step = live[ok], rnorm[ok], step[ok]
+
+            # the first halving whose iterate is positive and accepted wins
+            pick = np.full(live.size, -1)
+            todo = np.arange(live.size)
+            for block in _HALVING_BLOCKS:
+                t = _HALVINGS[block]
+                trial = v[live[todo], None, :] + t[:, None] * step[todo, None, :]
+                positive = (trial > 0).all(axis=2)
+                norm = np.full(positive.shape, np.nan)
+                norm[positive] = np.abs(system.residual(trial[positive])).max(axis=1)
+                accept = positive & ((norm <= rnorm[todo, None]) | (t <= 1e-8))
+                hit = accept.any(axis=1)
+                pick[todo[hit]] = block[np.argmax(accept[hit], axis=1)]
+                todo = todo[~hit]
+                if todo.size == 0:
                     break
-            t *= 0.5
-        if not accepted:
-            return None
-        if np.abs(t * step).max() < 1e-14 * max(1.0, np.abs(v).max()):
-            break
-    return v if np.abs(system.residual(v)).max() < tol else None
+            found = pick >= 0
+            outcome[live[~found]] = _OUTCOME["line_search_failed"]
+            live = live[found]
+            move = _HALVINGS[pick[found], None] * step[found]
+            v[live] += move
+            r[live] = system.residual(v[live])
+
+            stall = np.abs(move).max(axis=1) < 1e-14 * np.fmax(1.0, np.abs(v[live]).max(axis=1))
+            outcome[live[stall]] = _OUTCOME["stalled_off_root"]
+            live = live[~stall]
+        final = np.abs(r).max(axis=1) < tol
+    stopped = np.isin(outcome, [_OUTCOME["stalled_off_root"], _OUTCOME["max_iter"]])
+    outcome[stopped & final] = _OUTCOME["converged"]
+    v[outcome != _OUTCOME["converged"]] = np.nan
+    if single:
+        return v[0] if outcome[0] == _OUTCOME["converged"] else None
+    return v, np.array(NEWTON_OUTCOMES)[outcome]
+
+
+def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve J[i] step[i] = rhs[i] for every i; (steps, singular mask).
+
+    A batched solve raises if any member is singular; then each member is
+    solved on its own, so only the singular ones fail.
+    """
+    singular = np.zeros(len(rhs), dtype=bool)
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        step = np.full_like(rhs, np.nan)
+        for i in range(len(rhs)):
+            try:
+                step[i] = np.linalg.solve(J[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return step, singular
+
+
+def _near(a, b, rtol: float) -> bool:
+    """Whether a is within rtol of b in the max norm, relative to max(1, max|b|)."""
+    return (max(abs(s - t) for s, t in zip(a, b))
+            <= rtol * max(1.0, max(abs(t) for t in b)))
 
 
 @dataclass
@@ -302,53 +395,45 @@ def multistart_search(system: EinsteinSystem, n_starts: int = 400, seed: int = 0
                       engine_tol: float = DEFAULT_EINSTEIN_TOL) -> MultistartResult:
     """Seeded multistart Newton search, deduplicated and engine-validated.
 
-    Starts are log-uniform in [1e-2, 1e2] per unknown.  Converged roots with
-    a component under BOUNDARY_FLOOR are degenerate limits of the system and
-    are discarded (counted in the diagnostics); the heuristic search makes no
-    completeness claim.  Roots are deduplicated by relative proximity of the
-    unknown vector, then each representative is validated by the curvature
-    engine and annotated with I1; records that remain close in both x and I1
-    are merged.  Output is sorted by (I1, x); identical seeds give identical
-    record lists.
+    Starts are log-uniform in [1e-2, 1e2] per unknown and are iterated as one
+    batch.  Converged roots with a component under BOUNDARY_FLOOR are
+    degenerate limits of the system and are discarded (counted in the
+    diagnostics); the heuristic search makes no completeness claim.  Roots
+    are deduplicated in start order by relative proximity of the unknown
+    vector, then each representative is validated by the curvature engine
+    and annotated with I1; records that remain close in both x and I1 are
+    merged.  ``diagnostics["newton_outcomes"]`` counts each start's Newton
+    outcome (NEWTON_OUTCOMES); the counts sum to ``starts``.  Output is
+    sorted by (I1, x); identical seeds give identical record lists.
     """
+    if n_starts < 0:
+        raise ValueError(f"n_starts must be >= 0, got {n_starts}")
     rng = np.random.default_rng(seed)
-    diag = {"starts": n_starts, "converged": 0, "failed": 0,
-            "boundary_discarded": 0, "engine_rejected": 0, "duplicates": 0}
-    roots: list[np.ndarray] = []
-    for _ in range(n_starts):
-        v0 = 10.0 ** rng.uniform(-2.0, 2.0, system.size)
-        v = newton_solve(system, v0)
-        if v is None:
-            diag["failed"] += 1
-            continue
-        diag["converged"] += 1
+    starts = 10.0 ** rng.uniform(-2.0, 2.0, (n_starts, system.size))
+    roots, outcomes = newton_solve(system, starts)
+    tally = {name: int(np.count_nonzero(outcomes == name)) for name in NEWTON_OUTCOMES}
+    diag = {"starts": n_starts, "converged": tally["converged"],
+            "failed": n_starts - tally["converged"], "boundary_discarded": 0,
+            "engine_rejected": 0, "duplicates": 0, "newton_outcomes": tally}
+    distinct: list[np.ndarray] = []
+    for v in roots[outcomes == "converged"]:
         if v.min() < BOUNDARY_FLOOR:
             diag["boundary_discarded"] += 1
-            continue
-        if any(np.abs(v - r).max() <= DEDUP_RTOL * max(1.0, np.abs(r).max())
-               for r in roots):
+        elif any(_near(v, r, DEDUP_RTOL) for r in distinct):
             diag["duplicates"] += 1
-            continue
-        roots.append(v)
+        else:
+            distinct.append(v)
 
-    records: list[EinsteinRecord] = []
-    for v in roots:
+    valid: list[EinsteinRecord] = []
+    for v in distinct:
         rec = system.record(v, provenance="numeric", engine_tol=engine_tol)
-        if not rec.valid:
+        if rec.valid:
+            valid.append(rec)
+        else:
             diag["engine_rejected"] += 1
-            continue
-        # secondary guard: collapse only if both x and I1 agree
-        dup = any(
-            max(abs(a - b) for a, b in zip(rec.x, other.x))
-            <= DEDUP_RTOL * max(1.0, max(abs(t) for t in other.x))
-            and abs(rec.I1 - other.I1) <= DEDUP_RTOL * max(1.0, abs(other.I1))
-            for other in records
-        )
-        if dup:
-            diag["duplicates"] += 1
-            continue
-        records.append(rec)
-    records.sort(key=lambda r: (r.I1 if r.I1 is not None else math.inf, r.x))
+    # secondary guard: collapse only if both x and I1 agree
+    records = dedup_records(valid)
+    diag["duplicates"] += len(valid) - len(records)
     return MultistartResult(records=records, diagnostics=diag)
 
 
@@ -474,18 +559,9 @@ def dedup_records(records: list[EinsteinRecord],
     """Collapse records of the same configuration with matching x (and I1)."""
     out: list[EinsteinRecord] = []
     for rec in records:
-        if not rec.valid:
-            continue
-        dup = False
-        for other in out:
-            close_x = max(abs(a - b) for a, b in zip(rec.x, other.x)) \
-                <= rtol * max(1.0, max(abs(t) for t in other.x))
-            close_i1 = (rec.I1 is not None and other.I1 is not None
-                        and abs(rec.I1 - other.I1) <= rtol * max(1.0, abs(other.I1)))
-            if close_x and close_i1:
-                dup = True
-                break
-        if not dup:
+        if rec.valid and not any(
+                _near(rec.x, other.x, rtol) and rec.I1 is not None and other.I1 is not None
+                and _near((rec.I1,), (other.I1,), rtol) for other in out):
             out.append(rec)
     out.sort(key=lambda r: (r.I1 if r.I1 is not None else math.inf, r.x))
     return out
@@ -511,12 +587,7 @@ def solve_configuration(scheme: int, n: int, p: int | None = None,
     for rec in closed:
         if not rec.valid:
             continue
-        found = any(
-            max(abs(a - b) for a, b in zip(rec.x, other.x))
-            <= 1e-4 * max(1.0, max(abs(t) for t in other.x))
-            for other in ms.records
-        )
-        if not found:
+        if not any(_near(rec.x, other.x, 1e-4) for other in ms.records):
             missed.append(rec.provenance)
     merged = dedup_records(closed + ms.records)
     diagnostics = dict(ms.diagnostics)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from su_einstein import cli
+from su_einstein import cli, curvature
 
 
 def run(capsys, *argv):
@@ -70,6 +70,20 @@ class TestCheck:
         assert doc["results"]["lambda"] == pytest.approx(0.5, rel=1e-12)
         assert doc["results"]["I1"] == pytest.approx(15.0, rel=1e-8)
         assert doc["results"]["verdict"] == "EINSTEIN"
+
+    @pytest.mark.parametrize("x", ["7,1,7", "1,2,1"])
+    def test_one_ricci_per_check(self, capsys, monkeypatch, x):
+        calls = {"ricci_fast": 0, "invariant_I1": 0}
+        for name in calls:
+            original = getattr(curvature, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(curvature, name, counted)
+        code, _, _ = run(capsys, "check", "--scheme", "1", "--n", "4", "--x", x)
+        assert calls == {"ricci_fast": 1, "invariant_I1": int(code == 0)}
 
     def test_non_einstein_exits_1(self, capsys):
         code, out, _ = run(capsys, "check", "--scheme", "1", "--n", "4",

@@ -253,6 +253,22 @@ class TestInvariantI1:
     def test_undefined_off_shell(self):
         with pytest.raises(ValueError, match="not Einstein"):
             se.invariant_I1(metric(1, 3, None, (1, 2, 1)), sc_for(1, 3))
+        m = metric(1, 3, None, (1, 2, 1))
+        with pytest.raises(ValueError, match="not Einstein"):
+            se.invariant_I1(m, sc_for(1, 3), fit=se.curvature_bundle(sc_for(1, 3), m))
+
+    @pytest.mark.parametrize("with_riemann", [False, True])
+    def test_reuses_a_given_fit(self, with_riemann, monkeypatch):
+        sc = sc_for(2, 5, 3)
+        m = metric(2, 5, 3, (1.0, 1.0, 1.0, 2.0 / 30))
+        fit = se.curvature_bundle(sc, m, with_riemann=with_riemann)
+        expected = se.invariant_I1(m, sc)
+
+        def no_ricci(*args):
+            raise AssertionError("Ricci recomputed")
+
+        monkeypatch.setattr(se.curvature, "ricci_fast", no_ricci)
+        assert se.invariant_I1(m, sc, fit=fit) == expected == pytest.approx(24.0, rel=1e-10)
 
     def test_riem_norm_scaling(self):
         sc = sc_for(1, 3)

@@ -224,6 +224,52 @@ class TestValidateBasis:
         assert any("trace" in p for p in report.problems)
 
 
+def dense_identity_deviations(sc):
+    """The dense oracle: f antisymmetry, Jacobi sum and lowered-f antisymmetry
+    from the d^3 array f and d^4 einsums."""
+    f = sc.f
+    f_anti = np.abs(f + np.transpose(f, (0, 2, 1))).max()
+    jac = np.einsum("eab,dec->abcd", f, f)
+    jac += np.einsum("ebc,dea->abcd", f, f)
+    jac += np.einsum("eca,deb->abcd", f, f)
+    low = sc.lowered()
+    low_anti = max(np.abs(low + np.einsum("bac->abc", low)).max(),
+                   np.abs(low + np.einsum("acb->abc", low)).max())
+    return f_anti, np.abs(jac).max(), low_anti
+
+
+def phase_rotated(basis, a, angle=0.1):
+    """The basis with generator a multiplied by exp(i angle): still
+    trace-orthogonal with a positive Gram diagonal, but not Hermitian."""
+    T = basis.generators.copy()
+    T[a] *= np.exp(1j * angle)
+    return GeneratorBasis(n=basis.n, scheme=basis.scheme, p=basis.p, generators=T,
+                          class_of=basis.class_of.copy())
+
+
+class TestIdentityDeviations:
+    @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 5, None), (2, 5, 2), (2, 6, 3)])
+    def test_match_the_dense_oracle(self, scheme, n, p):
+        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+        report = validate_basis(basis)
+        npt.assert_allclose([report.f_antisymmetry_dev, report.jacobi_dev,
+                             report.lowered_antisymmetry_dev],
+                            dense_identity_deviations(structure_constants(basis)), atol=1e-14)
+
+    @pytest.mark.parametrize("a", [0, 7, 13])
+    def test_perturbed_basis_is_flagged(self, a):
+        bad = phase_rotated(build_scheme1_basis(4), a)
+        report = validate_basis(bad)
+        expected = dense_identity_deviations(structure_constants(bad))
+        got = [report.f_antisymmetry_dev, report.jacobi_dev, report.lowered_antisymmetry_dev]
+        npt.assert_allclose(got, expected, rtol=1e-12)
+        assert min(got) > 0.1
+        assert not report.passed
+        for prefix in ("f not antisymmetric (dev ", "Jacobi identity violated (dev ",
+                       "lowered f not totally antisymmetric (dev "):
+            assert any(p.startswith(prefix) for p in report.problems), report.problems
+
+
 class TestExactValidation:
     @pytest.mark.parametrize("scheme,n,p", [(1, 2, None), (1, 3, None), (2, 3, 2)])
     def test_exact_identities(self, scheme, n, p):

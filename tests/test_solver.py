@@ -8,6 +8,7 @@ import pytest
 
 import su_einstein as se
 from su_einstein.solver import (
+    NEWTON_OUTCOMES,
     branch_x1,
     branch_x4_lambda,
     dedup_records,
@@ -92,6 +93,89 @@ class TestNewton:
         v = se.newton_solve(system, np.array([1e-2, 1e2, 1e-2]), max_iter=50)
         if v is not None:
             assert np.abs(system.residual(v)).max() < 1e-12
+
+
+# (x1, x2, x4, lambda) with q x1 / 4 = p x2 / 4 = lambda exactly: the first
+# two rows of the (5, 3) Jacobian are then parallel, an exactly singular matrix
+SINGULAR_5_3 = np.array([1.5, 1.0, 0.5, 0.75])
+
+
+def log_uniform_starts(system, count, seed):
+    return 10.0 ** np.random.default_rng(seed).uniform(-2.0, 2.0, (count, system.size))
+
+
+class TestBatchedNewton:
+    @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (2, 5, 3), (2, 7, 1)])
+    def test_residual_and_jacobian_broadcast(self, scheme, n, p, rng):
+        system = se.einstein_system(scheme, n, p)
+        V = np.exp(rng.uniform(-1, 1, (7, system.size)))
+        R, J = system.residual(V), system.jacobian(V)
+        assert R.shape == (7, system.size) and J.shape == (7, system.size, system.size)
+        for v, r, jac in zip(V, R, J):
+            npt.assert_allclose(r, system.residual(v), rtol=1e-15, atol=1e-15)
+            npt.assert_allclose(jac, system.jacobian(v), rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 4, None), (1, 6, None),
+                                            (2, 4, 2), (2, 5, 3), (2, 6, 5)])
+    def test_each_start_as_if_alone(self, scheme, n, p):
+        system = se.einstein_system(scheme, n, p)
+        starts = log_uniform_starts(system, 200, seed=n)
+        roots, outcomes = se.newton_solve(system, starts)
+        assert roots.shape == starts.shape and outcomes.shape == (200,)
+        assert set(outcomes) <= set(NEWTON_OUTCOMES)
+        assert {"converged", "stalled_off_root"} <= set(outcomes)
+        for start, root, outcome in zip(starts, roots, outcomes):
+            alone_roots, (alone,) = se.newton_solve(system, start[None])
+            assert outcome == alone
+            npt.assert_allclose(root, alone_roots[0], rtol=1e-14)
+            assert np.isnan(root).all() == (outcome != "converged")
+
+    def test_single_start_is_the_batch_of_one(self):
+        system = se.einstein_system(2, 5, 2)
+        starts = log_uniform_starts(system, 30, seed=8)
+        roots, outcomes = se.newton_solve(system, starts)
+        for start, root, outcome in zip(starts, roots, outcomes):
+            v = se.newton_solve(system, start)
+            if outcome == "converged":
+                npt.assert_array_equal(v, root)
+            else:
+                assert v is None
+
+    def test_singular_start_fails_only_itself(self):
+        system = se.einstein_system(2, 5, 3)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(system.jacobian(SINGULAR_5_3), -system.residual(SINGULAR_5_3))
+        good = log_uniform_starts(system, 12, seed=3)
+        roots, outcomes = se.newton_solve(system, good)
+        assert "converged" in outcomes
+        mixed_roots, mixed = se.newton_solve(system, np.insert(good, 5, SINGULAR_5_3, axis=0))
+        assert mixed[5] == "singular_jacobian" and np.isnan(mixed_roots[5]).all()
+        assert list(np.delete(mixed, 5)) == list(outcomes)
+        npt.assert_allclose(np.delete(mixed_roots, 5, axis=0), roots, rtol=1e-14)
+        assert se.newton_solve(system, SINGULAR_5_3) is None
+
+    def test_rejects_bad_shapes(self):
+        system = se.einstein_system(1, 3)
+        for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3))):
+            with pytest.raises(ValueError):
+                se.newton_solve(system, bad)
+        with pytest.raises(ValueError):
+            se.newton_solve(system, np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]]))
+
+    def test_empty_batch(self):
+        roots, outcomes = se.newton_solve(se.einstein_system(1, 3), np.ones((0, 3)))
+        assert roots.shape == (0, 3) and outcomes.shape == (0,)
+
+
+def test_record_computes_ricci_once(monkeypatch):
+    calls = []
+    original = se.curvature.ricci_fast
+    monkeypatch.setattr(se.curvature, "ricci_fast",
+                        lambda *args: calls.append(1) or original(*args))
+    system = se.einstein_system(1, 4)
+    rec = system.record(np.array([7.0, 7.0, 13 / 98]))
+    assert rec.valid and rec.I1 == pytest.approx(276 / 13, rel=1e-10)
+    assert len(calls) == 1
 
 
 class TestClosedFormScheme1:
@@ -212,6 +296,27 @@ class TestMultistart:
         assert [r.x for r in a.records] == [r.x for r in b.records]
         assert [r.I1 for r in a.records] == [r.I1 for r in b.records]
         assert a.diagnostics == b.diagnostics
+
+    def test_batch_draw_equals_per_start_draws(self):
+        rng = np.random.default_rng(17)
+        one_by_one = np.array([rng.uniform(-2.0, 2.0, 4) for _ in range(50)])
+        npt.assert_array_equal(np.random.default_rng(17).uniform(-2.0, 2.0, (50, 4)), one_by_one)
+
+    def test_newton_outcomes_sum_to_starts(self):
+        a = se.multistart_search(se.einstein_system(1, 4), n_starts=150, seed=4)
+        b = se.multistart_search(se.einstein_system(1, 4), n_starts=150, seed=4)
+        counts = a.diagnostics["newton_outcomes"]
+        assert set(counts) == set(NEWTON_OUTCOMES)
+        assert sum(counts.values()) == a.diagnostics["starts"] == 150
+        assert counts["converged"] == a.diagnostics["converged"]
+        assert a.diagnostics["failed"] == 150 - counts["converged"]
+        assert counts == b.diagnostics["newton_outcomes"]
+
+    def test_zero_and_negative_starts(self):
+        ms = se.multistart_search(se.einstein_system(1, 3), n_starts=0)
+        assert ms.records == [] and sum(ms.diagnostics["newton_outcomes"].values()) == 0
+        with pytest.raises(ValueError):
+            se.multistart_search(se.einstein_system(1, 3), n_starts=-1)
 
     def test_records_sorted_and_valid(self):
         ms = se.multistart_search(se.einstein_system(1, 4), n_starts=200, seed=5)
