@@ -4,9 +4,13 @@ Builds generator bases of su(n) adapted to two class-diagonal metric ansatz
 families, computes curvature directly from structure constants, solves the
 Einstein condition (closed forms and seeded multistart), and catalogs the
 inequivalent solutions per n by the scale-free invariant |Riem|^2 / lambda^2.
+
+The ``solver`` and ``catalog`` names are imported on first use, so a
+program that only builds bases or checks metrics does not load them.
 """
 
-from .catalog import CatalogEntry, Case, case_classify, enumerate_metrics, paper_count
+import importlib
+
 from .curvature import (
     CurvatureBundle,
     MetricSpec,
@@ -31,18 +35,29 @@ from .liealg import (
     structure_constants,
     validate_basis,
 )
-from .solver import (
-    EinsteinRecord,
-    EinsteinSystem,
-    closed_form_scheme1,
-    closed_form_scheme2,
-    einstein_system,
-    multistart_search,
-    newton_solve,
-    scheme1_system,
-    scheme2_system,
-    solve_configuration,
-)
+
+_LAZY = {
+    "catalog": ("CatalogEntry", "Case", "case_classify", "enumerate_metrics",
+                "paper_count"),
+    "solver": ("EinsteinRecord", "EinsteinSystem", "closed_form_scheme1",
+               "closed_form_scheme2", "einstein_system", "multistart_search",
+               "newton_solve", "scheme1_system", "scheme2_system",
+               "solve_configuration"),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    """The solver and catalog names (and those two modules), imported on first use."""
+    module = name if name in _LAZY else _LAZY_OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -97,6 +97,7 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
         n=n,
         p=None if scheme == 1 else p,
         class_of=basis.class_of.copy(),
+        orbit_of=basis.orbit_of(),
     )
 
 
@@ -117,17 +118,20 @@ def resolve_cache_dir(cli_value: str | None) -> Path | None:
 
 
 def fetch_structure_constants(scheme: int, n: int, p: int | None,
-                              cache_dir: str | Path | None = None) -> StructureConstants:
-    """Load structure constants from the cache, computing and storing on miss."""
-    if cache_dir is None:
-        basis = _rebuild_basis(scheme, n, 0 if p is None else p)
-        return liealg.structure_constants(basis)
-    cache_dir = Path(cache_dir)
-    path = cache_dir / cache_filename(scheme, n, p)
-    if path.exists():
+                              cache_dir: str | Path | None = None,
+                              computed: StructureConstants | None = None) -> StructureConstants:
+    """Load structure constants from the cache, computing and storing on miss.
+
+    ``computed``, if given, are this configuration's structure constants,
+    already built: a miss (or no cache) uses them instead of building again.
+    """
+    path = None if cache_dir is None else Path(cache_dir) / cache_filename(scheme, n, p)
+    if path is not None and path.exists():
         return load_structure_constants(path)
-    basis = _rebuild_basis(scheme, n, 0 if p is None else p)
-    sc = liealg.structure_constants(basis)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    save_structure_constants(path, sc)
+    sc = computed
+    if sc is None:
+        sc = liealg.structure_constants(_rebuild_basis(scheme, n, 0 if p is None else p))
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_structure_constants(path, sc)
     return sc

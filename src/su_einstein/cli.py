@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cache, catalog, curvature, liealg, solver
+from . import cache, curvature, liealg
 
 SCHEMA_VERSION = 1
 
@@ -149,9 +149,11 @@ def _validate(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _sc_for(cfg: RunConfig) -> liealg.StructureConstants:
+def _sc_for(cfg: RunConfig, computed: liealg.StructureConstants | None = None
+            ) -> liealg.StructureConstants:
     cache_dir = cache.resolve_cache_dir(cfg.cache_dir)
-    return cache.fetch_structure_constants(cfg.scheme, cfg.n, cfg.p, cache_dir)
+    return cache.fetch_structure_constants(cfg.scheme, cfg.n, cfg.p, cache_dir,
+                                           computed=computed)
 
 
 # -- commands ----------------------------------------------------------------
@@ -162,7 +164,7 @@ def cmd_basis(cfg: RunConfig) -> int:
     else:
         basis = liealg.build_scheme2_basis(cfg.n, cfg.p)
     report = liealg.validate_basis(basis)
-    sc = _sc_for(cfg)
+    sc = _sc_for(cfg, computed=report.sc)
     nnz = sc.nonzeros.nnz
     total = sc.d**3
     exact_result = None
@@ -258,6 +260,8 @@ def _print_record_csv(records) -> None:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    from . import solver  # imported here: basis and check never load it
+
     result = solver.solve_configuration(cfg.scheme, cfg.n, cfg.p,
                                         n_starts=cfg.starts, seed=cfg.seed,
                                         engine_tol=cfg.tol)
@@ -276,6 +280,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_catalog(cfg: RunConfig) -> int:
+    from . import catalog
+
     entry = catalog.enumerate_metrics(cfg.n, n_starts=cfg.starts, seed=cfg.seed,
                                       engine_tol=cfg.tol)
     if cfg.fmt == "json":

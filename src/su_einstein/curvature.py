@@ -20,7 +20,8 @@ and the curvature operator R(e_a, e_b) e_c = (grad_a grad_b - grad_b grad_a
 
 The engine works on nonzero entries (``sparse.Nonzeros``): Gamma lives on the
 nonzeros of f, and Ricci and |Riem|^2 are sums of products of Gamma and f
-entries joined on their shared indices, so no d^4 array is built.  The dense
+entries joined on their shared indices, so no d^4 array is built; |Riem|^2
+needs only one Riemann row per symmetry orbit of frame vectors.  The dense
 ``riemann``, ``ricci``, ``lower_riemann`` and ``riem_norm_sq`` remain as test
 oracles.  Everything here is a pure function of (f, g); results are
 deterministic and safe to share.
@@ -155,46 +156,47 @@ def riemann_nonzeros(gamma: Nonzeros, sc: StructureConstants) -> Nonzeros:
     """The nonzero Riem[d, c, a, b] with d < c and a < b, from the nonzeros of Gamma and f.
 
     The lowered tensor g_d Riem_dcab is antisymmetric in (d, c) and in (a, b),
-    so these entries determine Riem.  Each entry is a sum of key-joined products
+    so these entries determine Riem.  They are the entries of ``_riemann_rows``
+    over all rows d that have d < c.
+    """
+    chunks = list(_riemann_rows(gamma, sc, np.arange(sc.d)))
+    index = tuple(np.concatenate(k) for k in zip(*(r.index for r in chunks)))
+    values = np.concatenate([r.values for r in chunks])
+    keep = index[0] < index[1]
+    return Nonzeros(chunks[0].shape, tuple(k[keep] for k in index), values[keep])
+
+
+def _riemann_rows(gamma: Nonzeros, sc: StructureConstants, rows: np.ndarray):
+    """The nonzero Riem[d, c, a, b] with a < b, for every c and every d in
+    ``rows``, as one ``Nonzeros`` per chunk of rows; each chunk forms
+    at most about _PAIR_BUDGET P products (more only if one row does).
+
+    Each entry is a sum of key-joined products
 
         Riem_dcab = P_dcab - P_dcba - f^e_ab Gamma^d_ec,   P_dcab = Gamma^d_ae Gamma^e_bc,
 
     where a P term with a > b is moved to (d, c, b, a) with its sign flipped.
     """
-    blocks = list(_riemann_blocks(gamma, sc))
-    return Nonzeros(blocks[0].shape,
-                    tuple(np.concatenate(k) for k in zip(*(b.index for b in blocks))),
-                    np.concatenate([b.values for b in blocks]))
-
-
-def _riemann_blocks(gamma: Nonzeros, sc: StructureConstants):
-    """riemann_nonzeros split by ranges of the first index d; the ranges are
-    chosen so that each forms at most about _PAIR_BUDGET P products."""
     D = sc.d
     gc, ga, gb = gamma.index
     gv = gamma.values
     fc, fa, fb = sc.nonzeros.index
     fv = sc.nonzeros.values
     upper = np.flatnonzero(fa < fb)
-    # Gamma is sorted by its first index: entries [first[d], first[d+1]) have c = d
-    first = np.searchsorted(gc, np.arange(D + 1))
-    pairs = np.bincount(gc, weights=np.bincount(gc, minlength=D)[gb], minlength=D)
-    before = np.cumsum(pairs) - pairs
-    block = before // _PAIR_BUDGET
-    edges = np.flatnonzero(np.diff(block, prepend=-1, append=block[-1] + 1))
-    for d0, d1 in zip(edges[:-1], edges[1:]):
-        lo, hi = first[d0], first[d1]
+    per_c = np.bincount(gc, minlength=D)
+    pairs = np.bincount(gc, weights=per_c[gb], minlength=D)[rows]
+    chunk = (np.cumsum(pairs) - pairs) // _PAIR_BUDGET
+    for label in np.unique(chunk):
+        sel = np.flatnonzero(np.isin(gc, rows[chunk == label]))
         # P: entries (d, a, e) and (e, b, c)
-        i, j = join(gb[lo:hi], gc)
-        i += lo
-        keep = (gc[i] < gb[j]) & (ga[i] != ga[j])
+        i, j = join(gb[sel], gc)
+        i = sel[i]
+        keep = ga[i] != ga[j]
         i, j = i[keep], j[keep]
         sign = np.sign(ga[j] - ga[i])
-        # f^e_ab Gamma^d_ec: entries (e, a, b) with a < b and (d, e, c) with d < c
-        k, m = join(fc[upper], ga[lo:hi])
-        k, m = upper[k], m + lo
-        keep = gc[m] < gb[m]
-        k, m = k[keep], m[keep]
+        # f^e_ab Gamma^d_ec: entries (e, a, b) with a < b and (d, e, c)
+        k, m = join(fc[upper], ga[sel])
+        k, m = upper[k], sel[m]
         index = (np.concatenate([gc[i], gc[m]]),
                  np.concatenate([gb[j], gb[m]]),
                  np.concatenate([np.minimum(ga[i], ga[j]), fa[k]]),
@@ -204,18 +206,42 @@ def _riemann_blocks(gamma: Nonzeros, sc: StructureConstants):
 
 
 def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec) -> float:
-    """|Riem|^2 from the nonzeros of Riemann, without building the d^4 tensor.
+    """|Riem|^2 from one Riemann row per symmetry orbit of frame vectors.
 
-    Same value as riem_norm_sq(riemann(gamma, sc), metric): with a diagonal
-    metric an entry contributes Riem_dcab^2 g_d / (g_c g_a g_b), and the four
-    entries related by the pair antisymmetries contribute equally.
+    Same value as riem_norm_sq(riemann(gamma, sc), metric).  With a diagonal
+    metric, |Riem|^2 is the sum over d of the row shares
+
+        C_d = sum_{c,a,b} Riem_dcab^2 g_d / (g_c g_a g_b)
+            = 2 sum_{c, a<b} Riem_dcab^2 g_d / (g_c g_a g_b),
+
+    and C_d = Q(e_d / sqrt(g_d)) for the quadratic form
+    Q(u) = sum |R(u, u_c, u_a, u_b)|^2 over a g-orthonormal frame u_i.  Only
+    the row of the first generator of each ``sc.orbit_of`` label is formed,
+    weighted by the size of its label (3 rows for scheme 1, at most 9 for
+    scheme 2).  The reduction is exact:
+
+    - Conjugation by a permutation matrix that keeps the block split (S_n
+      for scheme 1, S_p x S_q for scheme 2) is a Lie-algebra automorphism.
+      It maps each class to itself and preserves the trace form, so it is
+      an isometry of every class-diagonal metric, and it preserves R.
+    - Q is then an invariant quadratic form: Q(Ad u) = Q(u) for unit u.
+    - On an off-diagonal label the group is transitive up to sign: it maps
+      any generator to +-1 times any other, so all rows share one C_d.
+    - On the diagonal generators of one block of size k the group acts by
+      the standard representation of S_k, which is irreducible.  By Schur,
+      Q restricted to that span is a multiple of g, and the diagonal-mix
+      rows are orthonormal, so all these generators contribute equally.
+      The balance generator is fixed and is its own label.
     """
     g = metric.g
+    _, first, size = np.unique(sc.orbit_of, return_index=True, return_counts=True)
+    weight = np.zeros(sc.d)
+    weight[first] = size
     total = 0.0
-    for riem in _riemann_blocks(gamma, sc):
+    for riem in _riemann_rows(gamma, sc, first):
         d, c, a, b = riem.index
-        total += float(np.sum(riem.values**2 * g[d] / (g[c] * g[a] * g[b])))
-    return 4.0 * total
+        total += float(np.sum(weight[d] * riem.values**2 * g[d] / (g[c] * g[a] * g[b])))
+    return 2.0 * total
 
 
 # -- dense oracles -----------------------------------------------------------

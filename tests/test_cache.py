@@ -17,6 +17,7 @@ def test_round_trip(tmp_path):
     npt.assert_array_equal(loaded.f, sc.f)
     npt.assert_array_equal(np.diag(loaded.gram), np.diag(sc.gram))
     npt.assert_array_equal(loaded.class_of, sc.class_of)
+    npt.assert_array_equal(loaded.orbit_of, sc.orbit_of)
 
 
 def test_resave_is_byte_identical(tmp_path):
@@ -30,6 +31,19 @@ def test_resave_is_byte_identical(tmp_path):
 def test_filename_convention():
     assert cache.cache_filename(1, 5, None) == "f_s1_n5_p0.sc"
     assert cache.cache_filename(2, 6, 3) == "f_s2_n6_p3.sc"
+
+
+def test_fetch_stores_given_structure_constants_on_a_miss(tmp_path, monkeypatch):
+    sc = sc_for(1, 4)
+
+    def no_build(basis):
+        raise AssertionError("structure constants built again")
+
+    monkeypatch.setattr(cache.liealg, "structure_constants", no_build)
+    assert cache.fetch_structure_constants(1, 4, None, computed=sc) is sc
+    assert cache.fetch_structure_constants(1, 4, None, tmp_path, computed=sc) is sc
+    loaded = cache.load_structure_constants(tmp_path / "f_s1_n4_p0.sc")
+    npt.assert_array_equal(loaded.f, sc.f)
 
 
 def test_fetch_computes_then_hits(tmp_path):

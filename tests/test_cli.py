@@ -3,10 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from su_einstein import cli, curvature
+import su_einstein
+from su_einstein import cli, curvature, liealg
+from su_einstein.cache import ENV_CACHE_DIR
 
 
 def run(capsys, *argv):
@@ -52,6 +58,30 @@ class TestBasis:
         doc = json.loads(out)
         assert doc["results"]["passed"] is True
         assert doc["results"]["class_sizes"] == [3, 3, 2]
+
+    @pytest.mark.parametrize("with_cache_dir", [False, True])
+    def test_structure_constants_built_once(self, capsys, monkeypatch, tmp_path,
+                                            with_cache_dir):
+        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
+        built = []
+        original = liealg.structure_constants
+
+        def counted(basis):
+            built.append(basis.n)
+            return original(basis)
+
+        monkeypatch.setattr(liealg, "structure_constants", counted)
+        argv = ["basis", "--scheme", "1", "--n", "6"]
+        if with_cache_dir:
+            argv += ["--cache-dir", str(tmp_path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "status: PASS" in out
+        assert built == [6]
+        assert (tmp_path / "f_s1_n6_p0.sc").exists() == with_cache_dir
+        if with_cache_dir:  # a hit reads the file written from the one build
+            code, again, _ = run(capsys, *argv)
+            assert code == 0 and again == out
+            assert built == [6, 6]
 
 
 class TestCheck:
@@ -114,6 +144,46 @@ class TestCheck:
                            "--p", "2", "--x", "1,1,1,0.125")
         assert code == 0
         assert "EINSTEIN" in out
+
+    def test_second_family_n20(self, capsys):
+        n = 20
+        X = (3 * n + 2) / (n - 2)
+        I1 = (2 * n * n + 3 * n + 2) * (n - 1) * (3 * n + 4) / (n * (5 * n + 6))
+        code, out, _ = run(capsys, "check", "--scheme", "1", "--n", str(n),
+                           "--x", f"{X!r},1,{X!r}", "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["verdict"] == "EINSTEIN"
+        assert results["I1"] == pytest.approx(I1, rel=1e-8)
+
+
+def test_basis_and_check_do_not_import_solver_or_catalog():
+    code = (
+        "import sys\n"
+        "from su_einstein import cli\n"
+        "assert cli.main(['basis', '--scheme', '1', '--n', '3']) == 0\n"
+        "assert cli.main(['check', '--scheme', '1', '--n', '4', '--x', '7,1,7']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('su_einstein')))\n"
+        "import su_einstein as se\n"
+        "from su_einstein import solver\n"
+        "print(se.solve_configuration is solver.solve_configuration)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(su_einstein.__file__).parents[1]))
+    env.pop(ENV_CACHE_DIR, None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded, same = proc.stdout.splitlines()[-2:]
+    assert loaded == str(["su_einstein", "su_einstein.cache", "su_einstein.cli",
+                          "su_einstein.curvature", "su_einstein.liealg",
+                          "su_einstein.sparse"])
+    assert same == "True"
+
+
+def test_lazy_package_names():
+    for name in su_einstein.__all__:
+        assert getattr(su_einstein, name) is not None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        su_einstein.no_such_name
 
 
 class TestSolve:

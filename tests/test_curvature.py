@@ -171,12 +171,20 @@ class TestRiemann:
 
 ORACLE_CONFIGS = ([(1, n, None) for n in range(2, 7)]
                   + [(2, n, p) for n in range(3, 7) for p in range(1, n)])
+# scheme 2 with one empty block: all of su(n) is one class (check accepts p = 0, n)
+WHOLE_BLOCK_SPLITS = [(2, n, p) for n in range(3, 7) for p in (0, n)]
+
+
+def row_shares(riem, m):
+    """C_d = sum_{c,a,b} Riem_dcab^2 g_d / (g_c g_a g_b) of a dense Riem: |Riem|^2 = sum_d C_d."""
+    g = m.g
+    return np.einsum("dcab,d,c,a,b->d", riem**2, g, 1 / g, 1 / g, 1 / g)
 
 
 class TestNonzeroEngine:
     """The nonzero engine against the dense d^4 oracle, and at sizes the oracle cannot reach."""
 
-    @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS)
+    @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS + WHOLE_BLOCK_SPLITS)
     def test_matches_dense_oracle(self, scheme, n, p, rng):
         sc = sc_for(scheme, n, p)
         for _ in range(3):
@@ -188,6 +196,23 @@ class TestNonzeroEngine:
                                 rtol=0, atol=1e-12 * np.abs(ric).max())
             assert riemann_norm_sq(gamma, sc, m) == pytest.approx(
                 se.riem_norm_sq(riem, m), rel=1e-12)
+
+    @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS + WHOLE_BLOCK_SPLITS)
+    def test_row_shares_are_equal_on_each_orbit(self, scheme, n, p, rng):
+        # riemann_norm_sq forms one row per orbit label and weights it by the
+        # label's size; that is exact only if every row of a label has one share
+        sc = sc_for(scheme, n, p)
+        labels, sizes = np.unique(sc.orbit_of, return_counts=True)
+        assert sizes.sum() == sc.d
+        assert labels.size <= (3 if scheme == 1 else 9)
+        for label in labels:
+            assert np.unique(sc.class_of[sc.orbit_of == label]).size == 1
+        for _ in range(3):
+            m = metric(scheme, n, p, random_x(rng, sc.num_classes))
+            shares = row_shares(se.riemann(se.levi_civita(sc, m), sc), m)
+            for label in labels:
+                members = shares[sc.orbit_of == label]
+                npt.assert_allclose(members, members[0], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (2, 5, 2)])
     def test_riemann_nonzeros_are_the_dense_entries(self, scheme, n, p, rng):
@@ -206,9 +231,10 @@ class TestNonzeroEngine:
         gamma = se.levi_civita(sc, metric(2, 5, 3, random_x(rng, 4)))
         assert set(zip(*gamma.index)) <= set(zip(*sc.nonzeros.index))
 
-    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("n", [12, 16, 20, 24])
     def test_second_family_I1_beyond_the_dense_oracle(self, n):
-        # the dense Riemann tensor would take 1.1 GB at n = 12 and 34 GB at n = 16
+        # the dense Riemann tensor would take 1.1 GB at n = 12, 34 GB at n = 16
+        # and 875 GB at n = 24
         X = (3 * n + 2) / (n - 2)
         I1_formula = (2 * n * n + 3 * n + 2) * (n - 1) * (3 * n + 4) / (n * (5 * n + 6))
         sc = sc_for(1, n)
