@@ -29,6 +29,7 @@ from .curvature import (
 from .liealg import (
     GeneratorBasis,
     StructureConstants,
+    build_basis,
     build_scheme1_basis,
     build_scheme2_basis,
     exact_validate,
@@ -70,6 +71,7 @@ __all__ = [
     "GeneratorBasis",
     "MetricSpec",
     "StructureConstants",
+    "build_basis",
     "build_scheme1_basis",
     "build_scheme2_basis",
     "case_classify",

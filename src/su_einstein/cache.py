@@ -1,5 +1,9 @@
 """Plain-text cache for structure constants, keyed by (scheme, n, p).
 
+The command line does not use it: structure constants build in milliseconds
+from index rules, faster than a file loads.  It stays a library for saving
+and loading f.
+
 Format (diffable, one file per configuration, named f_s{scheme}_n{n}_p{p}.sc):
 
     line 1: ``scheme n p d nnz``    (p is 0 for the three-class basis)
@@ -23,8 +27,6 @@ import numpy as np
 from . import liealg
 from .liealg import StructureConstants
 from .sparse import Nonzeros
-
-ENV_CACHE_DIR = "SU_EINSTEIN_CACHE_DIR"
 
 
 class CacheError(ValueError):
@@ -71,7 +73,7 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
             raise ValueError("a record does not have 4 fields")
         a, b, c = (np.array([int(r[k]) for r in rows], dtype=np.intp) for k in range(3))
         values = np.array([float(r[3]) for r in rows])
-        basis = _rebuild_basis(scheme, n, p)
+        basis = liealg.build_basis(scheme, n, p)
     except (ValueError, IndexError) as exc:
         raise CacheError(f"{path}: malformed cache file ({exc})") from None
 
@@ -101,36 +103,13 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
     )
 
 
-def _rebuild_basis(scheme: int, n: int, p: int) -> liealg.GeneratorBasis:
-    if scheme == 1:
-        return liealg.build_scheme1_basis(n)
-    if scheme == 2:
-        return liealg.build_scheme2_basis(n, p)
-    raise ValueError(f"unknown scheme {scheme}")
-
-
-def resolve_cache_dir(cli_value: str | None) -> Path | None:
-    """Cache directory from the CLI flag, else the environment, else None."""
-    if cli_value:
-        return Path(cli_value)
-    env = os.environ.get(ENV_CACHE_DIR)
-    return Path(env) if env else None
-
-
 def fetch_structure_constants(scheme: int, n: int, p: int | None,
-                              cache_dir: str | Path | None = None,
-                              computed: StructureConstants | None = None) -> StructureConstants:
-    """Load structure constants from the cache, computing and storing on miss.
-
-    ``computed``, if given, are this configuration's structure constants,
-    already built: a miss (or no cache) uses them instead of building again.
-    """
+                              cache_dir: str | Path | None = None) -> StructureConstants:
+    """Load structure constants from the cache, computing and storing on miss."""
     path = None if cache_dir is None else Path(cache_dir) / cache_filename(scheme, n, p)
     if path is not None and path.exists():
         return load_structure_constants(path)
-    sc = computed
-    if sc is None:
-        sc = liealg.structure_constants(_rebuild_basis(scheme, n, 0 if p is None else p))
+    sc = liealg.structure_constants(liealg.build_basis(scheme, n, p))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_structure_constants(path, sc)

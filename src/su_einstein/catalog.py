@@ -83,9 +83,11 @@ def assign_classes(records: list[EinsteinRecord],
                    rtol: float = I1_CLASS_RTOL) -> tuple[list[EinsteinRecord], list[float]]:
     """Group records into classes of (relatively) equal I1.
 
-    Records are sorted by I1 and chained: a record joins the previous class
-    when its I1 is within ``rtol`` (relative) of the class representative.
-    Returns the records with eq_class set, plus the class representatives.
+    Records are taken in I1 order and chained: a record joins the previous
+    class when its I1 is within ``rtol`` (relative) of the class
+    representative.  Returns the records with eq_class set, sorted by
+    (eq_class, x) so that rounding in I1 does not order a class, plus the
+    class representatives.
     """
     valid = [r for r in records if r.valid and r.I1 is not None]
     valid.sort(key=lambda r: (r.I1, r.x))
@@ -98,6 +100,7 @@ def assign_classes(records: list[EinsteinRecord],
             reps.append(rec.I1)
             cls = len(reps) - 1
         out.append(replace(rec, eq_class=cls))
+    out.sort(key=lambda r: (r.eq_class, r.x))
     return out, reps
 
 

@@ -6,8 +6,7 @@ Commands
   solve    closed forms + multistart for one (scheme, n, p) configuration
   catalog  enumerate all configurations for n and classify by I1
 
-Exit codes: 0 success, 1 validation or verdict failure, 2 usage error or a
-cache file that fails its checks.
+Exit codes: 0 success, 1 validation or verdict failure, 2 usage error.
 JSON output is canonical: sorted keys, floats with 17 significant digits, so
 parse -> re-serialize is byte-identical.
 """
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cache, curvature, liealg
+from . import curvature, liealg
 
 SCHEMA_VERSION = 1
 
@@ -95,7 +94,6 @@ class RunConfig:
     starts: int
     seed: int
     fmt: str
-    cache_dir: str | None
     exact: bool
 
 
@@ -144,29 +142,17 @@ def _validate(args: argparse.Namespace) -> RunConfig:
         starts=starts,
         seed=getattr(args, "seed", 0),
         fmt=fmt,
-        cache_dir=getattr(args, "cache_dir", None),
         exact=getattr(args, "exact", False),
     )
-
-
-def _sc_for(cfg: RunConfig, computed: liealg.StructureConstants | None = None
-            ) -> liealg.StructureConstants:
-    cache_dir = cache.resolve_cache_dir(cfg.cache_dir)
-    return cache.fetch_structure_constants(cfg.scheme, cfg.n, cfg.p, cache_dir,
-                                           computed=computed)
 
 
 # -- commands ----------------------------------------------------------------
 
 def cmd_basis(cfg: RunConfig) -> int:
-    if cfg.scheme == 1:
-        basis = liealg.build_scheme1_basis(cfg.n)
-    else:
-        basis = liealg.build_scheme2_basis(cfg.n, cfg.p)
+    basis = liealg.build_basis(cfg.scheme, cfg.n, cfg.p)
     report = liealg.validate_basis(basis)
-    sc = _sc_for(cfg, computed=report.sc)
-    nnz = sc.nonzeros.nnz
-    total = sc.d**3
+    nnz = report.sc.nonzeros.nnz
+    total = report.sc.d**3
     exact_result = None
     if cfg.exact:
         exact_result = liealg.exact_validate(basis)
@@ -202,7 +188,7 @@ def cmd_basis(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    sc = _sc_for(cfg)
+    sc = liealg.structure_constants(liealg.build_basis(cfg.scheme, cfg.n, cfg.p))
     metric = curvature.MetricSpec.from_x(sc, cfg.x)
     fit = curvature.curvature_bundle(sc, metric, with_riemann=False)
     residual, lam = fit.residual, fit.lambda_best
@@ -331,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="block size for scheme 2 (q = n - p)")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--cache-dir", default=None,
-                       help=f"structure-constant cache directory (or ${cache.ENV_CACHE_DIR})")
 
     p_basis = sub.add_parser("basis", help="build and validate a generator basis")
     common(p_basis)
@@ -374,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _validate(args)
         return _DISPATCH[cfg.command](cfg)
-    except (UsageError, cache.CacheError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,10 @@ the same for the lower su(q) block, class 3 holds the 2pq off-block
 combinations, and class 4 is the single trace-balance generator
 q*sum(E_aa, a<=p) - p*sum(E_bb, b>p), kept unnormalized.
 
+Both schemes are written once, as (class, {(row, col): coefficient}) entries
+(``_description``); numpy materializes them for the builders and sympy for
+``exact_validate``.
+
 Generators T_a are Hermitian, so the real structure constants are defined
 through [T_a, T_b] = i f^c_ab T_c.  The basis is trace-orthogonal with Gram
 matrix G_ab = Re tr(T_a T_b), so f^c_ab = 2 Im tr(T_a T_b T_c) / G_cc, and the
@@ -26,6 +30,9 @@ then obeys d sigma^c = -1/2 f^c_ab sigma^a ^ sigma^b.
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -144,7 +151,17 @@ class StructureConstants:
         return np.einsum("eab,ec->abc", self.f, self.gram)
 
 
-def _diag_mix_rows(k: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _Numbers:
+    """The arithmetic a basis description is written in."""
+
+    dtype: type        # of the diagonal-mix arrays
+    sqrt: Callable
+    ratio: Callable    # ratio(a, b) = a / b
+    i: object          # the imaginary unit
+
+
+def _diag_mix_rows(k: int, num: _Numbers) -> np.ndarray:
     """Rows 1..k-1 of the product P*Q used to mix the k diagonal units.
 
     Q rows j < k are (1,...,1,-j,0,...,0)/sqrt(j(j+1)); row k is the u(1)
@@ -152,48 +169,67 @@ def _diag_mix_rows(k: int) -> np.ndarray:
     k-1 rows and as the identity on the last.  Only the first k-1 rows of
     P*Q are returned; the u(1) row is not an su(k) generator.
     """
-    Q = np.zeros((k, k))
+    Q = np.zeros((k, k), dtype=num.dtype)
     for j in range(1, k):
-        Q[j - 1, :j] = 1.0 / np.sqrt(j * (j + 1))
-        Q[j - 1, j] = -j / np.sqrt(j * (j + 1))
-    Q[k - 1, :] = 1.0 / np.sqrt(k)
-    P = np.zeros((k, k))
-    P[: k - 1, : k - 1] = (2.0 / (k - 1)) * np.ones((k - 1, k - 1)) - np.eye(k - 1)
-    P[k - 1, k - 1] = 1.0
+        Q[j - 1, :j] = 1 / num.sqrt(j * (j + 1))
+        Q[j - 1, j] = -j / num.sqrt(j * (j + 1))
+    Q[k - 1, :] = 1 / num.sqrt(k)
+    P = np.eye(k, dtype=num.dtype)
+    P[: k - 1, : k - 1] = num.ratio(2, k - 1) - np.eye(k - 1, dtype=num.dtype)
     return (P @ Q)[: k - 1]
 
 
-def _block_generators(n: int, idxs: list[int]) -> tuple[list[np.ndarray], list[int]]:
-    """Scheme-1-style generators supported on the given index set.
+def _offdiag(pairs, classes: tuple[int, int], num: _Numbers) -> list:
+    """E_AB + E_BA for every pair (A, B), then i(E_AB - E_BA) for every pair."""
+    sym, anti = classes
+    return ([(sym, {(A, B): 1, (B, A): 1}) for A, B in pairs]
+            + [(anti, {(A, B): num.i, (B, A): -num.i}) for A, B in pairs])
 
-    Returns the matrices (embedded in n x n) and their local class ids
-    (0 = symmetric off-diagonal, 1 = antisymmetric, 2 = diagonal mix).
-    """
-    k = len(idxs)
-    mats: list[np.ndarray] = []
-    cls: list[int] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            M = np.zeros((n, n), dtype=complex)
-            M[idxs[i], idxs[j]] = 1.0
-            M[idxs[j], idxs[i]] = 1.0
-            mats.append(M)
-            cls.append(0)
-    for i in range(k):
-        for j in range(i + 1, k):
-            M = np.zeros((n, n), dtype=complex)
-            M[idxs[i], idxs[j]] = 1.0j
-            M[idxs[j], idxs[i]] = -1.0j
-            mats.append(M)
-            cls.append(1)
-    if k >= 2:
-        for row in _diag_mix_rows(k):
-            M = np.zeros((n, n), dtype=complex)
-            for t, idx in enumerate(idxs):
-                M[idx, idx] = row[t]
-            mats.append(M)
-            cls.append(2)
-    return mats, cls
+
+def _block(idxs: range, classes: tuple[int, int, int], num: _Numbers) -> list:
+    """Scheme-1-style generators supported on the index set: the off-diagonal
+    pairs (A < B, lexicographic), then the diagonal mixes, with the given
+    (symmetric, antisymmetric, diagonal) classes."""
+    entries = _offdiag(list(itertools.combinations(idxs, 2)), classes[:2], num)
+    if len(idxs) >= 2:
+        entries += [(classes[2], {(i, i): v for i, v in zip(idxs, row)})
+                    for row in _diag_mix_rows(len(idxs), num)]
+    return entries
+
+
+def _description(scheme: int, n: int, p: int | None, num: _Numbers) -> list:
+    """The generators of a basis as (class, {(row, col): coefficient}) entries,
+    in basis order; numpy and sympy both materialize this one description."""
+    if scheme == 1:
+        return _block(range(n), (0, 1, 2), num)
+    entries = _block(range(p), (0, 0, 0), num) + _block(range(p, n), (1, 1, 1), num)
+    entries += _offdiag(list(itertools.product(range(p), range(p, n))), (2, 2), num)
+    if 1 <= p < n:
+        entries.append((3, {(a, a): n - p if a < p else -p for a in range(n)}))
+    return entries
+
+
+def _generators(scheme: int, n: int, p: int | None,
+                exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The description materialized: the (d, n, n) generators, in complex
+    floats or (``exact``) in sympy numbers in an object array, and their classes."""
+    if exact:
+        import sympy as sp
+
+        num, dtype = _Numbers(object, sp.sqrt, sp.Rational, sp.I), object
+    else:
+        num, dtype = _Numbers(float, np.sqrt, operator.truediv, 1j), complex
+    entries = _description(scheme, n, p, num)
+    T = np.zeros((len(entries), n, n), dtype=dtype)
+    for a, (_, coeffs) in enumerate(entries):
+        for (row, col), value in coeffs.items():
+            T[a, row, col] = value
+    return T, np.array([c for c, _ in entries], dtype=int)
+
+
+def _numpy_basis(scheme: int, n: int, p: int | None) -> GeneratorBasis:
+    T, class_of = _generators(scheme, n, p)
+    return GeneratorBasis(n=n, scheme=scheme, p=p, generators=T, class_of=class_of)
 
 
 def build_scheme1_basis(n: int) -> GeneratorBasis:
@@ -204,14 +240,7 @@ def build_scheme1_basis(n: int) -> GeneratorBasis:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    mats, cls = _block_generators(n, list(range(n)))
-    return GeneratorBasis(
-        n=n,
-        scheme=1,
-        p=None,
-        generators=np.array(mats),
-        class_of=np.array(cls, dtype=int),
-    )
+    return _numpy_basis(1, n, None)
 
 
 def build_scheme2_basis(n: int, p: int) -> GeneratorBasis:
@@ -225,48 +254,17 @@ def build_scheme2_basis(n: int, p: int) -> GeneratorBasis:
         raise ValueError(f"need n >= 2, got n={n}")
     if p < 0 or p > n:
         raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    q = n - p
-    mats: list[np.ndarray] = []
-    cls: list[int] = []
+    return _numpy_basis(2, n, p)
 
-    block1, _ = _block_generators(n, list(range(p)))
-    mats += block1
-    cls += [0] * len(block1)
-    block2, _ = _block_generators(n, list(range(p, n)))
-    mats += block2
-    cls += [1] * len(block2)
 
-    for a in range(p):
-        for b in range(p, n):
-            M = np.zeros((n, n), dtype=complex)
-            M[a, b] = 1.0
-            M[b, a] = 1.0
-            mats.append(M)
-            cls.append(2)
-    for a in range(p):
-        for b in range(p, n):
-            M = np.zeros((n, n), dtype=complex)
-            M[a, b] = 1.0j
-            M[b, a] = -1.0j
-            mats.append(M)
-            cls.append(2)
-
-    if p >= 1 and q >= 1:
-        M = np.zeros((n, n), dtype=complex)
-        for a in range(p):
-            M[a, a] = q
-        for b in range(p, n):
-            M[b, b] = -p
-        mats.append(M)
-        cls.append(3)
-
-    return GeneratorBasis(
-        n=n,
-        scheme=2,
-        p=p,
-        generators=np.array(mats),
-        class_of=np.array(cls, dtype=int),
-    )
+def build_basis(scheme: int, n: int, p: int | None = None) -> GeneratorBasis:
+    """The basis of a (scheme, n, p) configuration; p is the scheme-2 block
+    size and is not used by scheme 1."""
+    if scheme == 1:
+        return build_scheme1_basis(n)
+    if scheme == 2:
+        return build_scheme2_basis(n, p)
+    raise ValueError(f"unknown scheme {scheme}")
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureConstants:
@@ -484,88 +482,19 @@ def _expected_class_sizes(basis: GeneratorBasis) -> tuple[int, ...] | None:
 # n (the symbolic commutator projections grow quickly).
 
 
-def _sympy_basis(basis: GeneratorBasis):
-    import sympy as sp
-
-    n, scheme, p = basis.n, basis.scheme, basis.p
-
-    def diag_rows(k):
-        Q = sp.zeros(k, k)
-        for j in range(1, k):
-            for t in range(j):
-                Q[j - 1, t] = 1 / sp.sqrt(j * (j + 1))
-            Q[j - 1, j] = -j / sp.sqrt(j * (j + 1))
-        for t in range(k):
-            Q[k - 1, t] = 1 / sp.sqrt(k)
-        P = sp.zeros(k, k)
-        for i in range(k - 1):
-            for j in range(k - 1):
-                P[i, j] = sp.Rational(2, k - 1) - (1 if i == j else 0)
-        P[k - 1, k - 1] = 1
-        return (P * Q)[: k - 1, :]
-
-    def block(idxs):
-        k = len(idxs)
-        out = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                M = sp.zeros(n, n)
-                M[idxs[i], idxs[j]] = 1
-                M[idxs[j], idxs[i]] = 1
-                out.append(M)
-        for i in range(k):
-            for j in range(i + 1, k):
-                M = sp.zeros(n, n)
-                M[idxs[i], idxs[j]] = sp.I
-                M[idxs[j], idxs[i]] = -sp.I
-                out.append(M)
-        if k >= 2:
-            rows = diag_rows(k)
-            for r in range(k - 1):
-                M = sp.zeros(n, n)
-                for t, idx in enumerate(idxs):
-                    M[idx, idx] = rows[r, t]
-                out.append(M)
-        return out
-
-    if scheme == 1:
-        return block(list(range(n)))
-    q = n - p
-    mats = block(list(range(p))) + block(list(range(p, n)))
-    for a in range(p):
-        for b in range(p, n):
-            M = sp.zeros(n, n)
-            M[a, b] = 1
-            M[b, a] = 1
-            mats.append(M)
-    for a in range(p):
-        for b in range(p, n):
-            M = sp.zeros(n, n)
-            M[a, b] = sp.I
-            M[b, a] = -sp.I
-            mats.append(M)
-    if p >= 1 and q >= 1:
-        M = sp.zeros(n, n)
-        for a in range(p):
-            M[a, a] = q
-        for b in range(p, n):
-            M[b, b] = -p
-        mats.append(M)
-    return mats
-
-
 def exact_validate(basis: GeneratorBasis) -> dict:
     """Symbolically exact check of the basis and f identities (small n only).
 
-    Rebuilds the generators with sympy (the diagonal mixes carry square
-    roots, so exact means algebraic numbers, not plain rationals) and
-    verifies: Hermiticity, zero trace, diagonality of the Gram matrix, that
-    the projected f reproduce every commutator exactly, and total
-    antisymmetry of the lowered tensor.  Exact commutator reproduction plus
-    a nonsingular Gram implies the Jacobi identity for f (matrix brackets
-    satisfy it identically), which is how the ``jacobi`` flag is derived;
-    for d <= 8 the identity is additionally expanded term by term.
-    Cost grows steeply with d; meant for n <= 4.
+    Materializes the basis description of (scheme, n, p) with sympy (the
+    diagonal mixes carry square roots, so exact means algebraic numbers, not
+    plain rationals) and verifies: that it matches the given generators and
+    classes to 1e-14 (``matches_basis``), Hermiticity, zero trace,
+    diagonality of the Gram matrix, that the projected f reproduce every
+    commutator exactly, and total antisymmetry of the lowered tensor.  Exact
+    commutator reproduction plus a nonsingular Gram implies the Jacobi
+    identity for f (matrix brackets satisfy it identically), which is how the
+    ``jacobi`` flag is derived; for d <= 8 the identity is additionally
+    expanded term by term.  Cost grows steeply with d; meant for n <= 4.
     """
     import sympy as sp
 
@@ -573,7 +502,11 @@ def exact_validate(basis: GeneratorBasis) -> dict:
         e = sp.expand(expr)
         return e == 0 or sp.simplify(e) == 0
 
-    mats = _sympy_basis(basis)
+    T, class_of = _generators(basis.scheme, basis.n, basis.p, exact=True)
+    matches = (T.shape == basis.generators.shape
+               and np.array_equal(class_of, basis.class_of)
+               and bool(np.abs(T.astype(complex) - basis.generators).max() <= 1e-14))
+    mats = [sp.Matrix(M) for M in T]
     d = len(mats)
     ok_herm = all(M == M.conjugate().T for M in mats)
     ok_trace = all(is_zero(sp.trace(M)) for M in mats)
@@ -634,6 +567,7 @@ def exact_validate(basis: GeneratorBasis) -> dict:
                             ok_jacobi = False
 
     return {
+        "matches_basis": matches,
         "hermitian": ok_herm,
         "traceless": ok_trace,
         "gram_diagonal_exact": ok_gram_diag,
@@ -641,6 +575,6 @@ def exact_validate(basis: GeneratorBasis) -> dict:
         "commutators_reproduced": ok_commutators,
         "lowered_antisymmetric": ok_lowered,
         "jacobi": ok_jacobi,
-        "all_passed": (ok_herm and ok_trace and ok_gram_diag
+        "all_passed": (matches and ok_herm and ok_trace and ok_gram_diag
                        and ok_commutators and ok_lowered and ok_jacobi),
     }

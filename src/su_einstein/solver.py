@@ -113,11 +113,7 @@ def scheme2_system(n: int, p: int, x1: float, x2: float, x3: float, x4: float,
 
 @lru_cache(maxsize=64)
 def _structure(scheme: int, n: int, p: int | None) -> liealg.StructureConstants:
-    if scheme == 1:
-        basis = liealg.build_scheme1_basis(n)
-    else:
-        basis = liealg.build_scheme2_basis(n, p)
-    return liealg.structure_constants(basis)
+    return liealg.structure_constants(liealg.build_basis(scheme, n, p))
 
 
 class EinsteinSystem:

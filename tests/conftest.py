@@ -1,22 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 
-from su_einstein import (
-    build_scheme1_basis,
-    build_scheme2_basis,
-    structure_constants,
-)
-
-_SC_CACHE = {}
+from su_einstein import build_basis, structure_constants
 
 
+@functools.cache
 def sc_for(scheme: int, n: int, p: int | None = None):
-    """Cached structure constants (they are immutable and expensive to rebuild)."""
-    key = (scheme, n, p)
-    if key not in _SC_CACHE:
-        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
-        _SC_CACHE[key] = structure_constants(basis)
-    return _SC_CACHE[key]
+    """Cached structure constants (they are immutable, so tests may share them)."""
+    return structure_constants(build_basis(scheme, n, p))
 
 
 @pytest.fixture

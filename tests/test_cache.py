@@ -33,19 +33,6 @@ def test_filename_convention():
     assert cache.cache_filename(2, 6, 3) == "f_s2_n6_p3.sc"
 
 
-def test_fetch_stores_given_structure_constants_on_a_miss(tmp_path, monkeypatch):
-    sc = sc_for(1, 4)
-
-    def no_build(basis):
-        raise AssertionError("structure constants built again")
-
-    monkeypatch.setattr(cache.liealg, "structure_constants", no_build)
-    assert cache.fetch_structure_constants(1, 4, None, computed=sc) is sc
-    assert cache.fetch_structure_constants(1, 4, None, tmp_path, computed=sc) is sc
-    loaded = cache.load_structure_constants(tmp_path / "f_s1_n4_p0.sc")
-    npt.assert_array_equal(loaded.f, sc.f)
-
-
 def test_fetch_computes_then_hits(tmp_path):
     sc1 = cache.fetch_structure_constants(1, 3, None, tmp_path)
     assert (tmp_path / "f_s1_n3_p0.sc").exists()
@@ -71,14 +58,6 @@ def test_header_and_format(tmp_path):
         a, b, c, v = line.split()
         assert 0 <= int(a) < 3 and 0 <= int(b) < 3 and 0 <= int(c) < 3
         float(v)
-
-
-def test_env_var_resolution(monkeypatch, tmp_path):
-    monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
-    assert cache.resolve_cache_dir(None) == tmp_path
-    assert cache.resolve_cache_dir("explicit") == cache.Path("explicit")
-    monkeypatch.delenv(cache.ENV_CACHE_DIR)
-    assert cache.resolve_cache_dir(None) is None
 
 
 def test_truncated_file_is_rejected(tmp_path):

@@ -1,5 +1,7 @@
 """Case classification, enumeration and I1 equivalence classes."""
 
+import math
+
 import pytest
 
 import su_einstein as se
@@ -44,6 +46,20 @@ class TestAssignClasses:
         assert len(bi) == 2
         assert bi[0].eq_class == bi[1].eq_class
         assert len(reps) == 4
+
+    def test_class_is_ordered_by_x_not_by_i1_rounding(self):
+        from su_einstein.solver import EinsteinRecord
+
+        def rec(x, I1):
+            return EinsteinRecord(scheme=1, n=6, p=None, x=x, lam=0.75, I1=I1,
+                                  provenance="numeric", residual=0.0, valid=True)
+
+        recs = [rec((2.0, 1.0, 1.0), 35.0), rec((1.0, 1.0, 1.0), math.nextafter(35.0, 36.0)),
+                rec((1.0, 1.0, 3.0), 40.0)]
+        classed, reps = assign_classes(recs)
+        assert [(r.eq_class, r.x) for r in classed] == [
+            (0, (1.0, 1.0, 1.0)), (0, (2.0, 1.0, 1.0)), (1, (1.0, 1.0, 3.0))]
+        assert reps == [35.0, 40.0]
 
     def test_invalid_records_excluded(self):
         from su_einstein.solver import EinsteinRecord

@@ -1,4 +1,4 @@
-"""CLI surface: commands, exit codes, JSON canonicality, CSV, cache wiring."""
+"""CLI surface: commands, exit codes, JSON canonicality, CSV."""
 
 import csv
 import io
@@ -12,13 +12,25 @@ import pytest
 
 import su_einstein
 from su_einstein import cli, curvature, liealg
-from su_einstein.cache import ENV_CACHE_DIR
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def counted_structure_constants(monkeypatch) -> list:
+    """Record the n of every structure-constant build from here on."""
+    built = []
+    original = liealg.structure_constants
+
+    def counted(basis):
+        built.append(basis.n)
+        return original(basis)
+
+    monkeypatch.setattr(liealg, "structure_constants", counted)
+    return built
 
 
 class TestBasis:
@@ -59,29 +71,18 @@ class TestBasis:
         assert doc["results"]["passed"] is True
         assert doc["results"]["class_sizes"] == [3, 3, 2]
 
-    @pytest.mark.parametrize("with_cache_dir", [False, True])
-    def test_structure_constants_built_once(self, capsys, monkeypatch, tmp_path,
-                                            with_cache_dir):
-        monkeypatch.delenv(ENV_CACHE_DIR, raising=False)
-        built = []
-        original = liealg.structure_constants
+    def test_exact_json_reports_the_basis_match(self, capsys):
+        code, out, _ = run(capsys, "basis", "--scheme", "2", "--n", "3", "--p", "1",
+                           "--exact", "--format", "json")
+        assert code == 0
+        exact = json.loads(out)["results"]["exact"]
+        assert exact["matches_basis"] is True and exact["all_passed"] is True
 
-        def counted(basis):
-            built.append(basis.n)
-            return original(basis)
-
-        monkeypatch.setattr(liealg, "structure_constants", counted)
-        argv = ["basis", "--scheme", "1", "--n", "6"]
-        if with_cache_dir:
-            argv += ["--cache-dir", str(tmp_path)]
-        code, out, _ = run(capsys, *argv)
+    def test_structure_constants_built_once(self, capsys, monkeypatch):
+        built = counted_structure_constants(monkeypatch)
+        code, out, _ = run(capsys, "basis", "--scheme", "1", "--n", "6")
         assert code == 0 and "status: PASS" in out
         assert built == [6]
-        assert (tmp_path / "f_s1_n6_p0.sc").exists() == with_cache_dir
-        if with_cache_dir:  # a hit reads the file written from the one build
-            code, again, _ = run(capsys, *argv)
-            assert code == 0 and again == out
-            assert built == [6, 6]
 
 
 class TestCheck:
@@ -114,6 +115,13 @@ class TestCheck:
             monkeypatch.setattr(curvature, name, counted)
         code, _, _ = run(capsys, "check", "--scheme", "1", "--n", "4", "--x", x)
         assert calls == {"ricci_fast": 1, "invariant_I1": int(code == 0)}
+
+    def test_every_check_builds_structure_constants(self, capsys, monkeypatch):
+        built = counted_structure_constants(monkeypatch)
+        for _ in range(2):
+            code, _, _ = run(capsys, "check", "--scheme", "1", "--n", "5", "--x", "1,1,1")
+            assert code == 0
+        assert built == [5, 5]
 
     def test_non_einstein_exits_1(self, capsys):
         code, out, _ = run(capsys, "check", "--scheme", "1", "--n", "4",
@@ -163,19 +171,17 @@ def test_basis_and_check_do_not_import_solver_or_catalog():
         "from su_einstein import cli\n"
         "assert cli.main(['basis', '--scheme', '1', '--n', '3']) == 0\n"
         "assert cli.main(['check', '--scheme', '1', '--n', '4', '--x', '7,1,7']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('su_einstein')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('su_einstein', 'sympy'))))\n"
         "import su_einstein as se\n"
         "from su_einstein import solver\n"
         "print(se.solve_configuration is solver.solve_configuration)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(su_einstein.__file__).parents[1]))
-    env.pop(ENV_CACHE_DIR, None)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     loaded, same = proc.stdout.splitlines()[-2:]
-    assert loaded == str(["su_einstein", "su_einstein.cache", "su_einstein.cli",
-                          "su_einstein.curvature", "su_einstein.liealg",
-                          "su_einstein.sparse"])
+    assert loaded == str(["su_einstein", "su_einstein.cli", "su_einstein.curvature",
+                          "su_einstein.liealg", "su_einstein.sparse"])
     assert same == "True"
 
 
@@ -289,29 +295,15 @@ class TestJsonCanonical:
         assert "0.33333333333333331" in s
 
 
-class TestCacheWiring:
-    def test_cache_dir_flag_creates_file(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "basis", "--scheme", "1", "--n", "3",
-                         "--cache-dir", str(tmp_path))
-        assert code == 0
-        assert (tmp_path / "f_s1_n3_p0.sc").exists()
-
-    def test_env_var(self, capsys, tmp_path, monkeypatch):
-        from su_einstein.cache import ENV_CACHE_DIR
-        monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
-        code, _, _ = run(capsys, "check", "--scheme", "1", "--n", "3",
-                         "--x", "1,1,1")
-        assert code == 0
-        assert (tmp_path / "f_s1_n3_p0.sc").exists()
-
-    def test_truncated_cache_file_is_an_error_not_a_verdict(self, capsys, tmp_path):
-        argv = ("check", "--scheme", "1", "--n", "3", "--x", "11,1,11",
-                "--cache-dir", str(tmp_path))
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and "verdict: EINSTEIN" in out
-        path = tmp_path / "f_s1_n3_p0.sc"
-        path.write_text("\n".join(path.read_text().splitlines()[:20]) + "\n")
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert err.startswith("error:")
-        assert "verdict" not in out
+@pytest.mark.parametrize("argv", [
+    ["basis", "--scheme", "1", "--n", "3"],
+    ["check", "--scheme", "1", "--n", "4", "--x", "7,1,7"],
+    ["solve", "--scheme", "1", "--n", "3", "--starts", "10"],
+    ["catalog", "--n", "3", "--starts", "10"],
+], ids=lambda argv: argv[0])
+def test_cache_dir_is_a_usage_error(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--cache-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -6,9 +6,11 @@ import pytest
 
 from su_einstein import (
     GeneratorBasis,
+    build_basis,
     build_scheme1_basis,
     build_scheme2_basis,
     exact_validate,
+    liealg,
     structure_constants,
     validate_basis,
 )
@@ -178,7 +180,7 @@ class TestStructureConstants:
     @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (2, 5, 3)])
     def test_commutators_reproduced(self, scheme, n, p):
         # f must express every commutator inside the span of the basis
-        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+        basis = build_basis(scheme, n, p)
         sc = sc_for(scheme, n, p)
         T = basis.generators
         comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
@@ -188,7 +190,7 @@ class TestStructureConstants:
     @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 6, None), (2, 5, 2), (2, 6, 6)])
     def test_matches_commutator_projection(self, scheme, n, p):
         # oracle: project dense commutators with the inverse Gram matrix
-        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+        basis = build_basis(scheme, n, p)
         T = basis.generators
         gram = np.real(np.einsum("aij,bji->ab", T, T))
         comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
@@ -199,7 +201,7 @@ class TestStructureConstants:
     @pytest.mark.parametrize("scheme,n,p", [(1, n, None) for n in range(2, 10)]
                              + [(2, n, p) for n in range(2, 10) for p in range(n + 1)])
     def test_zeros_are_exact(self, scheme, n, p):
-        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+        basis = build_basis(scheme, n, p)
         values = np.abs(structure_constants(basis).nonzeros.values)
         assert values.size and values.min() >= 1e-12
 
@@ -216,7 +218,7 @@ class TestStructureConstants:
 class TestValidateBasis:
     @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 6, None), (2, 4, 2), (2, 7, 3)])
     def test_constructed_bases_pass(self, scheme, n, p):
-        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+        basis = build_basis(scheme, n, p)
         report = validate_basis(basis)
         assert report.passed, report.problems
 
@@ -262,7 +264,7 @@ def phase_rotated(basis, a, angle=0.1):
 class TestIdentityDeviations:
     @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 5, None), (2, 5, 2), (2, 6, 3)])
     def test_match_the_dense_oracle(self, scheme, n, p):
-        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+        basis = build_basis(scheme, n, p)
         report = validate_basis(basis)
         npt.assert_allclose([report.f_antisymmetry_dev, report.jacobi_dev,
                              report.lowered_antisymmetry_dev],
@@ -282,16 +284,47 @@ class TestIdentityDeviations:
             assert any(p.startswith(prefix) for p in report.problems), report.problems
 
 
+class TestOneDescription:
+    @pytest.mark.parametrize("scheme,n,p", [(1, n, None) for n in range(2, 6)]
+                             + [(2, n, p) for n in range(2, 6) for p in range(n + 1)])
+    def test_sympy_materialization_matches_numpy(self, scheme, n, p):
+        basis = build_basis(scheme, n, p)
+        T, class_of = liealg._generators(scheme, n, p, exact=True)
+        npt.assert_array_equal(class_of, basis.class_of)
+        npt.assert_allclose(T.astype(complex), basis.generators, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_build_basis_is_the_scheme_builders(self, n):
+        for scheme, p, direct in [(1, None, build_scheme1_basis(n))] + [
+                (2, p, build_scheme2_basis(n, p)) for p in range(n + 1)]:
+            basis = build_basis(scheme, n, p)
+            assert (basis.scheme, basis.n, basis.p) == (scheme, n, p)
+            assert basis.generators.tobytes() == direct.generators.tobytes()
+            assert basis.class_of.tobytes() == direct.class_of.tobytes()
+
+    def test_build_basis_rejects_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            build_basis(3, 4, 2)
+
+
 class TestExactValidation:
     @pytest.mark.parametrize("scheme,n,p", [(1, 2, None), (1, 3, None), (2, 3, 2)])
     def test_exact_identities(self, scheme, n, p):
-        basis = build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+        basis = build_basis(scheme, n, p)
         result = exact_validate(basis)
         assert result["all_passed"], result
 
     def test_exact_su2_gram(self):
         result = exact_validate(build_scheme1_basis(2))
         assert [int(g) for g in result["gram_diagonal"]] == [2, 2, 1]
+
+    def test_basis_that_differs_from_its_description_fails(self):
+        bad = phase_rotated(build_scheme1_basis(3), 2)
+        assert not validate_basis(bad).passed
+        result = exact_validate(bad)
+        assert result["matches_basis"] is False
+        assert result["all_passed"] is False
+        assert exact_validate(build_scheme1_basis(3))["matches_basis"] is True
 
     def test_exact_n4(self):
         result = exact_validate(build_scheme2_basis(4, 2))
