@@ -7,6 +7,8 @@ Commands
   catalog  enumerate all configurations for n and classify by I1
 
 Exit codes: 0 success, 1 validation or verdict failure, 2 usage error.
+``main`` builds its argument parser on the first call and reuses it for every
+later call in the process; ``build_parser`` returns a new parser each time.
 JSON output is canonical: sorted keys, floats with 17 significant digits, so
 parse -> re-serialize is byte-identical.
 """
@@ -129,6 +131,12 @@ def _validate(args: argparse.Namespace) -> RunConfig:
     starts = getattr(args, "starts", 400)
     if starts < 0:
         raise UsageError(f"--starts must be non-negative (got {starts})")
+    seed = getattr(args, "seed", 0)
+    if seed < 0:
+        raise UsageError(f"--seed must be non-negative (got {seed})")
+    tol = getattr(args, "tol", curvature.DEFAULT_EINSTEIN_TOL)
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"--tol must be finite and strictly positive (got {tol})")
     fmt = getattr(args, "format", "table")
     if fmt == "csv" and args.command in ("basis", "check"):
         raise UsageError(f"csv output is not defined for '{args.command}'")
@@ -138,9 +146,9 @@ def _validate(args: argparse.Namespace) -> RunConfig:
         n=n,
         p=p,
         x=x,
-        tol=getattr(args, "tol", curvature.DEFAULT_EINSTEIN_TOL),
+        tol=tol,
         starts=starts,
-        seed=getattr(args, "seed", 0),
+        seed=seed,
         fmt=fmt,
         exact=getattr(args, "exact", False),
     )
@@ -352,9 +360,14 @@ _DISPATCH = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         cfg = _validate(args)
         return _DISPATCH[cfg.command](cfg)

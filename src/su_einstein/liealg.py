@@ -34,7 +34,7 @@ import itertools
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -298,6 +298,15 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
         class_of=basis.class_of.copy(),
         orbit_of=basis.orbit_of(),
     )
+
+
+@lru_cache(maxsize=64)
+def shared_structure_constants(scheme: int, n: int, p: int | None = None) -> StructureConstants:
+    """``structure_constants(build_basis(scheme, n, p))``, built once per process.
+
+    Every caller gets the same object, so none may modify it.
+    """
+    return structure_constants(build_basis(scheme, n, p))
 
 
 def _gram_diagonal(d: int, n: int, gen, row, col, val) -> np.ndarray:

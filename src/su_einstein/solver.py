@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,11 +108,6 @@ def scheme2_system(n: int, p: int, x1: float, x2: float, x3: float, x4: float,
           - (p + q) ** 2 / 16 * x4 / x3) - lam * x3
     e4 = p * q * (p + q) ** 2 / 16 * x4 * x4 / (x3 * x3) - lam * x4
     return np.array([e1, e2, e3, e4])
-
-
-@lru_cache(maxsize=64)
-def _structure(scheme: int, n: int, p: int | None) -> liealg.StructureConstants:
-    return liealg.structure_constants(liealg.build_basis(scheme, n, p))
 
 
 class EinsteinSystem:
@@ -232,7 +226,7 @@ class EinsteinSystem:
                engine_tol: float = DEFAULT_EINSTEIN_TOL) -> EinsteinRecord:
         """Cross-validate a root against the curvature engine and build a record."""
         x, lam = self.full_x_lambda(v)
-        sc = _structure(self.scheme, self.n, self.p)
+        sc = liealg.shared_structure_constants(self.scheme, self.n, self.p)
         metric = MetricSpec.from_x(sc, x)
         fit = curvature.curvature_bundle(sc, metric, with_riemann=False)
         residual, lam_best = fit.residual, fit.lambda_best

@@ -59,11 +59,17 @@ class Nonzeros:
 
 
 def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All pairs (i, j) with ``left[i] == right[j]``, as two index arrays."""
+    """All pairs (i, j) with ``left[i] == right[j]``, as two index arrays.
+
+    Keys are non-negative integers; the work and memory include one count per
+    key value up to the largest key on either side.  Pairs come in ascending
+    order of i, and the pairs of one i in ascending order of j.
+    """
     order = np.argsort(right, kind="stable")
-    ordered = right[order]
-    lo = np.searchsorted(ordered, left, side="left")
-    counts = np.searchsorted(ordered, left, side="right") - lo
+    end = np.bincount(right, minlength=int(left.max(initial=-1)) + 1)
+    counts = end[left]
+    np.cumsum(end, out=end)  # end[k]: where the run of key k ends in right[order]
+    lo = end[left] - counts
     li = np.repeat(np.arange(left.size), counts)
     # position within the matching run of the right side
     start = np.repeat(np.cumsum(counts) - counts - lo, counts)

@@ -307,3 +307,64 @@ def test_cache_dir_is_a_usage_error(capsys, tmp_path, argv):
     assert exit_info.value.code == 2
     assert "--cache-dir" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+BAD_VALUE_ARGV = {
+    "check": ["check", "--scheme", "1", "--n", "4", "--x", "7,1,3"],
+    "solve": ["solve", "--scheme", "1", "--n", "3", "--starts", "10"],
+    "catalog": ["catalog", "--n", "3", "--starts", "10"],
+}
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", ["check", "solve", "catalog"])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    code, out, err = run(capsys, *BAD_VALUE_ARGV[command], f"--tol={tol}")
+    assert code == 2
+    assert "--tol" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "catalog"])
+def test_negative_seed_usage_error(capsys, command):
+    code, out, err = run(capsys, *BAD_VALUE_ARGV[command], "--seed", "-1")
+    assert code == 2
+    assert "--seed" in err
+    assert out == ""
+
+
+class TestParserReuse:
+    CHECK = ["check", "--scheme", "1", "--n", "4", "--x", "7,1,7", "--format", "json"]
+
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_parser", None)
+        for _ in range(3):
+            assert run(capsys, *self.CHECK)[0] == 0
+        assert len(built) == 1
+        assert original() is not original()
+
+    def test_option_does_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, *self.CHECK, "--tol", "1e-3")
+        assert code == 0 and json.loads(out)["diagnostics"]["tol"] == 1e-3
+        code, out, _ = run(capsys, *self.CHECK)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["tol"] == curvature.DEFAULT_EINSTEIN_TOL
+
+    def test_usage_error_then_valid_call_matches_a_fresh_process(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["check", "--scheme", "3", "--n", "4", "--x", "7,1,7"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, *self.CHECK)
+        env = dict(os.environ, PYTHONPATH=str(Path(su_einstein.__file__).parents[1]))
+        fresh = subprocess.run([sys.executable, "-m", "su_einstein.cli", *self.CHECK],
+                               env=env, capture_output=True, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout)

@@ -306,6 +306,22 @@ class TestOneDescription:
         with pytest.raises(ValueError, match="unknown scheme"):
             build_basis(3, 4, 2)
 
+    def test_solver_and_tests_share_one_structure_constant_memo(self, monkeypatch):
+        from su_einstein import solver
+
+        built = []
+        original = liealg.structure_constants
+        monkeypatch.setattr(liealg, "structure_constants",
+                            lambda basis: built.append(basis.n) or original(basis))
+        liealg.shared_structure_constants.cache_clear()
+        sc = sc_for(2, 5, 2)
+        records = solver.solve_configuration(2, 5, 2, n_starts=0).records
+        assert records and all(r.I1 is not None for r in records)
+        assert sc_for(2, 5, 2) is sc
+        assert built == [5]
+        fresh = original(build_basis(2, 5, 2)).nonzeros
+        assert sc.nonzeros.values.tobytes() == fresh.values.tobytes()
+
 
 class TestExactValidation:
     @pytest.mark.parametrize("scheme,n,p", [(1, 2, None), (1, 3, None), (2, 3, 2)])
