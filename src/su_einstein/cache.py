@@ -99,7 +99,6 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
         n=n,
         p=None if scheme == 1 else p,
         class_of=basis.class_of.copy(),
-        orbit_of=basis.orbit_of(),
     )
 
 

@@ -79,12 +79,11 @@ class CatalogEntry:
         }
 
 
-def assign_classes(records: list[EinsteinRecord],
-                   rtol: float = I1_CLASS_RTOL) -> tuple[list[EinsteinRecord], list[float]]:
+def assign_classes(records: list[EinsteinRecord]) -> tuple[list[EinsteinRecord], list[float]]:
     """Group records into classes of (relatively) equal I1.
 
     Records are taken in I1 order and chained: a record joins the previous
-    class when its I1 is within ``rtol`` (relative) of the class
+    class when its I1 is within I1_CLASS_RTOL (relative) of the class
     representative.  Returns the records with eq_class set, sorted by
     (eq_class, x) so that rounding in I1 does not order a class, plus the
     class representatives.
@@ -94,7 +93,7 @@ def assign_classes(records: list[EinsteinRecord],
     reps: list[float] = []
     out: list[EinsteinRecord] = []
     for rec in valid:
-        if reps and abs(rec.I1 - reps[-1]) <= rtol * max(1.0, abs(reps[-1])):
+        if reps and abs(rec.I1 - reps[-1]) <= I1_CLASS_RTOL * max(1.0, abs(reps[-1])):
             cls = len(reps) - 1
         else:
             reps.append(rec.I1)

@@ -21,10 +21,10 @@ and the curvature operator R(e_a, e_b) e_c = (grad_a grad_b - grad_b grad_a
 The engine works on nonzero entries (``sparse.Nonzeros``): Gamma lives on the
 nonzeros of f, and Ricci and |Riem|^2 are sums of products of Gamma and f
 entries joined on their shared indices, so no d^4 array is built; |Riem|^2
-needs only one Riemann row per symmetry orbit of frame vectors.  The dense
-``riemann``, ``ricci``, ``lower_riemann`` and ``riem_norm_sq`` remain as test
-oracles.  Everything here is a pure function of (f, g); results are
-deterministic and safe to share.
+needs only one Riemann row per metric class.  The dense ``riemann``,
+``ricci``, ``lower_riemann`` and ``riem_norm_sq`` remain as test oracles.
+Everything here is a pure function of (f, g); results are deterministic and
+safe to share.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ DEFAULT_EINSTEIN_TOL = 1e-8
 
 _BIINVARIANT_WEIGHT = 4.0  # fixes lambda = n/8 at x = (1,...,1)
 _PAIR_BUDGET = 1 << 20     # Riemann products formed at once
+_BLOCK_SCALAR_TOL = 1e-9   # Ricci off-diagonal and within-class spread allowed
 
 
 def frame_weights(sc: StructureConstants) -> np.ndarray:
@@ -61,16 +62,11 @@ class MetricSpec:
     ``g`` is the induced frame-diagonal metric, x_class(a) * w_a.
     """
 
-    scheme: int
-    n: int
-    p: int | None
     x: tuple[float, ...]
-    class_of: np.ndarray
     weights: np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
-        self.class_of.flags.writeable = False
         self.weights.flags.writeable = False
         self.g.flags.writeable = False
 
@@ -82,28 +78,12 @@ class MetricSpec:
         if not all(math.isfinite(v) and v > 0 for v in x):
             raise ValueError(f"metric constants must be finite and strictly positive, got {x}")
         w = frame_weights(sc)
-        g = np.asarray(x)[sc.class_of] * w
-        return cls(
-            scheme=sc.scheme,
-            n=sc.n,
-            p=sc.p,
-            x=x,
-            class_of=sc.class_of.copy(),
-            weights=w,
-            g=g,
-        )
+        return cls(x=x, weights=w, g=np.asarray(x)[sc.class_of] * w)
 
     def scaled(self, c: float) -> "MetricSpec":
         """The uniformly rescaled metric c*g."""
-        return MetricSpec(
-            scheme=self.scheme,
-            n=self.n,
-            p=self.p,
-            x=tuple(c * v for v in self.x),
-            class_of=self.class_of.copy(),
-            weights=self.weights.copy(),
-            g=c * self.g,
-        )
+        return MetricSpec(x=tuple(c * v for v in self.x), weights=self.weights.copy(),
+                          g=c * self.g)
 
 
 def levi_civita(sc: StructureConstants, metric: MetricSpec) -> Nonzeros:
@@ -206,7 +186,7 @@ def _riemann_rows(gamma: Nonzeros, sc: StructureConstants, rows: np.ndarray):
 
 
 def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec) -> float:
-    """|Riem|^2 from one Riemann row per symmetry orbit of frame vectors.
+    """|Riem|^2 from one Riemann row per metric class.
 
     Same value as riem_norm_sq(riemann(gamma, sc), metric).  With a diagonal
     metric, |Riem|^2 is the sum over d of the row shares
@@ -216,25 +196,30 @@ def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec)
 
     and C_d = Q(e_d / sqrt(g_d)) for the quadratic form
     Q(u) = sum |R(u, u_c, u_a, u_b)|^2 over a g-orthonormal frame u_i.  Only
-    the row of the first generator of each ``sc.orbit_of`` label is formed,
-    weighted by the size of its label (3 rows for scheme 1, at most 9 for
-    scheme 2).  The reduction is exact:
+    the row of the first generator of each class is formed, weighted by the
+    size of its class (3 rows for scheme 1, at most 4 for scheme 2).  The
+    reduction is exact because every unit generator of a class has the same
+    share:
 
-    - Conjugation by a permutation matrix that keeps the block split (S_n
-      for scheme 1, S_p x S_q for scheme 2) is a Lie-algebra automorphism.
-      It maps each class to itself and preserves the trace form, so it is
-      an isometry of every class-diagonal metric, and it preserves R.
-    - Q is then an invariant quadratic form: Q(Ad u) = Q(u) for unit u.
-    - On an off-diagonal label the group is transitive up to sign: it maps
-      any generator to +-1 times any other, so all rows share one C_d.
-    - On the diagonal generators of one block of size k the group acts by
-      the standard representation of S_k, which is irreducible.  By Schur,
-      Q restricted to that span is a multiple of g, and the diagonal-mix
-      rows are orthonormal, so all these generators contribute equally.
-      The balance generator is fixed and is its own label.
+    - A Lie-algebra automorphism that maps each class to itself and preserves
+      the trace form is an isometry of every class-diagonal metric, so it
+      preserves R, and Q(Ad u) = Q(u) for unit u.
+    - Scheme 1: conjugation by a permutation matrix (S_n) is such an
+      automorphism.  It maps any off-diagonal generator to +-1 times any
+      other of its class, so those rows share one C_d.  On the diagonal
+      generators it acts by the standard representation of S_n, which is
+      irreducible.  By Schur, Q restricted to that span is a multiple of g,
+      so every unit diagonal generator has the same share too.
+    - Scheme 2: conjugation by S(U(p) x U(q)) is such an automorphism.  Each
+      nonempty class is an irreducible real representation of that group:
+      the adjoint of su(p) or su(q), the cross block C^p (x) conj(C^q)
+      (of complex type, whose only invariant symmetric forms are multiples
+      of g), or the one-dimensional balance line.  So Q restricted to a
+      class is a multiple of g, and every unit generator of the class has
+      the same share.
     """
     g = metric.g
-    _, first, size = np.unique(sc.orbit_of, return_index=True, return_counts=True)
+    _, first, size = np.unique(sc.class_of, return_index=True, return_counts=True)
     weight = np.zeros(sc.d)
     weight[first] = size
     total = 0.0
@@ -352,19 +337,18 @@ def invariant_I1(metric: MetricSpec, sc: StructureConstants,
     return rnorm / fit.lambda_best**2
 
 
-def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec,
-                            check_tol: float = 1e-9) -> np.ndarray:
+def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     """Per-class Ricci eigenvalues R_aa / w_a (one value per generator class).
 
     For a class-diagonal metric the Ricci matrix is block-scalar, so R_aa/w_a
     is constant on each class; that constant equals lambda * x_c exactly when
     the metric is Einstein.  Raises if the block-scalar structure is violated
-    beyond ``check_tol`` (which would mean the ansatz is inconsistent).
+    beyond _BLOCK_SCALAR_TOL (which would mean the ansatz is inconsistent).
     """
     bundle = curvature_bundle(sc, metric, with_riemann=False)
     sigma = np.diag(bundle.ric) / metric.weights
     offdiag = float(np.abs(bundle.ric - np.diag(np.diag(bundle.ric))).max())
-    if offdiag > check_tol:
+    if offdiag > _BLOCK_SCALAR_TOL:
         raise ValueError(f"Ricci is not frame-diagonal (offdiag {offdiag:.3e})")
     out = np.empty(sc.num_classes)
     for c in range(sc.num_classes):
@@ -372,7 +356,7 @@ def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec,
         if vals.size == 0:
             out[c] = np.nan
             continue
-        if np.ptp(vals) > check_tol:
+        if np.ptp(vals) > _BLOCK_SCALAR_TOL:
             raise ValueError(
                 f"Ricci not scalar on class {c} (spread {np.ptp(vals):.3e})"
             )

@@ -42,7 +42,6 @@ from .sparse import CANCEL_RTOL, Nonzeros, join, sum_by_key
 
 SCHEME1_CLASSES = ("offdiag_sym", "offdiag_anti", "diag")
 SCHEME2_CLASSES = ("su_p", "su_q", "cross", "balance")
-ORBIT_KINDS = ("real_offdiag", "imag_offdiag", "diag")
 
 
 @dataclass(frozen=True)
@@ -87,22 +86,6 @@ class GeneratorBasis:
         T = self.generators
         return np.real(np.einsum("aij,aji->a", T, T))
 
-    def orbit_of(self) -> np.ndarray:
-        """Orbit label 3 * class + kind of each generator, the kind (an index
-        into ORBIT_KINDS) read from the generator's nonzero entries.
-
-        In the bases built here, conjugation by the permutation matrices that
-        keep the block split (S_n for scheme 1, S_p x S_q for scheme 2) maps
-        each generator to +-1 times another generator of the same label, or
-        mixes the diagonal generators of one block; a label is a union of
-        such symmetry orbits (see curvature.riemann_norm_sq).
-        """
-        T = self.generators
-        off = T[:, ~np.eye(self.n, dtype=bool)]
-        kind = np.where(np.any(off != 0, axis=1),
-                        np.where(np.any(off.imag != 0, axis=1), 1, 0), 2)
-        return len(ORBIT_KINDS) * self.class_of + kind
-
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -110,9 +93,8 @@ class StructureConstants:
 
     ``nonzeros`` holds the nonzero f^c_ab, the coefficient of T_c in
     -i [T_a, T_b], at index (c, a, b); entries that vanish are exact zeros
-    and are not stored.  The context fields (scheme, n, p, class_of,
-    orbit_of) are carried along so curvature code can be driven from this
-    object alone; ``orbit_of`` is ``GeneratorBasis.orbit_of()``.
+    and are not stored.  The context fields (scheme, n, p, class_of) are
+    carried along so curvature code can be driven from this object alone.
     """
 
     d: int
@@ -122,12 +104,10 @@ class StructureConstants:
     n: int
     p: int | None
     class_of: np.ndarray
-    orbit_of: np.ndarray
 
     def __post_init__(self):
         self.gram.flags.writeable = False
         self.class_of.flags.writeable = False
-        self.orbit_of.flags.writeable = False
 
     @cached_property
     def f(self) -> np.ndarray:
@@ -296,7 +276,6 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
         n=basis.n,
         p=basis.p,
         class_of=basis.class_of.copy(),
-        orbit_of=basis.orbit_of(),
     )
 
 

@@ -449,19 +449,6 @@ def closed_form_scheme1(n: int, engine_tol: float = DEFAULT_EINSTEIN_TOL) -> lis
     return records
 
 
-def scheme1_closed_form_values(n: int) -> dict:
-    """Closed-form lambda and I1 for the three-class families (no engine)."""
-    out = {"biinvariant": {"x": (1.0, 1.0, 1.0), "lambda": n / 8.0, "I1": float(n * n - 1)}}
-    if n >= 3:
-        X = (3.0 * n + 2.0) / (n - 2.0)
-        out["second"] = {
-            "x": (X, 1.0, X),
-            "lambda": n * (n - 2.0) * (5.0 * n + 6.0) / (8.0 * (3.0 * n + 2.0) ** 2),
-            "I1": (2.0 * n * n + 3.0 * n + 2.0) * (n - 1.0) * (3.0 * n + 4.0) / (n * (5.0 * n + 6.0)),
-        }
-    return out
-
-
 def branch_x1(n: int, p: int, sign: int) -> float:
     """The +/- root x1 = (pqn +/- sqrt(pq(p^2-1)(q^2-1))) / (q(p^2+pq+q^2-1))."""
     q = n - p
@@ -544,14 +531,14 @@ def closed_form_scheme2(n: int, p: int,
     return records
 
 
-def dedup_records(records: list[EinsteinRecord],
-                  rtol: float = DEDUP_RTOL) -> list[EinsteinRecord]:
+def dedup_records(records: list[EinsteinRecord]) -> list[EinsteinRecord]:
     """Collapse records of the same configuration with matching x (and I1)."""
     out: list[EinsteinRecord] = []
     for rec in records:
         if rec.valid and not any(
-                _near(rec.x, other.x, rtol) and rec.I1 is not None and other.I1 is not None
-                and _near((rec.I1,), (other.I1,), rtol) for other in out):
+                _near(rec.x, other.x, DEDUP_RTOL) and rec.I1 is not None
+                and other.I1 is not None and _near((rec.I1,), (other.I1,), DEDUP_RTOL)
+                for other in out):
             out.append(rec)
     out.sort(key=lambda r: (r.I1 if r.I1 is not None else math.inf, r.x))
     return out

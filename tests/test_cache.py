@@ -17,7 +17,6 @@ def test_round_trip(tmp_path):
     npt.assert_array_equal(loaded.f, sc.f)
     npt.assert_array_equal(np.diag(loaded.gram), np.diag(sc.gram))
     npt.assert_array_equal(loaded.class_of, sc.class_of)
-    npt.assert_array_equal(loaded.orbit_of, sc.orbit_of)
 
 
 def test_resave_is_byte_identical(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su_einstein as se
+from su_einstein import curvature
 from su_einstein.curvature import (
     lower_riemann,
     ricci_fast,
@@ -169,10 +170,10 @@ class TestRiemann:
                 assert np.ptp(vals) < 1e-10
 
 
+# every scheme-2 split, among them p = 1, q = 1, p = q and one empty block
+# (p = 0 or n: all of su(n) is one class, and check accepts it)
 ORACLE_CONFIGS = ([(1, n, None) for n in range(2, 7)]
-                  + [(2, n, p) for n in range(3, 7) for p in range(1, n)])
-# scheme 2 with one empty block: all of su(n) is one class (check accepts p = 0, n)
-WHOLE_BLOCK_SPLITS = [(2, n, p) for n in range(3, 7) for p in (0, n)]
+                  + [(2, n, p) for n in range(2, 7) for p in range(n + 1)])
 
 
 def row_shares(riem, m):
@@ -184,7 +185,7 @@ def row_shares(riem, m):
 class TestNonzeroEngine:
     """The nonzero engine against the dense d^4 oracle, and at sizes the oracle cannot reach."""
 
-    @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS + WHOLE_BLOCK_SPLITS)
+    @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS)
     def test_matches_dense_oracle(self, scheme, n, p, rng):
         sc = sc_for(scheme, n, p)
         for _ in range(3):
@@ -197,22 +198,34 @@ class TestNonzeroEngine:
             assert riemann_norm_sq(gamma, sc, m) == pytest.approx(
                 se.riem_norm_sq(riem, m), rel=1e-12)
 
-    @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS + WHOLE_BLOCK_SPLITS)
+    @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS)
     def test_row_shares_are_equal_on_each_orbit(self, scheme, n, p, rng):
-        # riemann_norm_sq forms one row per orbit label and weights it by the
-        # label's size; that is exact only if every row of a label has one share
+        # riemann_norm_sq forms one row per class and weights it by the class
+        # size; that is exact only if every row of a class has one share
         sc = sc_for(scheme, n, p)
-        labels, sizes = np.unique(sc.orbit_of, return_counts=True)
-        assert sizes.sum() == sc.d
-        assert labels.size <= (3 if scheme == 1 else 9)
-        for label in labels:
-            assert np.unique(sc.class_of[sc.orbit_of == label]).size == 1
         for _ in range(3):
             m = metric(scheme, n, p, random_x(rng, sc.num_classes))
             shares = row_shares(se.riemann(se.levi_civita(sc, m), sc), m)
-            for label in labels:
-                members = shares[sc.orbit_of == label]
+            for c in np.unique(sc.class_of):
+                members = shares[sc.class_of == c]
                 npt.assert_allclose(members, members[0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scheme,n,p", [(1, 5, None), (2, 5, 2), (2, 4, 1), (2, 4, 4)])
+    def test_one_riemann_row_per_class(self, scheme, n, p, rng, monkeypatch):
+        sc = sc_for(scheme, n, p)
+        m = metric(scheme, n, p, random_x(rng, sc.num_classes))
+        gamma = se.levi_civita(sc, m)
+        formed = []
+        riemann_rows = curvature._riemann_rows
+
+        def recording(gamma, sc, rows):
+            formed.append(np.array(rows))
+            return riemann_rows(gamma, sc, rows)
+
+        monkeypatch.setattr(curvature, "_riemann_rows", recording)
+        riemann_norm_sq(gamma, sc, m)
+        rows = np.concatenate(formed)
+        npt.assert_array_equal(sc.class_of[rows], np.unique(sc.class_of))
 
     @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (2, 5, 2)])
     def test_riemann_nonzeros_are_the_dense_entries(self, scheme, n, p, rng):

@@ -129,18 +129,6 @@ class TestScheme2Basis:
         f2 = structure_constants(b2).f
         npt.assert_allclose(f1, f2, atol=0)
 
-    def test_orbit_labels(self):
-        # 3 * class + kind, kind 0/1/2 = real off-diagonal / imaginary off-diagonal / diagonal
-        basis = build_scheme2_basis(5, 2)
-        orbit = basis.orbit_of()
-        labels, sizes = np.unique(orbit, return_counts=True)
-        assert dict(zip(labels.tolist(), sizes.tolist())) == {
-            0: 1, 1: 1, 2: 1, 3: 3, 4: 3, 5: 2, 6: 6, 7: 6, 11: 1}
-        npt.assert_array_equal(orbit // 3, basis.class_of)
-        npt.assert_array_equal(structure_constants(basis).orbit_of, orbit)
-        scheme1 = build_scheme1_basis(4)
-        npt.assert_array_equal(scheme1.orbit_of(), 4 * scheme1.class_of)
-
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             build_scheme2_basis(4, 5)
