@@ -123,7 +123,7 @@ def _validate(args: argparse.Namespace) -> RunConfig:
             x = tuple(float(t) for t in args.x.split(","))
         except ValueError as exc:
             raise UsageError(f"could not parse --x {args.x!r}: {exc}") from None
-        want = 3 if scheme == 1 else 4
+        want = len(liealg.class_sizes(scheme, n, p))
         if len(x) != want:
             raise UsageError(f"--x needs {want} comma-separated values for scheme {scheme}")
         if not all(math.isfinite(t) and t > 0 for t in x):
@@ -196,10 +196,19 @@ def cmd_basis(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> int:
+    # Ric = lambda g and I1 are scale-free: evaluate at x * 2^-k, which puts
+    # max(x) in [1/2, 1) exactly, and scale lambda back by the same power of two
+    k = math.frexp(max(cfg.x))[1]
+    x = tuple(math.ldexp(t, -k) for t in cfg.x)
+    if min(x) < sys.float_info.min:
+        raise UsageError("--x entries span too many orders of magnitude to evaluate")
     sc = liealg.structure_constants(liealg.build_basis(cfg.scheme, cfg.n, cfg.p))
-    metric = curvature.MetricSpec.from_x(sc, cfg.x)
+    metric = curvature.MetricSpec.from_x(sc, x)
     fit = curvature.curvature_bundle(sc, metric, with_riemann=False)
-    residual, lam = fit.residual, fit.lambda_best
+    residual, lam = fit.residual, math.ldexp(fit.lambda_best, -k)
+    if not (math.isfinite(residual) and math.isfinite(lam)):
+        raise UsageError(f"the curvature at --x is not representable "
+                         f"(residual {residual}, lambda {lam})")
     einstein = residual <= cfg.tol
     I1 = curvature.invariant_I1(metric, sc, tol=cfg.tol, fit=fit) if einstein else None
     verdict = "EINSTEIN" if einstein else "NOT-EINSTEIN"

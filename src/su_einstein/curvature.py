@@ -50,8 +50,8 @@ def frame_weights(sc: StructureConstants) -> np.ndarray:
     if sc.scheme == 2:
         mask = sc.class_of == 3
         if np.any(mask):
-            p, q, n = sc.p, sc.q, sc.n
-            w[mask] = 2.0 * float(p * q * n) ** 2
+            p, n = sc.p, sc.n
+            w[mask] = 2.0 * float(p * (n - p) * n) ** 2
     return w
 
 

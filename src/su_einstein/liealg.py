@@ -40,8 +40,15 @@ import numpy as np
 
 from .sparse import CANCEL_RTOL, Nonzeros, join, sum_by_key
 
-SCHEME1_CLASSES = ("offdiag_sym", "offdiag_anti", "diag")
-SCHEME2_CLASSES = ("su_p", "su_q", "cross", "balance")
+
+def class_sizes(scheme: int, n: int, p: int | None = None) -> tuple[int, ...]:
+    """The number of generators in each class of the (scheme, n, p) basis;
+    su(0) and su(1) are empty, and so is the balance class unless p, q >= 1."""
+    if scheme == 1:
+        m = n * (n - 1) // 2
+        return (m, m, n - 1)
+    q = n - p
+    return (max(p * p - 1, 0), max(q * q - 1, 0), 2 * p * q, 1 if p >= 1 and q >= 1 else 0)
 
 
 @dataclass(frozen=True)
@@ -67,16 +74,8 @@ class GeneratorBasis:
         return self.generators.shape[0]
 
     @property
-    def q(self) -> int | None:
-        return None if self.p is None else self.n - self.p
-
-    @property
-    def class_labels(self) -> tuple[str, ...]:
-        return SCHEME1_CLASSES if self.scheme == 1 else SCHEME2_CLASSES
-
-    @property
     def num_classes(self) -> int:
-        return len(self.class_labels)
+        return len(class_sizes(self.scheme, self.n, self.p))
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(int(np.sum(self.class_of == c)) for c in range(self.num_classes))
@@ -118,12 +117,8 @@ class StructureConstants:
         return f
 
     @property
-    def q(self) -> int | None:
-        return None if self.p is None else self.n - self.p
-
-    @property
     def num_classes(self) -> int:
-        return 3 if self.scheme == 1 else 4
+        return len(class_sizes(self.scheme, self.n, self.p))
 
     def lowered(self) -> np.ndarray:
         """Fully lowered tensor f_abc = f^e_ab G_ec (totally antisymmetric);
@@ -368,9 +363,9 @@ def validate_basis(basis: GeneratorBasis, tol: float = 1e-12) -> BasisReport:
     if trc > tol:
         problems.append(f"generator with nonzero trace (dev {trc:.2e})")
 
-    expected = _expected_class_sizes(basis)
+    expected = class_sizes(basis.scheme, basis.n, basis.p)
     sizes = basis.class_sizes()
-    if expected is not None and sizes != expected:
+    if sizes != expected:
         problems.append(f"class sizes {sizes} != expected {expected}")
 
     gram = np.real(np.einsum("aij,bji->ab", T, T))
@@ -450,17 +445,6 @@ def _identity_deviations(sc: StructureConstants) -> tuple[float, float, float]:
     low_anti = max(max_sum(low, key(a, b, c), key(b, a, c)),
                    max_sum(low, key(a, b, c), key(a, c, b)))
     return f_anti, jacobi, low_anti
-
-
-def _expected_class_sizes(basis: GeneratorBasis) -> tuple[int, ...] | None:
-    n = basis.n
-    if basis.scheme == 1:
-        m = n * (n - 1) // 2
-        return (m, m, n - 1)
-    if basis.p is None:
-        return None
-    p, q = basis.p, basis.n - basis.p
-    return (max(p * p - 1, 0), max(q * q - 1, 0), 2 * p * q, 1 if p >= 1 and q >= 1 else 0)
 
 
 # -- exact (symbolic) validation -------------------------------------------

@@ -39,6 +39,7 @@ PROVENANCES = (
 )
 
 BOUNDARY_FLOOR = 1e-4   # converged components below this are degenerate limits
+NEWTON_TOL = 1e-12      # a Newton root's residual max-norm is below this
 DEDUP_RTOL = 1e-6
 
 
@@ -113,10 +114,11 @@ def scheme2_system(n: int, p: int, x1: float, x2: float, x3: float, x4: float,
 class EinsteinSystem:
     """The reduced Einstein system in its normalization gauge.
 
-    Unknowns are the free metric constants plus lambda.  For the four-class
-    family, a block with p or q equal to 1 has no generators of its own; the
-    corresponding constant is gauge (it multiplies nothing) and is dropped
-    from the unknowns, with its equation removed as well.
+    The equations are those of the nonempty classes (``liealg.class_sizes``),
+    and the unknowns are the constants of the nonempty classes other than the
+    gauge class, then lambda.  For the four-class family, a block with p or q
+    equal to 1 has no generators of its own, so its constant multiplies
+    nothing and is neither an unknown nor an equation.
     """
 
     def __init__(self, scheme: int, n: int, p: int | None = None):
@@ -125,29 +127,23 @@ class EinsteinSystem:
         if scheme == 1:
             if n < 2:
                 raise ValueError(f"need n >= 2, got {n}")
-            self.unknowns: tuple[str, ...] = ("x1", "x3", "lambda")
-            self._rows = (0, 1, 2)
         else:
             if p is None:
                 raise ValueError("the four-class system needs p")
             if not (1 <= p <= n - 1):
                 raise ValueError(f"need 1 <= p <= n-1, got p={p}, n={n}")
-            q = n - p
-            names = []
-            rows = []
-            if p >= 2:
-                names.append("x1")
-                rows.append(0)
-            if q >= 2:
-                names.append("x2")
-                rows.append(1)
-            names += ["x4", "lambda"]
-            rows += [2, 3]
-            self.unknowns = tuple(names)
-            self._rows = tuple(rows)
         self.scheme = scheme
         self.n = n
         self.p = p
+        sizes = liealg.class_sizes(scheme, n, p)
+        gauge = 1 if scheme == 1 else 2  # x2 = 1, or x3 = 1
+        self._num_classes = len(sizes)
+        self._rows = [c for c, size in enumerate(sizes) if size]
+        self._free = [c for c in self._rows if c != gauge]
+        self.unknowns = tuple(f"x{c + 1}" for c in self._free) + ("lambda",)
+        # the hand-typed scheme-2 Jacobian has a column per non-gauge class, then lambda
+        keep = [c - (c > gauge) for c in self._free] + [len(sizes) - 1]
+        self._block = np.ix_(self._rows, keep)
 
     @property
     def size(self) -> int:
@@ -161,6 +157,12 @@ class EinsteinSystem:
         x, lam = self._columns(v)
         return tuple(float(t) for t in x), float(lam)
 
+    def unknowns_at(self, x, lam: float) -> np.ndarray:
+        """The reduced unknown vector of a full x and lambda; the inverse of
+        ``full_x_lambda`` (gauge entries and constants of empty classes are
+        dropped)."""
+        return np.array([x[c] for c in self._free] + [lam], dtype=float)
+
     def _columns(self, v: np.ndarray):
         """The full gauge-fixed x and lambda for unknowns of shape (k,) or (B, k).
 
@@ -170,12 +172,11 @@ class EinsteinSystem:
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.size,) or v.ndim > 2:
             raise ValueError(f"expected (k,) or (B, k) unknowns {self.unknowns}, got {v.shape}")
-        vals = dict(zip(self.unknowns, np.ascontiguousarray(v.T)))
-        if self.scheme == 1:
-            x = (vals["x1"], 1.0, vals["x3"])
-        else:
-            x = (vals.get("x1", 1.0), vals.get("x2", 1.0), 1.0, vals["x4"])
-        return x, vals["lambda"]
+        columns = np.ascontiguousarray(v.T)
+        x = [1.0] * self._num_classes
+        for c, column in zip(self._free, columns):
+            x[c] = column
+        return x, columns[-1]
 
     def residual(self, v: np.ndarray) -> np.ndarray:
         """Residuals at unknowns of shape (k,) or (B, k); same shape out."""
@@ -184,7 +185,7 @@ class EinsteinSystem:
             full = scheme1_system(self.n, *x, lam)
         else:
             full = scheme2_system(self.n, self.p, *x, lam)
-        return full[list(self._rows)].T
+        return full[self._rows].T
 
     def jacobian(self, v: np.ndarray) -> np.ndarray:
         """Analytic Jacobian of ``residual``: (k, k) for v of shape (k,), (B, k, k) for (B, k)."""
@@ -207,7 +208,6 @@ class EinsteinSystem:
         n, p = self.n, self.p
         q = n - p
         x1, x2, x3, x4 = x
-        # columns x1, x2, x4, lambda of the four equations
         J[..., 0, 0] = q / 4 * x1 - lam
         J[..., 0, 3] = -x1
         J[..., 1, 1] = p / 4 * x2 - lam
@@ -218,9 +218,7 @@ class EinsteinSystem:
         J[..., 2, 3] = -1.0
         J[..., 3, 2] = p * q * n**2 / 8 * x4 - lam
         J[..., 3, 3] = -x4
-        cols = {"x1": 0, "x2": 1, "x4": 2, "lambda": 3}
-        keep = [cols[name] for name in self.unknowns]
-        return J[(Ellipsis, *np.ix_(list(self._rows), keep))]
+        return J[(Ellipsis, *self._block)]
 
     def record(self, v: np.ndarray, provenance: str = "numeric",
                engine_tol: float = DEFAULT_EINSTEIN_TOL) -> EinsteinRecord:
@@ -230,7 +228,7 @@ class EinsteinSystem:
         metric = MetricSpec.from_x(sc, x)
         fit = curvature.curvature_bundle(sc, metric, with_riemann=False)
         residual, lam_best = fit.residual, fit.lambda_best
-        valid = residual <= engine_tol and lam_best > 0 and all(t > 0 for t in x)
+        valid = residual <= engine_tol and lam_best > 0
         I1 = None
         notes = None
         if valid:
@@ -256,12 +254,12 @@ def einstein_system(scheme: int, n: int, p: int | None = None) -> EinsteinSystem
 
 
 NEWTON_OUTCOMES = (
-    "converged",           # the final residual is below tol
+    "converged",           # the final residual is below NEWTON_TOL
     "singular_jacobian",   # the Newton step has no solution
     "nonfinite_step",      # the Newton step has a nan or inf component
     "line_search_failed",  # no halving of the step gave an acceptable positive iterate
-    "stalled_off_root",    # the step stalled, but the residual is not below tol
-    "max_iter",            # max_iter steps taken, and the residual is not below tol
+    "stalled_off_root",    # the step stalled, but the residual is not below NEWTON_TOL
+    "max_iter",            # max_iter steps taken, and the residual is not below NEWTON_TOL
 )
 _OUTCOME = {name: code for code, name in enumerate(NEWTON_OUTCOMES)}
 
@@ -273,13 +271,12 @@ _HALVINGS = 0.5 ** np.arange(60)
 _HALVING_BLOCKS = np.split(np.arange(60), 4)
 
 
-def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200,
-                 tol: float = 1e-12):
+def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
     """Damped Newton iteration on the reduced system, staying positive.
 
     Steps are halved until the iterate keeps all components positive and the
     residual norm does not grow (below a step fraction of 1e-8 any positive
-    iterate is taken).  Iterates past the ``tol`` threshold until the step
+    iterate is taken).  Iterates past the NEWTON_TOL threshold until the step
     stalls, which sharpens roots where two solution branches collide (there
     the Jacobian is singular and plain Newton converges only linearly).
 
@@ -341,7 +338,7 @@ def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200,
             stall = np.abs(move).max(axis=1) < 1e-14 * np.fmax(1.0, np.abs(v[live]).max(axis=1))
             outcome[live[stall]] = _OUTCOME["stalled_off_root"]
             live = live[~stall]
-        final = np.abs(r).max(axis=1) < tol
+        final = np.abs(r).max(axis=1) < NEWTON_TOL
     stopped = np.isin(outcome, [_OUTCOME["stalled_off_root"], _OUTCOME["max_iter"]])
     outcome[stopped & final] = _OUTCOME["converged"]
     v[outcome != _OUTCOME["converged"]] = np.nan
@@ -439,18 +436,22 @@ def closed_form_scheme1(n: int, engine_tol: float = DEFAULT_EINSTEIN_TOL) -> lis
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     system = EinsteinSystem(1, n)
-    records = [system.record(np.array([1.0, 1.0, n / 8.0]),
+    records = [system.record(system.unknowns_at((1.0, 1.0, 1.0), n / 8.0),
                              provenance="closed_form_1", engine_tol=engine_tol)]
     if n >= 3:
         X = (3.0 * n + 2.0) / (n - 2.0)
         lam = n * (n - 2.0) * (5.0 * n + 6.0) / (8.0 * (3.0 * n + 2.0) ** 2)
-        records.append(system.record(np.array([X, X, lam]),
+        records.append(system.record(system.unknowns_at((X, 1.0, X), lam),
                                      provenance="closed_form_2", engine_tol=engine_tol))
     return records
 
 
 def branch_x1(n: int, p: int, sign: int) -> float:
-    """The +/- root x1 = (pqn +/- sqrt(pq(p^2-1)(q^2-1))) / (q(p^2+pq+q^2-1))."""
+    """The +/- root x1 = (pqn +/- sqrt(pq(p^2-1)(q^2-1))) / (q(p^2+pq+q^2-1)).
+
+    Both roots are positive for p, q >= 1: pq n^2 >= 4 p^2 q^2 > (p^2-1)(q^2-1),
+    so the square root is below pqn.
+    """
     q = n - p
     disc = p * q * (p * p - 1) * (q * q - 1)
     S = p * p + p * q + q * q - 1
@@ -491,7 +492,7 @@ def closed_form_scheme2(n: int, p: int,
     from the system's own equations.  Branch records carry an audit note when
     the verbatim transcribed x4/lambda expressions disagree with the values
     that actually solve the system.  Records that fail the curvature engine
-    or have nonpositive entries are flagged invalid, not dropped.
+    are flagged invalid, not dropped.
 
     At q = 1 (or p = 1) both branches collapse onto the bi-invariant solution;
     at p = q the + branch does.  Constants of empty blocks are reported as 1.
@@ -500,27 +501,16 @@ def closed_form_scheme2(n: int, p: int,
         raise ValueError(f"need 1 <= p <= n-1, got p={p}, n={n}")
     q = n - p
     system = EinsteinSystem(2, n, p)
-
-    def reduced(x1, x2, x4, lam):
-        vals = {"x1": x1, "x2": x2, "x4": x4, "lambda": lam}
-        return np.array([vals[name] for name in system.unknowns])
-
-    records = [system.record(reduced(1.0, 1.0, 2.0 / (p * q * n), n / 8.0),
+    records = [system.record(system.unknowns_at((1.0, 1.0, 1.0, 2.0 / (p * q * n)), n / 8.0),
                              provenance="closed_form_1", engine_tol=engine_tol)]
 
     for sign, provenance in ((+1, "closed_form_2_plus"), (-1, "closed_form_2_minus")):
         x1 = branch_x1(n, p, sign)
         x2 = q / p * x1
-        if x1 <= 0 or x2 <= 0:
-            records.append(EinsteinRecord(
-                scheme=2, n=n, p=p, x=(x1, x2, 1.0, math.nan), lam=math.nan,
-                I1=None, provenance=provenance, residual=math.inf, valid=False,
-                notes="nonpositive branch root"))
-            continue
         x4, lam = branch_x4_lambda(n, p, x1)
         x4_printed, lam_printed = printed_branch_x4_lambda(n, p, x1)
-        rec = system.record(reduced(x1, x2, x4, lam), provenance=provenance,
-                            engine_tol=engine_tol)
+        rec = system.record(system.unknowns_at((x1, x2, 1.0, x4), lam),
+                            provenance=provenance, engine_tol=engine_tol)
         if not (math.isclose(x4, x4_printed, rel_tol=1e-9)
                 and math.isclose(lam, lam_printed, rel_tol=1e-9)):
             note = (f"transcribed closed form gives x4={x4_printed:.9g}, "

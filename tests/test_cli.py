@@ -147,6 +147,24 @@ class TestCheck:
         assert "finite" in err
         assert "verdict" not in out
 
+    @pytest.mark.parametrize("scale", ["e300", "e-300", "e306"])
+    def test_scale_invariant(self, capsys, scale):
+        # the n = 3 second family (11, 1, 11): lambda = 63/968, I1 = 754/63
+        code, out, _ = run(capsys, "check", "--scheme", "1", "--n", "3",
+                           "--x", f"11{scale},1{scale},11{scale}", "--format", "json")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["verdict"] == "EINSTEIN"
+        assert results["I1"] == pytest.approx(754 / 63, abs=1e-8)
+        assert results["lambda"] == pytest.approx(63 / 968 / float(f"1{scale}"), rel=1e-10)
+
+    @pytest.mark.parametrize("x", ["1e308,1,1e-308", "1e-200,1,1e-200"])
+    def test_unrepresentable_x_usage_error(self, capsys, x):
+        code, out, err = run(capsys, "check", "--scheme", "1", "--n", "3", "--x", x)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "verdict" not in out
+
     def test_scheme2_check(self, capsys):
         code, out, _ = run(capsys, "check", "--scheme", "2", "--n", "4",
                            "--p", "2", "--x", "1,1,1,0.125")

@@ -136,6 +136,14 @@ class TestScheme2Basis:
             build_scheme2_basis(4, -1)
 
 
+class TestClassSizes:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_formula_matches_the_built_basis(self, n):
+        assert liealg.class_sizes(1, n) == build_basis(1, n).class_sizes()
+        for p in range(n + 1):
+            assert liealg.class_sizes(2, n, p) == build_basis(2, n, p).class_sizes()
+
+
 class TestStructureConstants:
     def test_su2_values(self):
         sc = sc_for(1, 2)

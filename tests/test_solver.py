@@ -49,7 +49,8 @@ class TestScheme2System:
 
 class TestJacobians:
     @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 5, None), (1, 8, None),
-                                            (2, 4, 2), (2, 5, 3), (2, 5, 4), (2, 7, 1)])
+                                            (2, 4, 2), (2, 5, 3), (2, 5, 4), (2, 7, 1),
+                                            (2, 2, 1), (2, 6, 3)])
     def test_matches_finite_differences(self, scheme, n, p, rng):
         system = se.einstein_system(scheme, n, p)
         for _ in range(10):
@@ -68,6 +69,47 @@ class TestJacobians:
         assert system.unknowns == ("x1", "x4", "lambda")
         system = se.einstein_system(2, 5, 1)
         assert system.unknowns == ("x2", "x4", "lambda")
+
+
+SPLITS = [(n, p) for n in range(2, 9) for p in range(1, n)]
+
+
+def nonempty_classes(n, p):
+    """su(p), su(q), cross, balance: su(k) is empty for k = 1."""
+    return [c for c, keep in enumerate((p >= 2, n - p >= 2, True, True)) if keep]
+
+
+class TestClassLayout:
+    @pytest.mark.parametrize("n,p", SPLITS)
+    def test_equations_and_unknowns_are_the_classes(self, n, p, rng):
+        system = se.einstein_system(2, n, p)
+        rows = nonempty_classes(n, p)
+        free = [c for c in rows if c != 2]
+        assert system.unknowns == tuple(f"x{c + 1}" for c in free) + ("lambda",)
+        x = np.ones(4)
+        x[free] = np.exp(rng.uniform(-1, 1, len(free)))
+        lam = 0.3
+        v = np.append(x[free], lam)
+        npt.assert_array_equal(system.residual(v),
+                               se.scheme2_system(n, p, *x, lam)[rows])
+
+    @pytest.mark.parametrize("n,p", SPLITS)
+    def test_unknowns_at_inverts_full_x_lambda(self, n, p, rng):
+        system = se.einstein_system(2, n, p)
+        x = tuple(np.exp(rng.uniform(-1, 1, 4)))
+        full, lam = system.full_x_lambda(system.unknowns_at(x, 0.7))
+        expected = [1.0] * 4
+        for c in nonempty_classes(n, p):
+            if c != 2:
+                expected[c] = x[c]
+        assert full == tuple(expected)
+        assert lam == 0.7
+
+    @pytest.mark.parametrize("n,p", SPLITS)
+    def test_biinvariant_point_is_a_root(self, n, p):
+        system = se.einstein_system(2, n, p)
+        v = system.unknowns_at((1.0, 1.0, 1.0, 2.0 / (p * (n - p) * n)), n / 8.0)
+        assert np.abs(system.residual(v)).max() <= 1e-15
 
 
 class TestNewton:
@@ -217,6 +259,13 @@ class TestClosedFormScheme2:
         # (16 +- 6) / 22: the + root coincides with the bi-invariant solution
         assert branch_x1(4, 2, +1) == pytest.approx(1.0, rel=1e-14)
         assert branch_x1(4, 2, -1) == pytest.approx(5 / 11, rel=1e-14)
+
+    def test_branch_roots_positive(self):
+        for n in range(2, 65):
+            for p in range(1, n):
+                for sign in (1, -1):
+                    x1 = branch_x1(n, p, sign)
+                    assert x1 > 0 and (n - p) / p * x1 > 0, (n, p, sign)
 
     def test_q1_reproduces_sol1(self):
         # q = 1: x1 = 1, x4 = 2/(p(p+1)), lambda = (p+1)/8, i.e. sol1 exactly
