@@ -319,7 +319,9 @@ def invariant_I1(metric: MetricSpec, sc: StructureConstants,
     """The dimensionless invariant |Riem|^2 / lambda^2 of an Einstein metric.
 
     Invariant under uniform rescaling of the metric.  Raises ValueError when
-    the metric is not Einstein within ``tol`` or when lambda vanishes.
+    the metric is not Einstein within ``tol``, when lambda vanishes (lambda^2
+    underflows to 0) or when the result is not a finite positive number (the
+    metric's scale puts |Riem|^2 or lambda^2 outside the float range).
     ``fit`` is an already computed ``curvature_bundle`` of the same metric
     (with or without |Riem|^2); its connection and Ricci are then reused.
     """
@@ -329,12 +331,20 @@ def invariant_I1(metric: MetricSpec, sc: StructureConstants,
         raise ValueError(
             f"I1 undefined: metric is not Einstein (residual {fit.residual:.3e} > {tol:.1e})"
         )
-    if fit.lambda_best == 0.0:
-        raise ValueError("I1 undefined: lambda is zero")
+    try:
+        lam_sq = fit.lambda_best**2
+    except OverflowError:
+        lam_sq = math.inf
+    if lam_sq == 0.0:
+        raise ValueError(f"I1 undefined: lambda vanishes (lambda {fit.lambda_best!r})")
     rnorm = fit.riem_norm_sq
     if rnorm is None:
         rnorm = riemann_norm_sq(fit.gamma, sc, metric)
-    return rnorm / fit.lambda_best**2
+    I1 = rnorm / lam_sq
+    if not 0.0 < I1 < math.inf:  # Ric = lambda g with lambda != 0 has Riem != 0
+        raise ValueError(f"I1 is not representable at this scale of the metric "
+                         f"(|Riem|^2 {rnorm!r}, lambda {fit.lambda_best!r})")
+    return I1
 
 
 def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:

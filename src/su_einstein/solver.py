@@ -263,22 +263,23 @@ NEWTON_OUTCOMES = (
 )
 _OUTCOME = {name: code for code, name in enumerate(NEWTON_OUTCOMES)}
 
-# Line-search step fractions 1, 1/2, ..., 2^-59 (exact powers of two), tried
-# in four blocks of 15: a block is evaluated at once for every start that has
-# not yet accepted a step.  Most starts accept within the first blocks, and a
-# single 60-wide block of 400 starts would hold several MB of trial points.
+# Line-search step fractions 1, 1/2, ..., 2^-59 (exact powers of two).
 _HALVINGS = 0.5 ** np.arange(60)
-_HALVING_BLOCKS = np.split(np.arange(60), 4)
+_HALVING_INDEX = np.arange(60)
 
 
 def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
     """Damped Newton iteration on the reduced system, staying positive.
 
-    Steps are halved until the iterate keeps all components positive and the
-    residual norm does not grow (below a step fraction of 1e-8 any positive
-    iterate is taken).  Iterates past the NEWTON_TOL threshold until the step
-    stalls, which sharpens roots where two solution branches collide (there
-    the Jacobian is singular and plain Newton converges only linearly).
+    Each step is the first halving 2^-j (j < 60) whose iterate keeps all
+    components positive and whose residual norm does not grow (below a step
+    fraction of 1e-8 any positive iterate is taken).  The line search finds
+    each start's first positive halving without evaluating the residual and
+    evaluates it there; only the starts it rejects try the later halvings
+    (``_line_search``).  The accepted trial's residual is kept for the next
+    iteration.  Iterates past the NEWTON_TOL threshold until the step stalls,
+    which sharpens roots where two solution branches collide (there the
+    Jacobian is singular and plain Newton converges only linearly).
 
     ``x0`` of shape (k,) is one start: returns the root or None.  ``x0`` of
     shape (B, k) is a batch of starts iterated together: returns
@@ -313,27 +314,13 @@ def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
             ok = ~(singular | nonfinite)
             live, rnorm, step = live[ok], rnorm[ok], step[ok]
 
-            # the first halving whose iterate is positive and accepted wins
-            pick = np.full(live.size, -1)
-            todo = np.arange(live.size)
-            for block in _HALVING_BLOCKS:
-                t = _HALVINGS[block]
-                trial = v[live[todo], None, :] + t[:, None] * step[todo, None, :]
-                positive = (trial > 0).all(axis=2)
-                norm = np.full(positive.shape, np.nan)
-                norm[positive] = np.abs(system.residual(trial[positive])).max(axis=1)
-                accept = positive & ((norm <= rnorm[todo, None]) | (t <= 1e-8))
-                hit = accept.any(axis=1)
-                pick[todo[hit]] = block[np.argmax(accept[hit], axis=1)]
-                todo = todo[~hit]
-                if todo.size == 0:
-                    break
+            pick, r_trial = _line_search(system, v[live], step, rnorm)
             found = pick >= 0
             outcome[live[~found]] = _OUTCOME["line_search_failed"]
             live = live[found]
             move = _HALVINGS[pick[found], None] * step[found]
             v[live] += move
-            r[live] = system.residual(v[live])
+            r[live] = r_trial[found]  # the accepted trial is v + move, bit for bit
 
             stall = np.abs(move).max(axis=1) < 1e-14 * np.fmax(1.0, np.abs(v[live]).max(axis=1))
             outcome[live[stall]] = _OUTCOME["stalled_off_root"]
@@ -345,6 +332,55 @@ def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
     if single:
         return v[0] if outcome[0] == _OUTCOME["converged"] else None
     return v, np.array(NEWTON_OUTCOMES)[outcome]
+
+
+def _line_search(system: EinsteinSystem, v: np.ndarray, step: np.ndarray,
+                 rnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first halving j of each start whose iterate v + 2^-j step is positive
+    and accepted; (j or -1 where none is, residual rows at the accepted iterates).
+
+    A trial is accepted when its residual max-norm is at most ``rnorm`` or its
+    step fraction is at most 1e-8.  With rate = max(-step_i / v_i), the
+    reciprocal of the largest positive step fraction, and f the exponent with
+    2^(f-1) <= rate < 2^f, the first positive halving is f or a later one:
+
+    - a quotient of floats that rounds to at least 2^(f-1) is at least
+      2^(f-1), so every halving j < f is at least the largest positive step
+      fraction, and its iterate is not positive;
+    - 2^-j step_i is exact unless it underflows, and the rounding of
+      v_i + 2^-j step_i keeps the sign of the exact sum, which falls as the
+      step fraction grows; so halving f is positive unless a product
+      underflows, and positivity holds from one halving on.
+
+    The residual is evaluated at halving f, and only the starts it rejects,
+    or whose iterate there is not positive, try every later halving.
+    """
+    m, k = v.shape
+    # unknowns along axis 0, so that reductions over them run along the starts
+    v, step = v.T.copy(), step.T.copy()
+    rate = np.maximum(-(step / v).min(axis=0), 0.0)
+    first = np.clip(np.frexp(rate)[1], 0, 60)  # f; 60: no positive halving
+    pick = np.full(m, -1)
+    rows = np.empty((m, k))
+
+    def take_first_accepted(start, j):
+        # (start, j) pairs in start order, then halving order
+        trial = v[:, start] + _HALVINGS[j] * step[:, start]
+        positive = (trial > 0).all(axis=0)
+        start, j, res = start[positive], j[positive], system.residual(trial[:, positive].T)
+        accept = (np.abs(res).max(axis=1) <= rnorm[start]) | (_HALVINGS[j] <= 1e-8)
+        start, j, res = start[accept], j[accept], res[accept]
+        lead = np.ones(start.size, dtype=bool)
+        lead[1:] = start[1:] != start[:-1]
+        pick[start[lead]], rows[start[lead]] = j[lead], res[lead]
+
+    within = first < 60
+    take_first_accepted(np.flatnonzero(within), first[within])
+    todo = np.flatnonzero(pick < 0)
+    start, j = np.nonzero(_HALVING_INDEX > first[todo, None])
+    if j.size:
+        take_first_accepted(todo[start], j)
+    return pick, rows
 
 
 def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

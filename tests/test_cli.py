@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,14 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error: ")
         assert "verdict" not in out
+
+    def test_overflowing_curvature_prints_only_the_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, out, err = run(capsys, "check", "--scheme", "1", "--n", "3",
+                                 "--x", "1e-200,1,1e-200")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_scheme2_check(self, capsys):
         code, out, _ = run(capsys, "check", "--scheme", "2", "--n", "4",

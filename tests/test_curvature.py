@@ -296,6 +296,18 @@ class TestInvariantI1:
         with pytest.raises(ValueError, match="not Einstein"):
             se.invariant_I1(m, sc_for(1, 3), fit=se.curvature_bundle(sc_for(1, 3), m))
 
+    def test_lambda_underflow_is_a_value_error(self):
+        # lambda ~ 6.5e-302, so lambda^2 underflows to 0
+        with pytest.raises(ValueError, match="lambda vanishes"):
+            se.invariant_I1(metric(1, 3, None, (11e300, 1e300, 11e300)), sc_for(1, 3))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e150])
+    def test_unrepresentable_scale_is_a_value_error(self, scale):
+        # |Riem|^2 overflows to inf at 1e-160 and underflows to 0 at 1e150
+        m = metric(1, 3, None, (11 * scale, scale, 11 * scale))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not representable"):
+            se.invariant_I1(m, sc_for(1, 3))
+
     @pytest.mark.parametrize("with_riemann", [False, True])
     def test_reuses_a_given_fit(self, with_riemann, monkeypatch):
         sc = sc_for(2, 5, 3)

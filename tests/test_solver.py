@@ -5,8 +5,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import su_einstein as se
+from su_einstein import solver
 from su_einstein.solver import (
     NEWTON_OUTCOMES,
     branch_x1,
@@ -207,6 +210,197 @@ class TestBatchedNewton:
     def test_empty_batch(self):
         roots, outcomes = se.newton_solve(se.einstein_system(1, 3), np.ones((0, 3)))
         assert roots.shape == (0, 3) and outcomes.shape == (0,)
+
+
+def reference_newton(system, starts, max_iter=200):
+    """Batched Newton whose line search evaluates the halvings 2^0..2^-59 in
+    four blocks of 15 and takes the first positive accepted one; the oracle
+    for ``newton_solve``'s one-trial line search."""
+    outcome_code = {name: code for code, name in enumerate(NEWTON_OUTCOMES)}
+    halvings = 0.5 ** np.arange(60)
+    v = np.array(starts, dtype=float)
+    outcome = np.full(len(v), outcome_code["max_iter"])
+    live = np.arange(len(v))
+    with np.errstate(all="ignore"):
+        r = system.residual(v)
+        for _ in range(max_iter):
+            rnorm = np.abs(r[live]).max(axis=1)
+            done = rnorm < 1e-15
+            outcome[live[done]] = outcome_code["stalled_off_root"]
+            live, rnorm = live[~done], rnorm[~done]
+            if live.size == 0:
+                break
+            step, singular = solver._newton_steps(system.jacobian(v[live]), -r[live])
+            nonfinite = ~singular & ~np.isfinite(step).all(axis=1)
+            outcome[live[singular]] = outcome_code["singular_jacobian"]
+            outcome[live[nonfinite]] = outcome_code["nonfinite_step"]
+            ok = ~(singular | nonfinite)
+            live, rnorm, step = live[ok], rnorm[ok], step[ok]
+
+            pick = np.full(live.size, -1)
+            todo = np.arange(live.size)
+            for block in np.split(np.arange(60), 4):
+                t = halvings[block]
+                trial = v[live[todo], None, :] + t[:, None] * step[todo, None, :]
+                positive = (trial > 0).all(axis=2)
+                norm = np.full(positive.shape, np.nan)
+                norm[positive] = np.abs(system.residual(trial[positive])).max(axis=1)
+                accept = positive & ((norm <= rnorm[todo, None]) | (t <= 1e-8))
+                hit = accept.any(axis=1)
+                pick[todo[hit]] = block[np.argmax(accept[hit], axis=1)]
+                todo = todo[~hit]
+                if todo.size == 0:
+                    break
+            found = pick >= 0
+            outcome[live[~found]] = outcome_code["line_search_failed"]
+            live = live[found]
+            move = halvings[pick[found], None] * step[found]
+            v[live] += move
+            r[live] = system.residual(v[live])
+
+            stall = np.abs(move).max(axis=1) < 1e-14 * np.fmax(1.0, np.abs(v[live]).max(axis=1))
+            outcome[live[stall]] = outcome_code["stalled_off_root"]
+            live = live[~stall]
+        final = np.abs(r).max(axis=1) < solver.NEWTON_TOL
+    stopped = np.isin(outcome, [outcome_code["stalled_off_root"], outcome_code["max_iter"]])
+    outcome[stopped & final] = outcome_code["converged"]
+    v[outcome != outcome_code["converged"]] = np.nan
+    return v, np.array(NEWTON_OUTCOMES)[outcome]
+
+
+def brute_force_pick(system, v, step, rnorm):
+    """The first halving j in 0..59 whose iterate is positive and accepted, with
+    its residual row; (-1, None) when there is none."""
+    for j in range(60):
+        t = 0.5**j
+        trial = v + t * step
+        if (trial > 0).all():
+            res = system.residual(trial[None])[0]
+            if np.abs(res).max() <= rnorm or t <= 1e-8:
+                return j, res
+    return -1, None
+
+
+def assert_picks_match(system, v, step, rnorm):
+    with np.errstate(all="ignore"):
+        pick, rows = solver._line_search(system, v, step, rnorm)
+        for i in range(len(v)):
+            j, res = brute_force_pick(system, v[i], step[i], rnorm[i])
+            assert pick[i] == j, (v[i], step[i], rnorm[i])
+            if j >= 0:
+                assert rows[i].tobytes() == res.tobytes()
+
+
+LINE_SEARCH_SYSTEMS = [(1, 4, None), (2, 5, 2)]
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (1, 5, None), (2, 4, 2),
+                                            (2, 5, 2), (2, 6, 3), (2, 7, 1)])
+    def test_matches_the_blockwise_scan_bit_for_bit(self, scheme, n, p):
+        system = se.einstein_system(scheme, n, p)
+        starts = log_uniform_starts(system, 400, seed=0)
+        roots, outcomes = se.newton_solve(system, starts)
+        ref_roots, ref_outcomes = reference_newton(system, starts)
+        assert list(outcomes) == list(ref_outcomes)
+        assert roots.tobytes() == ref_roots.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(LINE_SEARCH_SYSTEMS))
+    def test_pick_is_the_first_positive_accepted_halving(self, data, which):
+        system = se.einstein_system(*which)
+        batch = data.draw(st.integers(1, 6))
+        k = system.size
+        exponent = st.floats(-3.0, 3.0)
+        v = 10.0 ** np.array(data.draw(st.lists(exponent, min_size=batch * k,
+                                                max_size=batch * k))).reshape(batch, k)
+        # a step component is zero, or a signed power of ten from 1e-3 to 1e25
+        mag = data.draw(st.lists(st.floats(-3.0, 25.0), min_size=batch * k, max_size=batch * k))
+        sign = data.draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                  min_size=batch * k, max_size=batch * k))
+        step = (np.array(sign) * 10.0 ** np.array(mag)).reshape(batch, k)
+        with np.errstate(all="ignore"):
+            rnorm = np.abs(system.residual(v)).max(axis=1)
+        # scaled so that the first positive halving is sometimes rejected
+        rnorm *= 10.0 ** np.array(data.draw(st.lists(st.floats(-6.0, 1.0),
+                                                     min_size=batch, max_size=batch)))
+        assert_picks_match(system, v, step, rnorm)
+
+    @settings(max_examples=100, deadline=None)
+    @given(which=st.sampled_from(LINE_SEARCH_SYSTEMS), e=st.integers(-4, 62),
+           ulps=st.integers(-3, 3), x=st.floats(0.5, 2.0), reject=st.booleans())
+    def test_bound_at_a_power_of_two(self, which, e, ulps, x, reject):
+        # one component's bound is 2^-e, moved by a few ulps of the step
+        system = se.einstein_system(*which)
+        v = np.full((1, system.size), x)
+        step = np.full((1, system.size), 0.5)
+        step[0, 0] = -x * 2.0**e
+        step[0, 0] = step[0, 0] + ulps * np.spacing(step[0, 0])
+        rnorm = np.array([0.0 if reject else np.inf])
+        assert_picks_match(system, v, step, rnorm)
+
+    @pytest.mark.parametrize("which", LINE_SEARCH_SYSTEMS)
+    def test_adversarial_bounds(self, which):
+        system = se.einstein_system(*which)
+        k = system.size
+        ones = np.ones(k)
+        cases = [  # (v[0], step[0], the bound or None)
+            (1.0, -4.0, 0.25),             # bound exactly 2^-2: halving 2 lands on 0
+            (1.0, -2.0**59, 2.0**-59),     # bound exactly 2^-59: no positive halving
+            (1.0, -1e30, None),            # bound 1e-30, beyond 2^-59
+            (1e-300, -1e300, 0.0),         # bound underflows to 0
+            (1.0, -(2.0**59 - 2.0**7), None),  # bound just above 2^-59: halving 59 only
+            (1.0, 3.0, np.inf),            # no negative component: the full step is positive
+            (2.0**-1074, -3 * 2.0**-1074, None),  # 2^-2 step[0] rounds up to -v[0]: 3 is first
+        ]
+        v = np.tile(ones, (len(cases), 1))
+        step = np.tile(0.5 * ones, (len(cases), 1))
+        v[:, 0] = [c[0] for c in cases]
+        step[:, 0] = [c[1] for c in cases]
+        with np.errstate(all="ignore"):
+            bound = np.where(step < 0, v / -step, np.inf).min(axis=1)
+        for (_, _, expected), b in zip(cases, bound):
+            if expected is not None:
+                assert b == expected
+        for rnorm in (np.zeros(len(cases)), np.full(len(cases), np.inf)):
+            assert_picks_match(system, v, step, rnorm)
+        with np.errstate(all="ignore"):
+            pick, _ = solver._line_search(system, v, step, np.full(len(cases), np.inf))
+        assert list(pick[:6]) == [3, -1, -1, -1, 59, 0]  # the subnormal case: brute force above
+
+    def test_one_residual_call_unless_a_start_is_rejected(self, monkeypatch):
+        system = se.einstein_system(1, 4)
+        calls = []
+        residual = system.residual
+        monkeypatch.setattr(system, "residual", lambda v: calls.append(len(v)) or residual(v))
+        v = np.ones((4, 3))
+        step = np.full((4, 3), 0.5)
+        step[:, 0] = [3.0, -4.0, -(2.0**59 - 2.0**7), -2.0**59]  # first positive halving 0, 3, 59, none
+        with np.errstate(all="ignore"):
+            pick, _ = solver._line_search(system, v, step, np.full(4, np.inf))
+            assert list(pick) == [0, 3, 59, -1] and calls == [3]
+            calls.clear()
+            # rnorm 0 rejects the first positive halving unless its step fraction is <= 1e-8
+            pick, _ = solver._line_search(system, v, step, np.zeros(4))
+        assert list(pick) == [27, 27, 59, -1]
+        assert calls == [3, 59 + 56]  # then halvings 1..59 and 4..59 of the rejected two
+
+    def test_one_residual_call_per_accepting_iteration(self, monkeypatch):
+        system = se.einstein_system(1, 4)
+        calls = {"residual": 0, "jacobian": 0}
+        for name in calls:
+            def counted(v, _method=getattr(system, name), _name=name):
+                calls[_name] += 1
+                return _method(v)
+            monkeypatch.setattr(system, name, counted)
+        # near the second family x1 = x3 = 7, lambda = 13/98 every full step is accepted
+        root = se.newton_solve(system, np.array([7.01, 6.99, 13 / 98]))
+        npt.assert_allclose(root, [7.0, 7.0, 13 / 98], rtol=1e-12)
+        assert calls["residual"] == 1 + calls["jacobian"]
+        # across a multistart: the first positive halving, plus one call on rejection
+        calls.update(residual=0, jacobian=0)
+        se.newton_solve(system, log_uniform_starts(system, 400, seed=0))
+        assert calls["residual"] <= 1 + 2 * calls["jacobian"]
 
 
 def test_record_computes_ricci_once(monkeypatch):
