@@ -17,6 +17,7 @@ from .curvature import (
     class_ricci_eigenvalues,
     curvature_bundle,
     einstein_residual,
+    einstein_verdict,
     frame_weights,
     invariant_I1,
     levi_civita,
@@ -81,6 +82,7 @@ __all__ = [
     "curvature_bundle",
     "einstein_residual",
     "einstein_system",
+    "einstein_verdict",
     "enumerate_metrics",
     "exact_validate",
     "frame_weights",

@@ -19,7 +19,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,30 +78,16 @@ def emit_json(command: str, params: dict, results, diagnostics: dict) -> str:
     })
 
 
-# -- config ------------------------------------------------------------------
+# -- validation --------------------------------------------------------------
 
 class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    scheme: int | None
-    n: int
-    p: int | None
-    x: tuple[float, ...] | None
-    tol: float
-    starts: int
-    seed: int
-    fmt: str
-    exact: bool
-
-
-def _validate(args: argparse.Namespace) -> RunConfig:
-    scheme = getattr(args, "scheme", None)
-    p = getattr(args, "p", None)
-    n = args.n
+def _validate(args: argparse.Namespace) -> None:
+    """Check the parsed options; ``args.x`` becomes the tuple of parsed floats."""
+    opts = vars(args)
+    scheme, p, n = opts.get("scheme"), opts.get("p"), args.n
     if n < 2:
         raise UsageError(f"--n must be at least 2 (got {n})")
     if scheme == 1 and p is not None:
@@ -117,55 +102,38 @@ def _validate(args: argparse.Namespace) -> RunConfig:
                     "p = 0 or p = n is the scheme-1 configuration")
         elif not 0 <= p <= n:
             raise UsageError(f"--p must be in 0..n (got p={p}, n={n})")
-    x = None
-    if getattr(args, "x", None) is not None:
+    if "x" in args:
         try:
-            x = tuple(float(t) for t in args.x.split(","))
+            args.x = tuple(float(t) for t in args.x.split(","))
         except ValueError as exc:
             raise UsageError(f"could not parse --x {args.x!r}: {exc}") from None
         want = len(liealg.class_sizes(scheme, n, p))
-        if len(x) != want:
+        if len(args.x) != want:
             raise UsageError(f"--x needs {want} comma-separated values for scheme {scheme}")
-        if not all(math.isfinite(t) and t > 0 for t in x):
+        if not all(math.isfinite(t) and t > 0 for t in args.x):
             raise UsageError("--x entries must be finite and strictly positive")
-    starts = getattr(args, "starts", 400)
-    if starts < 0:
-        raise UsageError(f"--starts must be non-negative (got {starts})")
-    seed = getattr(args, "seed", 0)
-    if seed < 0:
-        raise UsageError(f"--seed must be non-negative (got {seed})")
-    tol = getattr(args, "tol", curvature.DEFAULT_EINSTEIN_TOL)
-    if not (math.isfinite(tol) and tol > 0):
-        raise UsageError(f"--tol must be finite and strictly positive (got {tol})")
-    fmt = getattr(args, "format", "table")
-    if fmt == "csv" and args.command in ("basis", "check"):
+    if "starts" in args and args.starts < 0:
+        raise UsageError(f"--starts must be non-negative (got {args.starts})")
+    if "seed" in args and args.seed < 0:
+        raise UsageError(f"--seed must be non-negative (got {args.seed})")
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be finite and strictly positive (got {args.tol})")
+    if args.format == "csv" and args.command in ("basis", "check"):
         raise UsageError(f"csv output is not defined for '{args.command}'")
-    return RunConfig(
-        command=args.command,
-        scheme=scheme,
-        n=n,
-        p=p,
-        x=x,
-        tol=tol,
-        starts=starts,
-        seed=seed,
-        fmt=fmt,
-        exact=getattr(args, "exact", False),
-    )
 
 
 # -- commands ----------------------------------------------------------------
 
-def cmd_basis(cfg: RunConfig) -> int:
-    basis = liealg.build_basis(cfg.scheme, cfg.n, cfg.p)
+def cmd_basis(args: argparse.Namespace) -> int:
+    basis = liealg.build_basis(args.scheme, args.n, args.p)
     report = liealg.validate_basis(basis)
     nnz = report.sc.nonzeros.nnz
     total = report.sc.d**3
     exact_result = None
-    if cfg.exact:
+    if args.exact:
         exact_result = liealg.exact_validate(basis)
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         gram_diag, counts = np.unique(report.gram_diagonal, return_counts=True)
         results = {
             "passed": report.passed,
@@ -180,7 +148,7 @@ def cmd_basis(cfg: RunConfig) -> int:
         }
         if exact_result is not None:
             results["exact"] = {k: v for k, v in exact_result.items() if k != "gram_diagonal"}
-        print(emit_json("basis", _params(cfg), results, {}))
+        print(emit_json("basis", _params(args), results, {}))
     else:
         for line in report.summary_lines():
             print(line)
@@ -195,42 +163,31 @@ def cmd_basis(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    # Ric = lambda g and I1 are scale-free: evaluate at x * 2^-k, which puts
-    # max(x) in [1/2, 1) exactly, and scale lambda back by the same power of two
-    k = math.frexp(max(cfg.x))[1]
-    x = tuple(math.ldexp(t, -k) for t in cfg.x)
-    if min(x) < sys.float_info.min:
-        raise UsageError("--x entries span too many orders of magnitude to evaluate")
-    sc = liealg.structure_constants(liealg.build_basis(cfg.scheme, cfg.n, cfg.p))
-    metric = curvature.MetricSpec.from_x(sc, x)
-    with np.errstate(all="ignore"):  # a non-finite curvature is reported below
-        fit = curvature.curvature_bundle(sc, metric, with_riemann=False)
-    residual, lam = fit.residual, math.ldexp(fit.lambda_best, -k)
-    if not (math.isfinite(residual) and math.isfinite(lam)):
-        raise UsageError(f"the curvature at --x is not representable "
-                         f"(residual {residual}, lambda {lam})")
-    einstein = residual <= cfg.tol
-    I1 = curvature.invariant_I1(metric, sc, tol=cfg.tol, fit=fit) if einstein else None
-    verdict = "EINSTEIN" if einstein else "NOT-EINSTEIN"
+def cmd_check(args: argparse.Namespace) -> int:
+    sc = liealg.structure_constants(liealg.build_basis(args.scheme, args.n, args.p))
+    try:
+        residual, lam, I1 = curvature.einstein_verdict(sc, args.x, tol=args.tol)
+    except ValueError as exc:
+        raise UsageError(f"--x: {exc}") from None
+    verdict = "NOT-EINSTEIN" if I1 is None else "EINSTEIN"
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         results = {
-            "x": list(cfg.x),
+            "x": list(args.x),
             "lambda": lam,
             "residual": residual,
             "I1": I1,
             "verdict": verdict,
         }
-        print(emit_json("check", _params(cfg), results, {"tol": cfg.tol}))
+        print(emit_json("check", _params(args), results, {"tol": args.tol}))
     else:
-        print(f"x = ({', '.join(repr(t) for t in cfg.x)})")
+        print(f"x = ({', '.join(repr(t) for t in args.x)})")
         print(f"lambda = {lam!r}")
-        print(f"residual = {residual:.3e}  (threshold {cfg.tol:.1e})")
+        print(f"residual = {residual:.3e}  (threshold {args.tol:.1e})")
         if I1 is not None:
             print(f"I1 = {I1!r}")
         print(f"verdict: {verdict}")
-    return 0 if einstein else 1
+    return 1 if I1 is None else 0
 
 
 _RECORD_FIELDS = ("scheme", "n", "p", "x", "lambda", "I1",
@@ -263,16 +220,16 @@ def _print_record_csv(records) -> None:
         out.writerow(row)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     from . import solver  # imported here: basis and check never load it
 
-    result = solver.solve_configuration(cfg.scheme, cfg.n, cfg.p,
-                                        n_starts=cfg.starts, seed=cfg.seed,
-                                        engine_tol=cfg.tol)
-    if cfg.fmt == "json":
-        print(emit_json("solve", _params(cfg),
+    result = solver.solve_configuration(args.scheme, args.n, args.p,
+                                        n_starts=args.starts, seed=args.seed,
+                                        engine_tol=args.tol)
+    if args.format == "json":
+        print(emit_json("solve", _params(args),
                         [r.as_dict() for r in result.records], result.diagnostics))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _print_record_csv(result.records)
     else:
         _print_record_table(result.records)
@@ -283,18 +240,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_catalog(cfg: RunConfig) -> int:
+def cmd_catalog(args: argparse.Namespace) -> int:
     from . import catalog
 
-    entry = catalog.enumerate_metrics(cfg.n, n_starts=cfg.starts, seed=cfg.seed,
-                                      engine_tol=cfg.tol)
-    if cfg.fmt == "json":
+    entry = catalog.enumerate_metrics(args.n, n_starts=args.starts, seed=args.seed,
+                                      engine_tol=args.tol)
+    if args.format == "json":
         d = entry.as_dict()
-        records = d.pop("records")
         diagnostics = d.pop("diagnostics")
-        d["records"] = records
-        print(emit_json("catalog", _params(cfg), d, diagnostics))
-    elif cfg.fmt == "csv":
+        print(emit_json("catalog", _params(args), d, diagnostics))
+    elif args.format == "csv":
         _print_record_csv(entry.records)
     else:
         _print_record_table(entry.records)
@@ -306,17 +261,14 @@ def cmd_catalog(cfg: RunConfig) -> int:
     return 0
 
 
-def _params(cfg: RunConfig) -> dict:
-    params = {"n": cfg.n}
-    if cfg.scheme is not None:
-        params["scheme"] = cfg.scheme
-    if cfg.p is not None:
-        params["p"] = cfg.p
-    if cfg.x is not None:
-        params["x"] = list(cfg.x)
-    if cfg.command in ("solve", "catalog"):
-        params["starts"] = cfg.starts
-        params["seed"] = cfg.seed
+def _params(args: argparse.Namespace) -> dict:
+    opts = vars(args)
+    params = {key: opts[key] for key in ("n", "scheme", "p") if opts.get(key) is not None}
+    if "x" in args:
+        params["x"] = list(args.x)
+    if args.command in ("solve", "catalog"):
+        params["starts"] = args.starts
+        params["seed"] = args.seed
     return params
 
 
@@ -379,8 +331,8 @@ def main(argv: list[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        cfg = _validate(args)
-        return _DISPATCH[cfg.command](cfg)
+        _validate(args)
+        return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,8 @@ nonzeros of f, and Ricci and |Riem|^2 are sums of products of Gamma and f
 entries joined on their shared indices, so no d^4 array is built; |Riem|^2
 needs only one Riemann row per metric class.  The dense ``riemann``,
 ``ricci``, ``lower_riemann`` and ``riem_norm_sq`` remain as test oracles.
+``einstein_verdict`` is the one Einstein test; ``check`` and the solver's
+records both use it.
 Everything here is a pure function of (f, g); results are deterministic and
 safe to share.
 """
@@ -30,6 +32,7 @@ safe to share.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,6 @@ from .sparse import Nonzeros, join
 DEFAULT_EINSTEIN_TOL = 1e-8
 
 _BIINVARIANT_WEIGHT = 4.0  # fixes lambda = n/8 at x = (1,...,1)
-_PAIR_BUDGET = 1 << 20     # Riemann products formed at once
 _BLOCK_SCALAR_TOL = 1e-9   # Ricci off-diagonal and within-class spread allowed
 
 
@@ -137,19 +139,16 @@ def riemann_nonzeros(gamma: Nonzeros, sc: StructureConstants) -> Nonzeros:
 
     The lowered tensor g_d Riem_dcab is antisymmetric in (d, c) and in (a, b),
     so these entries determine Riem.  They are the entries of ``_riemann_rows``
-    over all rows d that have d < c.
+    over all rows d that have d < c.  Every row is formed at once, so this is
+    for small n; the engine forms one row per class.
     """
-    chunks = list(_riemann_rows(gamma, sc, np.arange(sc.d)))
-    index = tuple(np.concatenate(k) for k in zip(*(r.index for r in chunks)))
-    values = np.concatenate([r.values for r in chunks])
-    keep = index[0] < index[1]
-    return Nonzeros(chunks[0].shape, tuple(k[keep] for k in index), values[keep])
+    riem = _riemann_rows(gamma, sc, np.arange(sc.d))
+    keep = riem.index[0] < riem.index[1]
+    return Nonzeros(riem.shape, tuple(k[keep] for k in riem.index), riem.values[keep])
 
 
-def _riemann_rows(gamma: Nonzeros, sc: StructureConstants, rows: np.ndarray):
-    """The nonzero Riem[d, c, a, b] with a < b, for every c and every d in
-    ``rows``, as one ``Nonzeros`` per chunk of rows; each chunk forms
-    at most about _PAIR_BUDGET P products (more only if one row does).
+def _riemann_rows(gamma: Nonzeros, sc: StructureConstants, rows: np.ndarray) -> Nonzeros:
+    """The nonzero Riem[d, c, a, b] with a < b, for every c and every d in ``rows``.
 
     Each entry is a sum of key-joined products
 
@@ -163,26 +162,22 @@ def _riemann_rows(gamma: Nonzeros, sc: StructureConstants, rows: np.ndarray):
     fc, fa, fb = sc.nonzeros.index
     fv = sc.nonzeros.values
     upper = np.flatnonzero(fa < fb)
-    per_c = np.bincount(gc, minlength=D)
-    pairs = np.bincount(gc, weights=per_c[gb], minlength=D)[rows]
-    chunk = (np.cumsum(pairs) - pairs) // _PAIR_BUDGET
-    for label in np.unique(chunk):
-        sel = np.flatnonzero(np.isin(gc, rows[chunk == label]))
-        # P: entries (d, a, e) and (e, b, c)
-        i, j = join(gb[sel], gc)
-        i = sel[i]
-        keep = ga[i] != ga[j]
-        i, j = i[keep], j[keep]
-        sign = np.sign(ga[j] - ga[i])
-        # f^e_ab Gamma^d_ec: entries (e, a, b) with a < b and (d, e, c)
-        k, m = join(fc[upper], ga[sel])
-        k, m = upper[k], sel[m]
-        index = (np.concatenate([gc[i], gc[m]]),
-                 np.concatenate([gb[j], gb[m]]),
-                 np.concatenate([np.minimum(ga[i], ga[j]), fa[k]]),
-                 np.concatenate([np.maximum(ga[i], ga[j]), fb[k]]))
-        terms = np.concatenate([sign * gv[i] * gv[j], -fv[k] * gv[m]])
-        yield Nonzeros.from_sums((D, D, D, D), index, terms)
+    sel = np.flatnonzero(np.isin(gc, rows))
+    # P: entries (d, a, e) and (e, b, c)
+    i, j = join(gb[sel], gc)
+    i = sel[i]
+    keep = ga[i] != ga[j]
+    i, j = i[keep], j[keep]
+    sign = np.sign(ga[j] - ga[i])
+    # f^e_ab Gamma^d_ec: entries (e, a, b) with a < b and (d, e, c)
+    k, m = join(fc[upper], ga[sel])
+    k, m = upper[k], sel[m]
+    index = (np.concatenate([gc[i], gc[m]]),
+             np.concatenate([gb[j], gb[m]]),
+             np.concatenate([np.minimum(ga[i], ga[j]), fa[k]]),
+             np.concatenate([np.maximum(ga[i], ga[j]), fb[k]]))
+    terms = np.concatenate([sign * gv[i] * gv[j], -fv[k] * gv[m]])
+    return Nonzeros.from_sums((D, D, D, D), index, terms)
 
 
 def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec) -> float:
@@ -222,11 +217,9 @@ def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec)
     _, first, size = np.unique(sc.class_of, return_index=True, return_counts=True)
     weight = np.zeros(sc.d)
     weight[first] = size
-    total = 0.0
-    for riem in _riemann_rows(gamma, sc, first):
-        d, c, a, b = riem.index
-        total += float(np.sum(weight[d] * riem.values**2 * g[d] / (g[c] * g[a] * g[b])))
-    return 2.0 * total
+    riem = _riemann_rows(gamma, sc, first)
+    d, c, a, b = riem.index
+    return 2.0 * float(np.sum(weight[d] * riem.values**2 * g[d] / (g[c] * g[a] * g[b])))
 
 
 # -- dense oracles -----------------------------------------------------------
@@ -345,6 +338,36 @@ def invariant_I1(metric: MetricSpec, sc: StructureConstants,
         raise ValueError(f"I1 is not representable at this scale of the metric "
                          f"(|Riem|^2 {rnorm!r}, lambda {fit.lambda_best!r})")
     return I1
+
+
+def einstein_verdict(sc: StructureConstants, x,
+                     tol: float = DEFAULT_EINSTEIN_TOL) -> tuple[float, float, float | None]:
+    """(residual, lambda, I1) of the metric with class constants x.
+
+    The metric is Einstein iff residual <= tol and lambda > 0 (every Einstein
+    metric of compact non-abelian SU(n) has lambda > 0); I1 is then
+    |Riem|^2 / lambda^2, and None otherwise.  Ric = lambda g and I1 are
+    scale-free: the curvature is evaluated at x * 2^-k, which puts max(x) in
+    [1/2, 1) exactly, and lambda is scaled back by the same power of two, so
+    every value is the one at x to the bit wherever that is representable.
+    Raises ValueError when an entry of x * 2^-k is below the smallest normal
+    float, when the residual or lambda is not finite, or when I1 is not
+    representable (see ``invariant_I1``).
+    """
+    k = math.frexp(max(x))[1]
+    x = tuple(math.ldexp(t, -k) for t in x)
+    if min(x) < sys.float_info.min:
+        raise ValueError("the metric constants span too many orders of magnitude to evaluate")
+    metric = MetricSpec.from_x(sc, x)
+    with np.errstate(all="ignore"):  # a non-finite result raises below
+        fit = curvature_bundle(sc, metric, with_riemann=False)
+        residual, lam = fit.residual, math.ldexp(fit.lambda_best, -k)
+        if not (math.isfinite(residual) and math.isfinite(lam)):
+            raise ValueError(f"the curvature is not representable "
+                             f"(residual {residual}, lambda {lam})")
+        einstein = residual <= tol and lam > 0
+        I1 = invariant_I1(metric, sc, tol=tol, fit=fit) if einstein else None
+    return residual, lam, I1
 
 
 def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import curvature, liealg
-from .curvature import DEFAULT_EINSTEIN_TOL, MetricSpec
+from .curvature import DEFAULT_EINSTEIN_TOL
 
 PROVENANCES = (
     "closed_form_1",        # bi-invariant family
@@ -225,16 +225,9 @@ class EinsteinSystem:
         """Cross-validate a root against the curvature engine and build a record."""
         x, lam = self.full_x_lambda(v)
         sc = liealg.shared_structure_constants(self.scheme, self.n, self.p)
-        metric = MetricSpec.from_x(sc, x)
-        fit = curvature.curvature_bundle(sc, metric, with_riemann=False)
-        residual, lam_best = fit.residual, fit.lambda_best
-        valid = residual <= engine_tol and lam_best > 0
-        I1 = None
-        notes = None
-        if valid:
-            I1 = curvature.invariant_I1(metric, sc, tol=engine_tol, fit=fit)
-        else:
-            notes = f"engine residual {residual:.3e} exceeds {engine_tol:.1e}"
+        residual, lam_best, I1 = curvature.einstein_verdict(sc, x, tol=engine_tol)
+        valid = I1 is not None
+        notes = None if valid else f"engine residual {residual:.3e} exceeds {engine_tol:.1e}"
         return EinsteinRecord(
             scheme=self.scheme,
             n=self.n,
@@ -291,8 +284,8 @@ def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
     v = np.array(x0, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != system.size:
         raise ValueError(f"expected {system.size} unknowns {system.unknowns}, got {v.shape}")
-    if np.any(v <= 0):
-        raise ValueError("starting point must be strictly positive")
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise ValueError("starting point must be finite and strictly positive")
     single = v.ndim == 1
     v = v.reshape(-1, system.size)
     outcome = np.full(len(v), _OUTCOME["max_iter"])

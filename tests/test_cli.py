@@ -174,6 +174,22 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
+    def test_unrepresentable_I1_prints_only_the_error(self, capsys):
+        # residual and lambda are finite, but |Riem|^2 overflows: exit 2, not 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "check", "--scheme", "1", "--n", "3",
+                                 "--x", "1,1e-110,1", "--tol", "1e300")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_negative_lambda_is_not_einstein(self, capsys):
+        # the residual is below --tol, but lambda = -8: no Einstein metric of SU(2)
+        code, out, _ = run(capsys, "check", "--scheme", "1", "--n", "2",
+                           "--x", "1,1,100", "--tol", "1e9")
+        assert code == 1
+        assert "verdict: NOT-EINSTEIN" in out and "I1" not in out
+
     def test_scheme2_check(self, capsys):
         code, out, _ = run(capsys, "check", "--scheme", "2", "--n", "4",
                            "--p", "2", "--x", "1,1,1,0.125")

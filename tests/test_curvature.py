@@ -5,6 +5,8 @@ metric constants, the per-class Ricci eigenvalues computed by the engine
 coincide with the closed-form equation systems of both ansatz families.
 """
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -337,6 +339,56 @@ class TestInvariantI1:
         base = se.invariant_I1(m, sc)
         scaled = se.invariant_I1(m.scaled(c), sc)
         assert scaled == pytest.approx(base, rel=1e-9)
+
+
+def verdict_points():
+    """The scheme-1 second family at n = 3..6 and the scheme-2 branch roots at (5,2), (6,3)."""
+    from su_einstein.solver import branch_x1, branch_x4_lambda
+
+    points = []
+    for n in range(3, 7):
+        X = (3 * n + 2) / (n - 2)
+        points.append((1, n, None, (X, 1.0, X)))
+    for n, p in ((5, 2), (6, 3)):
+        for sign in (1, -1):
+            x1 = branch_x1(n, p, sign)
+            points.append((2, n, p, (x1, (n - p) / p * x1, 1.0, branch_x4_lambda(n, p, x1)[0])))
+    return points
+
+
+class TestEinsteinVerdict:
+    @pytest.mark.parametrize("scheme,n,p,x", verdict_points())
+    def test_same_bits_at_every_scale(self, scheme, n, p, x):
+        sc = sc_for(scheme, n, p)
+        m = se.MetricSpec.from_x(sc, x)
+        residual, lam = se.einstein_residual(m, sc)
+        assert se.einstein_verdict(sc, x) == (residual, lam, se.invariant_I1(m, sc))
+        for e in (500, -500, 1000, -1000):  # lambda^2 leaves the float range at 2^+-1000
+            scaled = tuple(np.ldexp(t, e) for t in x)
+            assert se.einstein_verdict(sc, scaled) == (
+                residual, np.ldexp(lam, -e), se.invariant_I1(m, sc))
+
+    def test_span_beyond_the_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="orders of magnitude"):
+            se.einstein_verdict(sc_for(1, 3), (1e308, 1.0, 1e-308))
+
+    def test_nonfinite_curvature_is_a_value_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="curvature is not representable"):
+                se.einstein_verdict(sc_for(1, 3), (1e-200, 1.0, 1e-200))
+
+    def test_unrepresentable_I1_is_a_value_error(self):
+        # residual and lambda are finite, |Riem|^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="I1 is not representable"):
+                se.einstein_verdict(sc_for(1, 3), (1.0, 1e-110, 1.0), tol=1e300)
+
+    def test_negative_lambda_is_not_einstein(self):
+        residual, lam, I1 = se.einstein_verdict(sc_for(1, 2), (1.0, 1.0, 100.0), tol=1e9)
+        assert residual <= 1e9 and lam == pytest.approx(-8.0, rel=1e-12)
+        assert I1 is None
 
 
 def scheme1_lhs(n, x1, x2, x3):

@@ -131,6 +131,10 @@ class TestNewton:
         system = se.einstein_system(1, 3)
         with pytest.raises(ValueError):
             se.newton_solve(system, np.array([1.0, 0.0, 0.4]))
+        for bad in (np.nan, np.inf, -np.inf):
+            for x0 in ([bad, 1.0, 1.0], [[bad, 1.0, 1.0], [1.1, 0.9, 0.4]]):
+                with pytest.raises(ValueError, match="finite and strictly positive"):
+                    se.newton_solve(system, np.array(x0))
 
     def test_failure_returns_none_or_root(self):
         # extremely unbalanced start: must either fail cleanly or truly converge
