@@ -39,8 +39,7 @@ from .liealg import (
 )
 
 _LAZY = {
-    "catalog": ("CatalogEntry", "Case", "case_classify", "enumerate_metrics",
-                "paper_count"),
+    "catalog": ("CatalogEntry", "enumerate_metrics", "paper_count"),
     "solver": ("EinsteinRecord", "EinsteinSystem", "closed_form_scheme1",
                "closed_form_scheme2", "einstein_system", "multistart_search",
                "newton_solve", "scheme1_system", "scheme2_system",
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatalogEntry",
-    "Case",
     "CurvatureBundle",
     "EinsteinRecord",
     "EinsteinSystem",
@@ -75,7 +73,6 @@ __all__ = [
     "build_basis",
     "build_scheme1_basis",
     "build_scheme2_basis",
-    "case_classify",
     "class_ricci_eigenvalues",
     "closed_form_scheme1",
     "closed_form_scheme2",

@@ -16,36 +16,12 @@ n, and the catalog's job is to audit the claim).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 from .curvature import DEFAULT_EINSTEIN_TOL
 from .solver import EinsteinRecord, solve_configuration
 
 I1_CLASS_RTOL = 1e-6
-
-
-class Case(enum.Enum):
-    """Case split of the (p, q) decompositions."""
-
-    CASE1_FULL_BLOCK = 1   # q = 0 or p = 0: the three-class family
-    CASE2_TRIVIAL_FACTOR = 2   # p or q = 1: bi-invariant only
-    CASE3_EQUAL_BLOCKS = 3     # p = q (n even): one branch degenerates
-    CASE4_GENERIC = 4
-
-
-def case_classify(n: int, p: int) -> Case:
-    """Classify a split 0 <= p <= n into its case."""
-    if not 0 <= p <= n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
-    q = n - p
-    if p == 0 or q == 0:
-        return Case.CASE1_FULL_BLOCK
-    if p == 1 or q == 1:
-        return Case.CASE2_TRIVIAL_FACTOR
-    if p == q:
-        return Case.CASE3_EQUAL_BLOCKS
-    return Case.CASE4_GENERIC
 
 
 def paper_count(n: int) -> int:
@@ -117,22 +93,13 @@ def enumerate_metrics(n: int, n_starts: int = 400, seed: int = 0,
         raise ValueError(f"need n >= 2, got {n}")
     per_config = {}
     records: list[EinsteinRecord] = []
-    search_complete = True
-
-    result = solve_configuration(1, n, None, n_starts=n_starts, seed=seed,
-                                 engine_tol=engine_tol)
-    records.extend(result.records)
-    per_config["scheme1"] = result.diagnostics
-    if result.diagnostics["search_missed"]:
-        search_complete = False
-
-    for p in range(2, n // 2 + 1):
-        result = solve_configuration(2, n, p, n_starts=n_starts, seed=seed + p,
+    configs = [(1, None, seed)] + [(2, p, seed + p) for p in range(2, n // 2 + 1)]
+    for scheme, p, config_seed in configs:
+        result = solve_configuration(scheme, n, p, n_starts=n_starts, seed=config_seed,
                                      engine_tol=engine_tol)
         records.extend(result.records)
-        per_config[f"scheme2_p{p}"] = result.diagnostics
-        if result.diagnostics["search_missed"]:
-            search_complete = False
+        per_config["scheme1" if p is None else f"scheme2_p{p}"] = result.diagnostics
+    search_complete = not any(d["search_missed"] for d in per_config.values())
 
     classed, reps = assign_classes(records)
     count = len(reps)

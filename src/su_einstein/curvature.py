@@ -365,8 +365,13 @@ def einstein_verdict(sc: StructureConstants, x,
         if not (math.isfinite(residual) and math.isfinite(lam)):
             raise ValueError(f"the curvature is not representable "
                              f"(residual {residual}, lambda {lam})")
-        einstein = residual <= tol and lam > 0
-        I1 = invariant_I1(metric, sc, tol=tol, fit=fit) if einstein else None
+        I1 = None
+        if residual <= tol and lam > 0:
+            try:
+                I1 = invariant_I1(metric, sc, tol=tol, fit=fit)
+            except ValueError:  # its message quotes lambda at x * 2^-k
+                raise ValueError(f"I1 is not representable at this metric "
+                                 f"(lambda {lam!r})") from None
     return residual, lam, I1
 
 

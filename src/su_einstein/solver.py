@@ -40,7 +40,7 @@ PROVENANCES = (
 
 BOUNDARY_FLOOR = 1e-4   # converged components below this are degenerate limits
 NEWTON_TOL = 1e-12      # a Newton root's residual max-norm is below this
-DEDUP_RTOL = 1e-6
+DEDUP_RTOL = 1e-4      # two roots of a configuration are one metric iff their x agree within this
 
 
 @dataclass(frozen=True)
@@ -395,16 +395,72 @@ def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         return step, singular
 
 
-def _near(a, b, rtol: float) -> bool:
-    """Whether a is within rtol of b in the max norm, relative to max(1, max|b|)."""
-    return (max(abs(s - t) for s, t in zip(a, b))
-            <= rtol * max(1.0, max(abs(t) for t in b)))
+def _near(a, b) -> np.ndarray:
+    """Whether a is the same metric as b: within DEDUP_RTOL of b in the max
+    norm, relative to max(1, max|b|).  ``a`` is one full x or a stack of rows
+    (one answer per row)."""
+    b = np.asarray(b, dtype=float)
+    scale = max(1.0, np.abs(b).max())
+    return np.abs(np.asarray(a, dtype=float) - b).max(axis=-1) <= DEDUP_RTOL * scale
+
+
+def _record_order(rec: EinsteinRecord):
+    return (rec.I1 if rec.I1 is not None else math.inf, rec.x)
 
 
 @dataclass
 class MultistartResult:
     records: list[EinsteinRecord]
     diagnostics: dict
+
+
+def _distinct_roots(system: EinsteinSystem, n_starts: int, seed: int, engine_tol: float,
+                    closed: list[EinsteinRecord]):
+    """The seeded multistart of ``system``, each metric kept once, in one pass.
+
+    Converged roots with a component under BOUNDARY_FLOOR are discarded.  The
+    rest are taken in start order and matched (``_near`` on the full x)
+    against the metrics kept so far, the valid ``closed`` records first: a
+    root that matches is counted in ``duplicates``, and only a root that
+    matches nothing is validated by the engine.  A root the engine rejects
+    stays kept, so its copies are counted, not validated again.
+
+    Returns (the kept valid records sorted by (I1, x), the diagnostics, the
+    provenances of the valid closed records that no root matched).
+    """
+    if n_starts < 0:
+        raise ValueError(f"n_starts must be >= 0, got {n_starts}")
+    rng = np.random.default_rng(seed)
+    starts = 10.0 ** rng.uniform(-2.0, 2.0, (n_starts, system.size))
+    roots, outcomes = newton_solve(system, starts)
+    tally = {name: int(np.count_nonzero(outcomes == name)) for name in NEWTON_OUTCOMES}
+    roots = roots[outcomes == "converged"]
+    inside = roots.min(axis=1) >= BOUNDARY_FLOOR
+    roots = roots[inside]
+    xs = np.column_stack(np.broadcast_arrays(*system._columns(roots)[0]))  # full x per root
+
+    records = dedup_records(closed)
+    missed = [rec.provenance for rec in closed if rec.valid and not _near(xs, rec.x).any()]
+    new = np.ones(len(roots), dtype=bool)  # matches no kept metric
+    for rec in records:
+        new &= ~_near(xs, rec.x)
+    validated = rejected = 0
+    while new.any():
+        i = int(np.argmax(new))
+        new &= ~_near(xs, xs[i])
+        rec = system.record(roots[i], provenance="numeric", engine_tol=engine_tol)
+        validated += 1
+        if rec.valid:
+            records.append(rec)
+        else:
+            rejected += 1
+    records.sort(key=_record_order)
+    diag = {"starts": n_starts, "converged": tally["converged"],
+            "failed": n_starts - tally["converged"],
+            "boundary_discarded": int(np.count_nonzero(~inside)),
+            "engine_rejected": rejected, "duplicates": len(roots) - validated,
+            "newton_outcomes": tally}
+    return records, diag, missed
 
 
 def multistart_search(system: EinsteinSystem, n_starts: int = 400, seed: int = 0,
@@ -414,42 +470,14 @@ def multistart_search(system: EinsteinSystem, n_starts: int = 400, seed: int = 0
     Starts are log-uniform in [1e-2, 1e2] per unknown and are iterated as one
     batch.  Converged roots with a component under BOUNDARY_FLOOR are
     degenerate limits of the system and are discarded (counted in the
-    diagnostics); the heuristic search makes no completeness claim.  Roots
-    are deduplicated in start order by relative proximity of the unknown
-    vector, then each representative is validated by the curvature engine
-    and annotated with I1; records that remain close in both x and I1 are
-    merged.  ``diagnostics["newton_outcomes"]`` counts each start's Newton
-    outcome (NEWTON_OUTCOMES); the counts sum to ``starts``.  Output is
-    sorted by (I1, x); identical seeds give identical record lists.
+    diagnostics); the heuristic search makes no completeness claim.  Each
+    metric is kept once, as its first root in start order (``_distinct_roots``),
+    and annotated with I1 by the curvature engine.
+    ``diagnostics["newton_outcomes"]`` counts each start's Newton outcome
+    (NEWTON_OUTCOMES); the counts sum to ``starts``.  Output is sorted by
+    (I1, x); identical seeds give identical record lists.
     """
-    if n_starts < 0:
-        raise ValueError(f"n_starts must be >= 0, got {n_starts}")
-    rng = np.random.default_rng(seed)
-    starts = 10.0 ** rng.uniform(-2.0, 2.0, (n_starts, system.size))
-    roots, outcomes = newton_solve(system, starts)
-    tally = {name: int(np.count_nonzero(outcomes == name)) for name in NEWTON_OUTCOMES}
-    diag = {"starts": n_starts, "converged": tally["converged"],
-            "failed": n_starts - tally["converged"], "boundary_discarded": 0,
-            "engine_rejected": 0, "duplicates": 0, "newton_outcomes": tally}
-    distinct: list[np.ndarray] = []
-    for v in roots[outcomes == "converged"]:
-        if v.min() < BOUNDARY_FLOOR:
-            diag["boundary_discarded"] += 1
-        elif any(_near(v, r, DEDUP_RTOL) for r in distinct):
-            diag["duplicates"] += 1
-        else:
-            distinct.append(v)
-
-    valid: list[EinsteinRecord] = []
-    for v in distinct:
-        rec = system.record(v, provenance="numeric", engine_tol=engine_tol)
-        if rec.valid:
-            valid.append(rec)
-        else:
-            diag["engine_rejected"] += 1
-    # secondary guard: collapse only if both x and I1 agree
-    records = dedup_records(valid)
-    diag["duplicates"] += len(valid) - len(records)
+    records, diag, _ = _distinct_roots(system, n_starts, seed, engine_tol, [])
     return MultistartResult(records=records, diagnostics=diag)
 
 
@@ -551,42 +579,33 @@ def closed_form_scheme2(n: int, p: int,
 
 
 def dedup_records(records: list[EinsteinRecord]) -> list[EinsteinRecord]:
-    """Collapse records of the same configuration with matching x (and I1)."""
+    """The valid records, each metric (``_near`` on x) kept once as its first
+    record, sorted by (I1, x)."""
     out: list[EinsteinRecord] = []
     for rec in records:
-        if rec.valid and not any(
-                _near(rec.x, other.x, DEDUP_RTOL) and rec.I1 is not None
-                and other.I1 is not None and _near((rec.I1,), (other.I1,), DEDUP_RTOL)
-                for other in out):
+        if rec.valid and not any(_near(rec.x, other.x) for other in out):
             out.append(rec)
-    out.sort(key=lambda r: (r.I1 if r.I1 is not None else math.inf, r.x))
+    out.sort(key=_record_order)
     return out
 
 
 def solve_configuration(scheme: int, n: int, p: int | None = None,
                         n_starts: int = 400, seed: int = 0,
                         engine_tol: float = DEFAULT_EINSTEIN_TOL) -> MultistartResult:
-    """Closed forms plus multistart for one (scheme, n, p), deduplicated.
+    """Closed forms plus multistart for one (scheme, n, p), each metric once.
 
-    The closed-form records are always included; the multistart is the audit
-    that there are no further isolated solutions within reach of the seeded
-    search.  The diagnostics flag ``search_missed`` lists closed-form records
-    the numeric search failed to recover.
+    The closed-form records are always included and come first: a root of
+    the multistart that matches one is counted in ``duplicates`` and is not
+    validated again.  The multistart is the audit that there are no further
+    isolated solutions within reach of the seeded search; the diagnostics
+    flag ``search_missed`` lists the closed-form records that no root matched.
     """
     if scheme == 1:
         closed = closed_form_scheme1(n, engine_tol=engine_tol)
     else:
         closed = closed_form_scheme2(n, p, engine_tol=engine_tol)
-    system = EinsteinSystem(scheme, n, p)
-    ms = multistart_search(system, n_starts=n_starts, seed=seed, engine_tol=engine_tol)
-    missed = []
-    for rec in closed:
-        if not rec.valid:
-            continue
-        if not any(_near(rec.x, other.x, 1e-4) for other in ms.records):
-            missed.append(rec.provenance)
-    merged = dedup_records(closed + ms.records)
-    diagnostics = dict(ms.diagnostics)
+    records, diagnostics, missed = _distinct_roots(
+        EinsteinSystem(scheme, n, p), n_starts, seed, engine_tol, closed)
     diagnostics["search_missed"] = missed
     diagnostics["invalid_closed_forms"] = [r.provenance for r in closed if not r.valid]
-    return MultistartResult(records=merged, diagnostics=diagnostics)
+    return MultistartResult(records=records, diagnostics=diagnostics)

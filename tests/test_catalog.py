@@ -1,33 +1,11 @@
-"""Case classification, enumeration and I1 equivalence classes."""
+"""Enumeration and I1 equivalence classes."""
 
 import math
 
 import pytest
 
 import su_einstein as se
-from su_einstein.catalog import Case, assign_classes, paper_count
-
-
-class TestCaseClassify:
-    def test_full_block(self):
-        assert se.case_classify(5, 0) is Case.CASE1_FULL_BLOCK
-        assert se.case_classify(5, 5) is Case.CASE1_FULL_BLOCK
-
-    def test_trivial_factor(self):
-        assert se.case_classify(5, 4) is Case.CASE2_TRIVIAL_FACTOR
-        assert se.case_classify(5, 1) is Case.CASE2_TRIVIAL_FACTOR
-
-    def test_equal_blocks(self):
-        assert se.case_classify(4, 2) is Case.CASE3_EQUAL_BLOCKS
-        assert se.case_classify(8, 4) is Case.CASE3_EQUAL_BLOCKS
-
-    def test_generic(self):
-        assert se.case_classify(7, 3) is Case.CASE4_GENERIC
-        assert se.case_classify(7, 4) is Case.CASE4_GENERIC
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            se.case_classify(4, 5)
+from su_einstein.catalog import assign_classes, paper_count
 
 
 class TestPaperCount:
@@ -105,6 +83,18 @@ class TestEnumerate:
         b = se.enumerate_metrics(4, n_starts=360, seed=0)
         assert a.count_inequivalent <= b.count_inequivalent
         assert b.count_inequivalent == 3
+
+    def test_without_starts_every_closed_form_is_missed(self):
+        entry = se.enumerate_metrics(6, n_starts=0)
+        configs = entry.diagnostics["configurations"]
+        assert list(configs) == ["scheme1", "scheme2_p2", "scheme2_p3"]
+        assert configs["scheme1"]["search_missed"] == ["closed_form_1", "closed_form_2"]
+        assert configs["scheme2_p3"]["search_missed"] == [
+            "closed_form_1", "closed_form_2_plus", "closed_form_2_minus"]
+        assert not entry.search_complete
+        # the closed forms are still the records; at p = q the + branch is the bi-invariant one
+        assert len(entry.records) == 2 + 3 + 2
+        assert all(r.provenance != "numeric" for r in entry.records)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,8 @@ class TestCheck:
                                  "--x", "1,1e-110,1", "--tol", "1e300")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        # lambda at the user's x, not at the evaluated x * 2^-1
+        assert "2.34375e+108" in err and "4.6875e+108" not in err
 
     def test_negative_lambda_is_not_einstein(self, capsys):
         # the residual is below --tol, but lambda = -8: no Einstein metric of SU(2)

@@ -571,10 +571,43 @@ class TestMultistart:
         assert i1s == sorted(i1s)
         assert all(r.valid and r.residual < 1e-8 for r in ms.records)
 
+    def test_engine_rejected_root_is_kept_for_matching(self):
+        # every root fails a tolerance below its residual: each metric is
+        # validated once, and its copies are counted as duplicates
+        a = se.multistart_search(se.einstein_system(1, 3), n_starts=200, seed=11)
+        b = se.multistart_search(se.einstein_system(1, 3), n_starts=200, seed=11,
+                                 engine_tol=1e-300)
+        assert b.records == [] and b.diagnostics["engine_rejected"] == len(a.records) == 2
+        assert b.diagnostics["duplicates"] == a.diagnostics["duplicates"]
+
     def test_boundary_roots_counted_not_returned(self):
         ms = se.multistart_search(se.einstein_system(1, 5), n_starts=300, seed=2)
         assert ms.diagnostics["boundary_discarded"] > 0
         assert all(min(r.x) > 1e-4 for r in ms.records)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_roots_lie_well_inside_dedup_rtol_of_a_closed_form(self, n, monkeypatch):
+        # the same-root rule has a margin: every converged non-boundary root of
+        # a catalog configuration is within DEDUP_RTOL / 10 of a closed form
+        searched = []
+        newton = solver.newton_solve
+
+        def capture(system, x0, **kwargs):
+            roots, outcomes = newton(system, x0, **kwargs)
+            searched.append((system, roots[outcomes == "converged"]))
+            return roots, outcomes
+
+        monkeypatch.setattr(solver, "newton_solve", capture)
+        se.enumerate_metrics(n)
+        assert len(searched) == 1 + (n // 2 - 1)
+        for system, roots in searched:
+            closed = (se.closed_form_scheme1(n) if system.scheme == 1
+                      else se.closed_form_scheme2(n, system.p))
+            for v in roots[roots.min(axis=1) >= solver.BOUNDARY_FLOOR]:
+                x, _ = system.full_x_lambda(v)
+                assert any(max(abs(s - t) for s, t in zip(x, c.x))
+                           <= solver.DEDUP_RTOL / 10 * max(1.0, *c.x)
+                           for c in closed if c.valid), (system.scheme, n, system.p, x)
 
 
 class TestSolveConfiguration:
@@ -594,3 +627,26 @@ class TestSolveConfiguration:
         assert d["scheme"] == 1 and d["n"] == 3
         assert isinstance(d["x"], list) and len(d["x"]) == 3
         assert d["lambda"] == rec.lam
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_equal_split_lists_each_metric_once(self, n):
+        # Newton stalls within ~5e-6 of the double root x1 = 1; they are copies
+        result = solve_configuration(2, n, n // 2)
+        assert sorted(r.provenance for r in result.records) == [
+            "closed_form_1", "closed_form_2_minus"]
+        assert result.diagnostics["search_missed"] == []
+
+    def test_record_runs_once_per_closed_form_and_numeric_record(self, monkeypatch):
+        provenances = []
+        record = solver.EinsteinSystem.record
+
+        def counted(self, *args, **kwargs):
+            rec = record(self, *args, **kwargs)
+            provenances.append(rec.provenance)
+            return rec
+
+        monkeypatch.setattr(solver.EinsteinSystem, "record", counted)
+        result = solve_configuration(2, 5, 3, seed=7)
+        numeric = [r for r in result.records if r.provenance == "numeric"]
+        assert len(provenances) == len(se.closed_form_scheme2(5, 3)) + len(numeric)
+        assert provenances.count("numeric") == len(numeric)
