@@ -237,6 +237,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if result.diagnostics["search_missed"]:
             print("WARNING: multistart missed closed forms: "
                   + ", ".join(result.diagnostics["search_missed"]))
+        if result.diagnostics["invalid_closed_forms"]:
+            print("WARNING: closed forms failed the engine: "
+                  + ", ".join(result.diagnostics["invalid_closed_forms"]))
     return 0
 
 
@@ -258,6 +261,11 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         print(f"agreement: {entry.agreement}")
         if not entry.search_complete:
             print("WARNING: search under-resolved for at least one configuration")
+        invalid = [f"{config} {provenance}"
+                   for config, d in entry.diagnostics["configurations"].items()
+                   for provenance in d["invalid_closed_forms"]]
+        if invalid:
+            print("WARNING: closed forms failed the engine: " + ", ".join(invalid))
     return 0
 
 

@@ -250,7 +250,7 @@ NEWTON_OUTCOMES = (
     "converged",           # the final residual is below NEWTON_TOL
     "singular_jacobian",   # the Newton step has no solution
     "nonfinite_step",      # the Newton step has a nan or inf component
-    "line_search_failed",  # no halving of the step gave an acceptable positive iterate
+    "line_search_failed",  # no halving gave a positive iterate whose residual did not grow
     "stalled_off_root",    # the step stalled, but the residual is not below NEWTON_TOL
     "max_iter",            # max_iter steps taken, and the residual is not below NEWTON_TOL
 )
@@ -265,21 +265,25 @@ def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
     """Damped Newton iteration on the reduced system, staying positive.
 
     Each step is the first halving 2^-j (j < 60) whose iterate keeps all
-    components positive and whose residual norm does not grow (below a step
-    fraction of 1e-8 any positive iterate is taken).  The line search finds
-    each start's first positive halving without evaluating the residual and
-    evaluates it there; only the starts it rejects try the later halvings
-    (``_line_search``).  The accepted trial's residual is kept for the next
-    iteration.  Iterates past the NEWTON_TOL threshold until the step stalls,
-    which sharpens roots where two solution branches collide (there the
-    Jacobian is singular and plain Newton converges only linearly).
+    components positive and whose residual norm does not grow
+    (``_line_search``).  Only a start whose residual is already below
+    NEWTON_TOL may take a step fraction of at most 1e-8 that grows it; a
+    start off the root with no acceptable halving ends ``line_search_failed``.
+    The accepted trial's residual is kept for the next iteration.  Iterates
+    past the NEWTON_TOL threshold until the step stalls, which sharpens roots
+    where two solution branches collide (there the Jacobian is singular and
+    plain Newton converges only linearly).
 
     ``x0`` of shape (k,) is one start: returns the root or None.  ``x0`` of
     shape (B, k) is a batch of starts iterated together: returns
     ``(roots, outcomes)``, the (B, k) roots (nan rows where a start did not
     converge) and each start's entry of NEWTON_OUTCOMES.  Every start takes
-    the steps it would take alone; a start leaves the batch as soon as it
-    finishes, and a singular Jacobian fails only its own start.
+    the steps it would take alone, and a singular Jacobian fails only its own
+    start.  The live starts are kept compact, as (k, m) iterates and residuals
+    with the unknowns along axis 0, so that every reduction over the unknowns
+    runs along the starts; a start that finishes is written to the result
+    once, and the live arrays shrink only in an iteration where some start
+    finishes.
     """
     v = np.array(x0, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != system.size:
@@ -289,42 +293,56 @@ def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
     single = v.ndim == 1
     v = v.reshape(-1, system.size)
     outcome = np.full(len(v), _OUTCOME["max_iter"])
-    live = np.arange(len(v))  # starts still iterating
+    roots = np.full_like(v, np.nan)
+    live, x = np.arange(len(v)), v.T.copy()  # the live starts and their (k, m) iterates
+
+    def settle(stop):
+        # the live starts in `stop` stop stepping: converged where the residual is below NEWTON_TOL
+        root = stop & (rnorm < NEWTON_TOL)
+        roots[live[root]] = x[:, root].T
+        outcome[live[root]] = _OUTCOME["converged"]
+
     with np.errstate(all="ignore"):
-        r = system.residual(v)
+        r = system.residual(x.T).T
+        rnorm = np.abs(r).max(axis=0)
         for _ in range(max_iter):
-            rnorm = np.abs(r[live]).max(axis=1)
-            # a start that stops early is judged by its final residual below
-            done = rnorm < 1e-15
-            outcome[live[done]] = _OUTCOME["stalled_off_root"]
-            live, rnorm = live[~done], rnorm[~done]
+            done = rnorm < 1e-15  # below NEWTON_TOL: these starts have converged
+            if done.any():
+                settle(done)
+                keep = ~done
+                live, x, r, rnorm = live[keep], x[:, keep], r[:, keep], rnorm[keep]
             if live.size == 0:
                 break
-            step, singular = _newton_steps(system.jacobian(v[live]), -r[live])
-            nonfinite = ~singular & ~np.isfinite(step).all(axis=1)
-            outcome[live[singular]] = _OUTCOME["singular_jacobian"]
-            outcome[live[nonfinite]] = _OUTCOME["nonfinite_step"]
-            ok = ~(singular | nonfinite)
-            live, rnorm, step = live[ok], rnorm[ok], step[ok]
+            step, singular = _newton_steps(system.jacobian(x.T), -r.T)
+            step = np.ascontiguousarray(step.T)
+            bad = ~np.isfinite(step).all(axis=0)  # a singular start's step is nan
+            if bad.any():
+                outcome[live[bad]] = np.where(singular[bad], _OUTCOME["singular_jacobian"],
+                                              _OUTCOME["nonfinite_step"])
+                keep = ~bad
+                live, x, rnorm, step = live[keep], x[:, keep], rnorm[keep], step[:, keep]
 
-            pick, r_trial = _line_search(system, v[live], step, rnorm)
+            pick, r = _line_search(system, x.T, step.T, rnorm)
+            r = r.T  # the accepted trial is x + move below, bit for bit
             found = pick >= 0
-            outcome[live[~found]] = _OUTCOME["line_search_failed"]
-            live = live[found]
-            move = _HALVINGS[pick[found], None] * step[found]
-            v[live] += move
-            r[live] = r_trial[found]  # the accepted trial is v + move, bit for bit
+            if not found.all():
+                outcome[live[~found]] = _OUTCOME["line_search_failed"]
+                live, x, step, pick = live[found], x[:, found], step[:, found], pick[found]
+                r = r[:, found]
+            move = _HALVINGS[pick] * step
+            x += move
+            rnorm = np.abs(r).max(axis=0)
 
-            stall = np.abs(move).max(axis=1) < 1e-14 * np.fmax(1.0, np.abs(v[live]).max(axis=1))
-            outcome[live[stall]] = _OUTCOME["stalled_off_root"]
-            live = live[~stall]
-        final = np.abs(r).max(axis=1) < NEWTON_TOL
-    stopped = np.isin(outcome, [_OUTCOME["stalled_off_root"], _OUTCOME["max_iter"]])
-    outcome[stopped & final] = _OUTCOME["converged"]
-    v[outcome != _OUTCOME["converged"]] = np.nan
+            stall = np.abs(move).max(axis=0) < 1e-14 * np.fmax(1.0, np.abs(x).max(axis=0))
+            if stall.any():
+                outcome[live[stall]] = _OUTCOME["stalled_off_root"]
+                settle(stall)
+                keep = ~stall
+                live, x, r, rnorm = live[keep], x[:, keep], r[:, keep], rnorm[keep]
+        settle(np.ones(live.size, dtype=bool))  # the rest took max_iter steps
     if single:
-        return v[0] if outcome[0] == _OUTCOME["converged"] else None
-    return v, np.array(NEWTON_OUTCOMES)[outcome]
+        return roots[0] if outcome[0] == _OUTCOME["converged"] else None
+    return roots, np.array(NEWTON_OUTCOMES)[outcome]
 
 
 def _line_search(system: EinsteinSystem, v: np.ndarray, step: np.ndarray,
@@ -332,8 +350,10 @@ def _line_search(system: EinsteinSystem, v: np.ndarray, step: np.ndarray,
     """The first halving j of each start whose iterate v + 2^-j step is positive
     and accepted; (j or -1 where none is, residual rows at the accepted iterates).
 
-    A trial is accepted when its residual max-norm is at most ``rnorm`` or its
-    step fraction is at most 1e-8.  With rate = max(-step_i / v_i), the
+    ``v`` and ``step`` are (B, k).  A trial is accepted when its residual
+    max-norm is at most ``rnorm``, or when its step fraction is at most 1e-8
+    and ``rnorm`` is below NEWTON_TOL: a start off the root never takes a
+    step that grows its residual.  With rate = max(-step_i / v_i), the
     reciprocal of the largest positive step fraction, and f the exponent with
     2^(f-1) <= rate < 2^f, the first positive halving is f or a later one:
 
@@ -347,33 +367,46 @@ def _line_search(system: EinsteinSystem, v: np.ndarray, step: np.ndarray,
 
     The residual is evaluated at halving f, and only the starts it rejects,
     or whose iterate there is not positive, try every later halving.
+    Internally the unknowns run along axis 0, so that reductions over them
+    run along the starts.  ``newton_solve`` passes transposed views of its
+    (k, m) arrays, which are therefore not copied, and the residual rows come
+    back as a transposed view of a (k, m) array.
     """
     m, k = v.shape
-    # unknowns along axis 0, so that reductions over them run along the starts
-    v, step = v.T.copy(), step.T.copy()
+    v, step = v.T, step.T
     rate = np.maximum(-(step / v).min(axis=0), 0.0)
-    first = np.clip(np.frexp(rate)[1], 0, 60)  # f; 60: no positive halving
+    first = np.minimum(np.maximum(np.frexp(rate)[1], 0), 60)  # f; 60: no positive halving
+    forced = rnorm < NEWTON_TOL  # may take a step fraction <= 1e-8 that grows the residual
+
+    def accepted(res, start, j):
+        return (np.abs(res).max(axis=1) <= rnorm[start]) | ((_HALVINGS[j] <= 1e-8) & forced[start])
+
+    # halving f of every start that has one, in one residual call
+    j = np.minimum(first, 59)  # where f = 60, halving 59 < f is not positive
+    trial = v + _HALVINGS[j] * step
+    positive = (trial > 0).all(axis=0)
+    take = slice(None) if positive.all() else np.flatnonzero(positive)
+    res = system.residual(trial[:, take].T)
+    rows = np.empty((k, m))
+    rows[:, take] = res.T
     pick = np.full(m, -1)
-    rows = np.empty((m, k))
+    pick[take] = np.where(accepted(res, take, j[take]), first[take], -1)
 
-    def take_first_accepted(start, j):
-        # (start, j) pairs in start order, then halving order
-        trial = v[:, start] + _HALVINGS[j] * step[:, start]
-        positive = (trial > 0).all(axis=0)
-        start, j, res = start[positive], j[positive], system.residual(trial[:, positive].T)
-        accept = (np.abs(res).max(axis=1) <= rnorm[start]) | (_HALVINGS[j] <= 1e-8)
-        start, j, res = start[accept], j[accept], res[accept]
-        lead = np.ones(start.size, dtype=bool)
-        lead[1:] = start[1:] != start[:-1]
-        pick[start[lead]], rows[start[lead]] = j[lead], res[lead]
-
-    within = first < 60
-    take_first_accepted(np.flatnonzero(within), first[within])
+    # every later halving of the rest, in (start, j) order
     todo = np.flatnonzero(pick < 0)
     start, j = np.nonzero(_HALVING_INDEX > first[todo, None])
     if j.size:
-        take_first_accepted(todo[start], j)
-    return pick, rows
+        start = todo[start]
+        trial = v[:, start] + _HALVINGS[j] * step[:, start]
+        positive = (trial > 0).all(axis=0)
+        take = slice(None) if positive.all() else np.flatnonzero(positive)
+        start, j, res = start[take], j[take], system.residual(trial[:, take].T)
+        ok = np.flatnonzero(accepted(res, start, j))
+        lead = np.ones(ok.size, dtype=bool)
+        lead[1:] = start[ok[1:]] != start[ok[:-1]]
+        ok = ok[lead]
+        pick[start[ok]], rows[:, start[ok]] = j[ok], res.T[:, ok]
+    return pick, rows.T
 
 
 def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

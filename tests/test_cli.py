@@ -285,6 +285,19 @@ class TestSolve:
                            "--starts", "100")
         assert code == 0
         assert "distinct Einstein metric(s)" in out
+        assert "WARNING" not in out
+
+    def test_table_warns_about_closed_forms_the_engine_rejects(self, capsys):
+        code, out, _ = run(capsys, "solve", "--scheme", "1", "--n", "3", "--tol", "1e-300")
+        assert code == 0
+        assert "0 distinct Einstein metric(s)" in out
+        assert out.splitlines()[-1] == (
+            "WARNING: closed forms failed the engine: closed_form_1, closed_form_2")
+        code, out, _ = run(capsys, "solve", "--scheme", "1", "--n", "3", "--tol", "1e-300",
+                           "--format", "json")
+        assert code == 0 and "WARNING" not in out
+        assert json.loads(out)["diagnostics"]["invalid_closed_forms"] == [
+            "closed_form_1", "closed_form_2"]
 
 
 class TestCatalog:
@@ -316,6 +329,15 @@ class TestCatalog:
         assert code == 0
         assert "inequivalent classes (by I1): 2" in out
         assert "agreement: True" in out
+        assert "WARNING" not in out
+
+    def test_table_warns_about_closed_forms_the_engine_rejects(self, capsys):
+        # the (4, 2) bi-invariant and + branch closed forms have residual 0, so they pass
+        code, out, _ = run(capsys, "catalog", "--n", "4", "--starts", "0", "--tol", "1e-300")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "WARNING: closed forms failed the engine: scheme1 closed_form_1, "
+            "scheme1 closed_form_2, scheme2_p2 closed_form_2_minus")
 
 
 class TestJsonCanonical:

@@ -176,7 +176,7 @@ class TestBatchedNewton:
         for start, root, outcome in zip(starts, roots, outcomes):
             alone_roots, (alone,) = se.newton_solve(system, start[None])
             assert outcome == alone
-            npt.assert_allclose(root, alone_roots[0], rtol=1e-14)
+            assert root.tobytes() == alone_roots[0].tobytes()
             assert np.isnan(root).all() == (outcome != "converged")
 
     def test_single_start_is_the_batch_of_one(self):
@@ -200,7 +200,7 @@ class TestBatchedNewton:
         mixed_roots, mixed = se.newton_solve(system, np.insert(good, 5, SINGULAR_5_3, axis=0))
         assert mixed[5] == "singular_jacobian" and np.isnan(mixed_roots[5]).all()
         assert list(np.delete(mixed, 5)) == list(outcomes)
-        npt.assert_allclose(np.delete(mixed_roots, 5, axis=0), roots, rtol=1e-14)
+        assert np.delete(mixed_roots, 5, axis=0).tobytes() == roots.tobytes()
         assert se.newton_solve(system, SINGULAR_5_3) is None
 
     def test_rejects_bad_shapes(self):
@@ -249,7 +249,8 @@ def reference_newton(system, starts, max_iter=200):
                 positive = (trial > 0).all(axis=2)
                 norm = np.full(positive.shape, np.nan)
                 norm[positive] = np.abs(system.residual(trial[positive])).max(axis=1)
-                accept = positive & ((norm <= rnorm[todo, None]) | (t <= 1e-8))
+                forced = (t <= 1e-8) & (rnorm[todo, None] < solver.NEWTON_TOL)
+                accept = positive & ((norm <= rnorm[todo, None]) | forced)
                 hit = accept.any(axis=1)
                 pick[todo[hit]] = block[np.argmax(accept[hit], axis=1)]
                 todo = todo[~hit]
@@ -280,7 +281,7 @@ def brute_force_pick(system, v, step, rnorm):
         trial = v + t * step
         if (trial > 0).all():
             res = system.residual(trial[None])[0]
-            if np.abs(res).max() <= rnorm or t <= 1e-8:
+            if np.abs(res).max() <= rnorm or (t <= 1e-8 and rnorm < solver.NEWTON_TOL):
                 return j, res
     return -1, None
 
@@ -388,6 +389,28 @@ class TestLineSearch:
             pick, _ = solver._line_search(system, v, step, np.zeros(4))
         assert list(pick) == [27, 27, 59, -1]
         assert calls == [3, 59 + 56]  # then halvings 1..59 and 4..59 of the rejected two
+
+    def test_no_forced_step_off_the_root(self):
+        # every trial near v = 1 has a residual far above 1e-6: off the root no
+        # halving is accepted, while a start below NEWTON_TOL takes 2^-27 <= 1e-8
+        system = se.einstein_system(1, 4)
+        tol = solver.NEWTON_TOL
+        rnorm = np.array([1e-6, 2 * tol, tol, tol / 2, 0.0])
+        v, step = np.ones((len(rnorm), 3)), np.full((len(rnorm), 3), 0.5)
+        pick, _ = solver._line_search(system, v, step, rnorm)
+        assert list(pick) == [-1, -1, -1, 27, 27]
+
+    def test_start_off_the_root_ends_instead_of_crawling(self, monkeypatch):
+        # scheme 1 at n = 5: two seed-0 starts have no acceptable step off the
+        # root; with forced steps they crawled through all 200 iterations
+        system = se.einstein_system(1, 5)
+        calls = []
+        jacobian = system.jacobian
+        monkeypatch.setattr(system, "jacobian", lambda v: calls.append(len(v)) or jacobian(v))
+        _, outcomes = se.newton_solve(system, log_uniform_starts(system, 400, seed=0))
+        assert list(np.flatnonzero(outcomes == "line_search_failed")) == [196, 219]
+        assert "max_iter" not in outcomes
+        assert len(calls) <= 60
 
     def test_one_residual_call_per_accepting_iteration(self, monkeypatch):
         system = se.einstein_system(1, 4)
