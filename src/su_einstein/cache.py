@@ -43,7 +43,7 @@ def save_structure_constants(path: str | Path, sc: StructureConstants) -> Path:
     path = Path(path)
     f = sc.nonzeros
     lines = [f"{sc.scheme} {sc.n} {0 if sc.p is None else sc.p} {sc.d} {f.nnz}"]
-    lines.append(" ".join(repr(float(v)) for v in np.diag(sc.gram)))
+    lines.append(" ".join(repr(float(v)) for v in sc.gram_diag))
     c, a, b = (idx.tolist() for idx in f.index)
     lines += [f"{ai} {bi} {ci} {v!r}" for ci, ai, bi, v in zip(c, a, b, f.values.tolist())]
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -67,6 +67,7 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
     lines = path.read_text().splitlines()
     try:
         scheme, n, p, d, nnz = (int(t) for t in lines[0].split())
+        p = None if scheme == 1 else p  # the header writes 0 for scheme 1
         gram_diag = np.array([float(t) for t in lines[1].split()])
         rows = [line.split() for line in lines[2:] if line.strip()]
         if any(len(r) != 4 for r in rows):
@@ -94,10 +95,10 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
     return StructureConstants(
         d=d,
         nonzeros=Nonzeros((d, d, d), (c, a, b), values),
-        gram=np.diag(gram_diag),
+        gram_diag=gram_diag,
         scheme=scheme,
         n=n,
-        p=None if scheme == 1 else p,
+        p=p,
         class_of=basis.class_of.copy(),
     )
 

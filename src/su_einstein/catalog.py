@@ -87,10 +87,9 @@ def enumerate_metrics(n: int, n_starts: int = 400, seed: int = 0,
     split (p <= q, p >= 2); the bi-invariant solution found by every
     configuration coalesces into a single class.  Under-resolved searches
     (numeric search missing a closed-form solution) are flagged via
-    ``search_complete``, never silently accepted.
+    ``search_complete``, never silently accepted.  A bad n raises when the
+    first configuration, the three-class one, builds its system.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     per_config = {}
     records: list[EinsteinRecord] = []
     configs = [(1, None, seed)] + [(2, p, seed + p) for p in range(2, n // 2 + 1)]

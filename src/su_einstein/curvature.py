@@ -48,7 +48,7 @@ _BLOCK_SCALAR_TOL = 1e-9   # Ricci off-diagonal and within-class spread allowed
 
 def frame_weights(sc: StructureConstants) -> np.ndarray:
     """Per-generator metric weights w_a (frame metric is g_aa = x_class * w_a)."""
-    w = _BIINVARIANT_WEIGHT * np.diag(sc.gram).copy()
+    w = _BIINVARIANT_WEIGHT * sc.gram_diag
     if sc.scheme == 2:
         mask = sc.class_of == 3
         if np.any(mask):
@@ -74,11 +74,7 @@ class MetricSpec:
 
     @classmethod
     def from_x(cls, sc: StructureConstants, x) -> "MetricSpec":
-        x = tuple(float(v) for v in x)
-        if len(x) != sc.num_classes:
-            raise ValueError(f"expected {sc.num_classes} metric constants, got {len(x)}")
-        if not all(math.isfinite(v) and v > 0 for v in x):
-            raise ValueError(f"metric constants must be finite and strictly positive, got {x}")
+        x = _checked_x(sc, x)
         w = frame_weights(sc)
         return cls(x=x, weights=w, g=np.asarray(x)[sc.class_of] * w)
 
@@ -86,6 +82,16 @@ class MetricSpec:
         """The uniformly rescaled metric c*g."""
         return MetricSpec(x=tuple(c * v for v in self.x), weights=self.weights.copy(),
                           g=c * self.g)
+
+
+def _checked_x(sc: StructureConstants, x) -> tuple[float, ...]:
+    """x as floats; raises ValueError unless it is one finite positive entry per class."""
+    x = tuple(float(v) for v in x)
+    if len(x) != sc.num_classes:
+        raise ValueError(f"expected {sc.num_classes} metric constants, got {len(x)}")
+    if not all(math.isfinite(v) and v > 0 for v in x):
+        raise ValueError(f"metric constants must be finite and strictly positive, got {x}")
+    return x
 
 
 def levi_civita(sc: StructureConstants, metric: MetricSpec) -> Nonzeros:
@@ -102,7 +108,7 @@ def levi_civita(sc: StructureConstants, metric: MetricSpec) -> Nonzeros:
     """
     f = sc.nonzeros
     c, a, b = f.index
-    y = metric.g / np.diag(sc.gram)
+    y = metric.g / sc.gram_diag
     values = f.values * (y[c] - y[a] + y[b]) / (2.0 * y[c])
     keep = values != 0.0
     return Nonzeros(f.shape, (c[keep], a[keep], b[keep]), values[keep])
@@ -350,10 +356,12 @@ def einstein_verdict(sc: StructureConstants, x,
     scale-free: the curvature is evaluated at x * 2^-k, which puts max(x) in
     [1/2, 1) exactly, and lambda is scaled back by the same power of two, so
     every value is the one at x to the bit wherever that is representable.
-    Raises ValueError when an entry of x * 2^-k is below the smallest normal
-    float, when the residual or lambda is not finite, or when I1 is not
+    Raises ValueError when x is not one finite positive entry per class
+    (quoting x as given), when an entry of x * 2^-k is below the smallest
+    normal float, when the residual or lambda is not finite, or when I1 is not
     representable (see ``invariant_I1``).
     """
+    x = _checked_x(sc, x)
     k = math.frexp(max(x))[1]
     x = tuple(math.ldexp(t, -k) for t in x)
     if min(x) < sys.float_info.min:

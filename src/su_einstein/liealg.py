@@ -42,11 +42,21 @@ from .sparse import CANCEL_RTOL, Nonzeros, join, sum_by_key
 
 
 def class_sizes(scheme: int, n: int, p: int | None = None) -> tuple[int, ...]:
-    """The number of generators in each class of the (scheme, n, p) basis;
-    su(0) and su(1) are empty, and so is the balance class unless p, q >= 1."""
+    """The number of generators in each class of the (scheme, n, p) basis, and
+    the one check of a configuration: raises ValueError unless the scheme is 1
+    or 2, n >= 2, scheme 1 has no p and scheme 2 has 0 <= p <= n.  su(0) and
+    su(1) are empty, and so is the balance class unless p, q >= 1."""
+    if scheme not in (1, 2):
+        raise ValueError(f"unknown scheme {scheme}")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
     if scheme == 1:
+        if p is not None:
+            raise ValueError(f"scheme 1 has no p, got p={p}")
         m = n * (n - 1) // 2
         return (m, m, n - 1)
+    if p is None or not 0 <= p <= n:
+        raise ValueError(f"scheme 2 needs a block size 0 <= p <= n, got p={p}, n={n}")
     q = n - p
     return (max(p * p - 1, 0), max(q * q - 1, 0), 2 * p * q, 1 if p >= 1 and q >= 1 else 0)
 
@@ -97,15 +107,15 @@ class StructureConstants:
     """
 
     d: int
-    nonzeros: Nonzeros  # f^c_ab at (c, a, b), shape (d, d, d)
-    gram: np.ndarray    # (d, d), diagonal
+    nonzeros: Nonzeros    # f^c_ab at (c, a, b), shape (d, d, d)
+    gram_diag: np.ndarray  # (d,), the diagonal G_aa of the (diagonal) Gram matrix
     scheme: int
     n: int
     p: int | None
     class_of: np.ndarray
 
     def __post_init__(self):
-        self.gram.flags.writeable = False
+        self.gram_diag.flags.writeable = False
         self.class_of.flags.writeable = False
 
     @cached_property
@@ -123,7 +133,7 @@ class StructureConstants:
     def lowered(self) -> np.ndarray:
         """Fully lowered tensor f_abc = f^e_ab G_ec (totally antisymmetric);
         dense, for tests."""
-        return np.einsum("eab,ec->abc", self.f, self.gram)
+        return np.moveaxis(self.f, 0, -1) * self.gram_diag
 
 
 @dataclass(frozen=True)
@@ -174,12 +184,14 @@ def _block(idxs: range, classes: tuple[int, int, int], num: _Numbers) -> list:
 
 def _description(scheme: int, n: int, p: int | None, num: _Numbers) -> list:
     """The generators of a basis as (class, {(row, col): coefficient}) entries,
-    in basis order; numpy and sympy both materialize this one description."""
+    in basis order; numpy and sympy both materialize this one description.
+    Raises ValueError on a bad configuration (``class_sizes``)."""
+    sizes = class_sizes(scheme, n, p)
     if scheme == 1:
         return _block(range(n), (0, 1, 2), num)
     entries = _block(range(p), (0, 0, 0), num) + _block(range(p, n), (1, 1, 1), num)
     entries += _offdiag(list(itertools.product(range(p), range(p, n))), (2, 2), num)
-    if 1 <= p < n:
+    if sizes[3]:
         entries.append((3, {(a, a): n - p if a < p else -p for a in range(n)}))
     return entries
 
@@ -213,8 +225,6 @@ def build_scheme1_basis(n: int) -> GeneratorBasis:
     Off-diagonal generators are ordered lexicographically in (A, B), A < B.
     Requires n >= 2.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
     return _numpy_basis(1, n, None)
 
 
@@ -223,23 +233,16 @@ def build_scheme2_basis(n: int, p: int) -> GeneratorBasis:
 
     Degenerate splits are allowed: p or q in {0, 1} simply leaves class 1
     or 2 empty (su(1) has no generators), and the trace-balance class is
-    present only when both blocks are nonempty.
+    present only when both blocks are nonempty.  Requires 0 <= p <= n.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if p < 0 or p > n:
-        raise ValueError(f"need 0 <= p <= n, got p={p}, n={n}")
     return _numpy_basis(2, n, p)
 
 
 def build_basis(scheme: int, n: int, p: int | None = None) -> GeneratorBasis:
-    """The basis of a (scheme, n, p) configuration; p is the scheme-2 block
-    size and is not used by scheme 1."""
-    if scheme == 1:
-        return build_scheme1_basis(n)
-    if scheme == 2:
-        return build_scheme2_basis(n, p)
-    raise ValueError(f"unknown scheme {scheme}")
+    """The basis of a (scheme, n, p) configuration, which ``class_sizes``
+    checks; p is the scheme-2 block size, and scheme 1 takes no p."""
+    class_sizes(scheme, n, p)
+    return build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureConstants:
@@ -266,7 +269,7 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
     return StructureConstants(
         d=d,
         nonzeros=nonzeros,
-        gram=np.diag(gram_diag),
+        gram_diag=gram_diag,
         scheme=basis.scheme,
         n=basis.n,
         p=basis.p,
@@ -363,8 +366,12 @@ def validate_basis(basis: GeneratorBasis, tol: float = 1e-12) -> BasisReport:
     if trc > tol:
         problems.append(f"generator with nonzero trace (dev {trc:.2e})")
 
-    expected = class_sizes(basis.scheme, basis.n, basis.p)
-    sizes = basis.class_sizes()
+    try:
+        expected = class_sizes(basis.scheme, basis.n, basis.p)
+    except ValueError as exc:
+        problems.append(f"bad configuration: {exc}")
+        expected = ()
+    sizes = tuple(int(np.sum(basis.class_of == c)) for c in range(len(expected)))
     if sizes != expected:
         problems.append(f"class sizes {sizes} != expected {expected}")
 
@@ -441,7 +448,7 @@ def _identity_deviations(sc: StructureConstants) -> tuple[float, float, float]:
     i, j = join(c, a)
     s, t, u, dd = a[i], b[i], b[j], c[j]
     jacobi = max_sum(v[i] * v[j], key(s, t, u, dd), key(u, s, t, dd), key(t, u, s, dd))
-    low = v * np.diag(sc.gram)[c]  # f_abc at (a, b, c)
+    low = v * sc.gram_diag[c]  # f_abc at (a, b, c)
     low_anti = max(max_sum(low, key(a, b, c), key(b, a, c)),
                    max_sum(low, key(a, b, c), key(a, c, b)))
     return f_anti, jacobi, low_anti

@@ -118,24 +118,19 @@ class EinsteinSystem:
     and the unknowns are the constants of the nonempty classes other than the
     gauge class, then lambda.  For the four-class family, a block with p or q
     equal to 1 has no generators of its own, so its constant multiplies
-    nothing and is neither an unknown nor an equation.
+    nothing and is neither an unknown nor an equation.  Raises ValueError on
+    a bad configuration (``liealg.class_sizes``) and, the one solving rule,
+    on a four-class split whose balance class is empty (p = 0 or p = n).
     """
 
     def __init__(self, scheme: int, n: int, p: int | None = None):
-        if scheme not in (1, 2):
-            raise ValueError(f"scheme must be 1 or 2, got {scheme}")
-        if scheme == 1:
-            if n < 2:
-                raise ValueError(f"need n >= 2, got {n}")
-        else:
-            if p is None:
-                raise ValueError("the four-class system needs p")
-            if not (1 <= p <= n - 1):
-                raise ValueError(f"need 1 <= p <= n-1, got p={p}, n={n}")
+        sizes = liealg.class_sizes(scheme, n, p)
+        if scheme == 2 and not sizes[3]:
+            raise ValueError(f"the four-class system needs 1 <= p <= n-1, got p={p}, n={n}; "
+                             "p = 0 or p = n is the scheme-1 configuration")
         self.scheme = scheme
         self.n = n
         self.p = p
-        sizes = liealg.class_sizes(scheme, n, p)
         gauge = 1 if scheme == 1 else 2  # x2 = 1, or x3 = 1
         self._num_classes = len(sizes)
         self._rows = [c for c, size in enumerate(sizes) if size]
@@ -523,8 +518,6 @@ def closed_form_scheme1(n: int, engine_tol: float = DEFAULT_EINSTEIN_TOL) -> lis
     solution (the second family divides by n - 2).  Every record is validated
     against the curvature engine.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     system = EinsteinSystem(1, n)
     records = [system.record(system.unknowns_at((1.0, 1.0, 1.0), n / 8.0),
                              provenance="closed_form_1", engine_tol=engine_tol)]
@@ -587,10 +580,8 @@ def closed_form_scheme2(n: int, p: int,
     At q = 1 (or p = 1) both branches collapse onto the bi-invariant solution;
     at p = q the + branch does.  Constants of empty blocks are reported as 1.
     """
-    if not (1 <= p <= n - 1):
-        raise ValueError(f"need 1 <= p <= n-1, got p={p}, n={n}")
-    q = n - p
     system = EinsteinSystem(2, n, p)
+    q = n - p
     records = [system.record(system.unknowns_at((1.0, 1.0, 1.0, 2.0 / (p * q * n)), n / 8.0),
                              provenance="closed_form_1", engine_tol=engine_tol)]
 
@@ -633,12 +624,12 @@ def solve_configuration(scheme: int, n: int, p: int | None = None,
     isolated solutions within reach of the seeded search; the diagnostics
     flag ``search_missed`` lists the closed-form records that no root matched.
     """
+    system = EinsteinSystem(scheme, n, p)
     if scheme == 1:
         closed = closed_form_scheme1(n, engine_tol=engine_tol)
     else:
         closed = closed_form_scheme2(n, p, engine_tol=engine_tol)
-    records, diagnostics, missed = _distinct_roots(
-        EinsteinSystem(scheme, n, p), n_starts, seed, engine_tol, closed)
+    records, diagnostics, missed = _distinct_roots(system, n_starts, seed, engine_tol, closed)
     diagnostics["search_missed"] = missed
     diagnostics["invalid_closed_forms"] = [r.provenance for r in closed if not r.valid]
     return MultistartResult(records=records, diagnostics=diagnostics)

@@ -1,6 +1,5 @@
 """Structure-constant cache: file format, round trips, load checks, atomic saves."""
 
-import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -15,7 +14,7 @@ def test_round_trip(tmp_path):
     assert loaded.d == sc.d
     assert loaded.scheme == 2 and loaded.n == 5 and loaded.p == 3
     npt.assert_array_equal(loaded.f, sc.f)
-    npt.assert_array_equal(np.diag(loaded.gram), np.diag(sc.gram))
+    npt.assert_array_equal(loaded.gram_diag, sc.gram_diag)
     npt.assert_array_equal(loaded.class_of, sc.class_of)
 
 
@@ -25,6 +24,12 @@ def test_resave_is_byte_identical(tmp_path):
     loaded = cache.load_structure_constants(p1)
     p2 = cache.save_structure_constants(tmp_path / "b.sc", loaded)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_scheme1_header_p_is_read_as_none(tmp_path):
+    path = cache.save_structure_constants(tmp_path / "s1.sc", sc_for(1, 4))
+    assert path.read_text().split()[2] == "0"
+    assert cache.load_structure_constants(path).p is None
 
 
 def test_filename_convention():
