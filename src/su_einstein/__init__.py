@@ -35,6 +35,7 @@ from .liealg import (
     build_scheme2_basis,
     exact_validate,
     structure_constants,
+    structure_constants_of,
     validate_basis,
 )
 
@@ -97,5 +98,6 @@ __all__ = [
     "scheme2_system",
     "solve_configuration",
     "structure_constants",
+    "structure_constants_of",
     "validate_basis",
 ]

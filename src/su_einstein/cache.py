@@ -109,7 +109,7 @@ def fetch_structure_constants(scheme: int, n: int, p: int | None,
     path = None if cache_dir is None else Path(cache_dir) / cache_filename(scheme, n, p)
     if path is not None and path.exists():
         return load_structure_constants(path)
-    sc = liealg.structure_constants(liealg.build_basis(scheme, n, p))
+    sc = liealg.structure_constants_of(scheme, n, p)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_structure_constants(path, sc)

@@ -6,7 +6,9 @@ Commands
   solve    closed forms + multistart for one (scheme, n, p) configuration
   catalog  enumerate all configurations for n and classify by I1
 
-Exit codes: 0 success, 1 validation or verdict failure, 2 usage error.
+Exit codes: 0 success, 1 validation or verdict failure, 2 usage error.  Every
+usage error, the argument parser's included, is one ``error: ...`` line on
+stderr.
 ``main`` builds its argument parser on the first call and reuses it for every
 later call in the process; ``build_parser`` returns a new parser each time.
 JSON output is canonical: sorted keys, floats with 17 significant digits, so
@@ -156,7 +158,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    sc = liealg.structure_constants(liealg.build_basis(args.scheme, args.n, args.p))
+    sc = liealg.structure_constants_of(args.scheme, args.n, args.p)
     try:
         residual, lam, I1 = curvature.einstein_verdict(sc, args.x, tol=args.tol)
     except ValueError as exc:
@@ -274,8 +276,17 @@ def _params(args: argparse.Namespace) -> dict:
 
 # -- argument parsing ---------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print the one ``error: ...`` line
+    of every other usage error, without the usage block, and exit 2.  Its
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="su-einstein",
         description="Left-invariant Einstein metrics on SU(n) from structure constants.")
     sub = parser.add_subparsers(dest="command", required=True)

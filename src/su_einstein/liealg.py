@@ -19,13 +19,25 @@ q*sum(E_aa, a<=p) - p*sum(E_bb, b>p), kept unnormalized.
 
 Both schemes are written once, as (class, {(row, col): coefficient}) entries
 (``_description``); numpy materializes them for the builders and sympy for
-``exact_validate``.
+``exact_validate``, and ``structure_constants_of`` reads the pairs and the
+diagonal entries off them.
 
 Generators T_a are Hermitian, so the real structure constants are defined
 through [T_a, T_b] = i f^c_ab T_c.  The basis is trace-orthogonal with Gram
-matrix G_ab = Re tr(T_a T_b), so f^c_ab = 2 Im tr(T_a T_b T_c) / G_cc, and the
-trace is evaluated on the generators' few nonzero entries.  The dual frame
-then obeys d sigma^c = -1/2 f^c_ab sigma^a ^ sigma^b.
+matrix G_ab = Re tr(T_a T_b), so f^c_ab = 2 Im tr(T_a T_b T_c) / G_cc.  The
+dual frame then obeys d sigma^c = -1/2 f^c_ab sigma^a ^ sigma^b.
+
+f is built in one of two ways, which agree bit for bit:
+
+* ``structure_constants_of(scheme, n, p)``, used by every engine path, reads
+  f off the class structure with the bracket rule of the matrix units,
+  [E_AB, E_CD] = delta_BC E_AD - delta_DA E_CB.  Only two kinds of bracket
+  survive: the pair generators of one triangle A < B < C, and a diagonal
+  generator with the two generators of one pair (the proof is in its
+  docstring).  No matrix is formed.
+* ``structure_constants(basis)`` evaluates the trace on the given matrices'
+  nonzero entries.  ``validate_basis`` uses it, since a basis handed in may
+  differ from its description, and the tests use it as the oracle of the rule.
 """
 
 from __future__ import annotations
@@ -196,6 +208,9 @@ def _description(scheme: int, n: int, p: int | None, num: _Numbers) -> list:
     return entries
 
 
+_FLOATS = _Numbers(float, np.sqrt, operator.truediv, 1j)
+
+
 def _generators(scheme: int, n: int, p: int | None,
                 exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The description materialized: the (d, n, n) generators, in complex
@@ -205,7 +220,7 @@ def _generators(scheme: int, n: int, p: int | None,
 
         num, dtype = _Numbers(object, sp.sqrt, sp.Rational, sp.I), object
     else:
-        num, dtype = _Numbers(float, np.sqrt, operator.truediv, 1j), complex
+        num, dtype = _FLOATS, complex
     entries = _description(scheme, n, p, num)
     T = np.zeros((len(entries), n, n), dtype=dtype)
     for a, (_, coeffs) in enumerate(entries):
@@ -246,13 +261,16 @@ def build_basis(scheme: int, n: int, p: int | None = None) -> GeneratorBasis:
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureConstants:
-    """Real f^c_ab from the generators' nonzero entries, by index rules.
+    """Real f^c_ab of a given matrix basis, by the trace formula.
 
     The T_a are Hermitian, so tr([T_a, T_b] T_c) = 2i Im tr(T_a T_b T_c) and,
     for a trace-orthogonal basis, f^c_ab = 2 Im tr(T_a T_b T_c) / G_cc.  The
     trace is the sum of A_ij B_jk C_ki over entries that share matrix indices;
     a generator has at most n nonzero entries, so there are few such triples.
-    Sums that cancel to rounding level are exact zeros and are not stored.
+    Each such path adds its own term 2 Im(A_ij B_jk C_ki) / G_cc, and the terms
+    are summed per (c, a, b); sums that cancel to rounding level are exact
+    zeros and are not stored.  This checks a basis as given (``validate_basis``)
+    and is the oracle of ``structure_constants_of``, which the engine uses.
     """
     n, d = basis.n, basis.dim
     gen, row, col = np.nonzero(basis.generators)
@@ -277,13 +295,109 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
     )
 
 
+def structure_constants_of(scheme: int, n: int, p: int | None = None) -> StructureConstants:
+    """f of the (scheme, n, p) basis from the bracket rule of the matrix units,
+    bit for bit ``structure_constants(build_basis(scheme, n, p))``, without
+    forming a matrix.
+
+    **The brackets.**  Write S_AB = E_AB + E_BA and A_AB = i(E_AB - E_BA) for
+    a pair A < B, and H = sum_A h_A E_AA for a diagonal generator (a diagonal
+    mix, or the balance generator of scheme 2).  Every pair A < B of indices
+    has one S and one A generator in both schemes.  With
+    [E_AB, E_CD] = delta_BC E_AD - delta_DA E_CB, a product of three matrix
+    units has a nonzero trace only where their indices close into a cycle
+    i -> j -> k -> i.  A diagonal unit keeps the index and a pair unit moves
+    it to the pair's other index, so a cycle holds
+
+    * no diagonal unit: three pair units on the pairs of one triangle
+      A < B < C.  This is the *triangle rule*: E_AB E_BC = E_AC gives
+      [S_AB, S_BC] = -i A_AC and its like.  The trace runs along one cycle,
+      and its product of three entries, each 1 or +-i, has an imaginary part
+      only for an odd number of antisymmetric generators.  The lowered
+      f_abc = 2 Im tr(T_a T_b T_c) is -2 at (S_AB, S_BC, A_AC) and +2 at
+      (S_AB, A_BC, S_AC), (A_AB, S_BC, S_AC) and (A_AB, A_BC, A_AC).
+    * one diagonal unit: then the two pair units go A -> B -> A on one pair.
+      This is the *diagonal rule*: [H, E_AB] = (h_A - h_B) E_AB gives
+      [H, S_AB] = -i (h_A - h_B) A_AB, and [S_AB, A_AB] = -2i (E_AA - E_BB).
+      The lowered f of (H, S_AB, A_AB) is 2 h_B - 2 h_A, one term from the
+      cycle through A and one through B.  (H, S_AB, S_AB) and (H, A_AB, A_AB)
+      have real traces.
+    * two diagonal units: the one pair unit cannot return, so there is no
+      cycle.
+    * three diagonal units: the trace is real.
+
+    So no other bracket survives.  Each lowered triple gives all six
+    permutations, signed, and f^c_ab = f_abc / G_cc.
+
+    **Bit for bit.**  The trace formula adds one term 2 Im(product) / G_cc per
+    cycle and sums the terms of each (c, a, b).  Every entry of the basis is
+    real or imaginary, so each product is exactly +-1 or +-h_A, and each term
+    is the same rounded quotient (2 (+-1)) / G_cc or (2 (+-h_A)) / G_cc that is
+    formed here.  A triangle key has one term and a diagonal key two; adding
+    two floats commutes, so the sum and the cancel test
+    |t1 + t2| <= CANCEL_RTOL (|t1| + |t2|) of ``Nonzeros.from_sums`` come out
+    the same.  A missing cycle (h_A = 0 is not a matrix entry) adds 0.0,
+    which changes neither.  G_kk = sum_A h_A^2 is summed in ascending A, as
+    the trace formula's ``bincount`` does; ``cumsum`` adds in that order.
+    """
+    entries = _description(scheme, n, p, _FLOATS)
+    d = len(entries)
+    class_of = np.array([c for c, _ in entries], dtype=int)
+    # pair_of[0][A, B] is the generator S_AB and pair_of[1][A, B] is A_AB,
+    # whose coefficient at (A, B) is i where that of S_AB is 1
+    pair_of = np.zeros((2, n, n), dtype=np.intp)
+    diag, h = [], []
+    for a, (_, coeffs) in enumerate(entries):
+        (row, col), value = next(iter(coeffs.items()))
+        if row != col:
+            pair_of[int(value != 1), row, col] = a
+        else:
+            diag.append(a)
+            h.append(np.zeros(n))
+            for (i, _), v in coeffs.items():
+                h[-1][i] = v
+    diag, h = np.array(diag, dtype=np.intp), np.array(h).reshape(-1, n)
+    gram = np.full(d, 2.0)  # |1|^2 + |1|^2 = |i|^2 + |-i|^2 for a pair generator
+    gram[diag] = np.cumsum(h * h, axis=1)[:, -1]
+
+    # the lowered triples (x, y, z), with Im(T_x T_y T_z) of each one's one or
+    # two cycles: the triangles, then (H, S_AB, A_AB) for each H and pair
+    S, A = pair_of
+    idx = np.arange(n)
+    lo, hi = np.nonzero(idx[:, None] < idx)  # the pairs
+    ta, tb, tc = np.nonzero((idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx))
+    ab, bc, ac = (ta, tb), (tb, tc), (ta, tc)  # the pairs of each triangle
+    x = np.concatenate([S[ab], S[ab], A[ab], A[ab], np.repeat(diag, lo.size)])
+    y = np.concatenate([S[bc], A[bc], S[bc], A[bc], np.tile(S[lo, hi], diag.size)])
+    z = np.concatenate([A[ac], S[ac], S[ac], A[ac], np.tile(A[lo, hi], diag.size)])
+    im1 = np.concatenate([np.repeat([-1.0, 1.0, 1.0, 1.0], ta.size), h[:, hi].ravel()])
+    im2 = np.concatenate([np.zeros(4 * ta.size), -h[:, lo].ravel()])
+
+    # f^c_ab with c each of x, y and z: (a, b) in cyclic order has the lowered
+    # triple's sign and the swapped order the opposite one
+    keys, values = [], []
+    for c, a, b in ((z, x, y), (x, y, z), (y, z, x)):
+        t1, t2 = 2.0 * im1 / gram[c], 2.0 * im2 / gram[c]
+        total = t1 + t2
+        live = np.abs(total) > CANCEL_RTOL * (np.abs(t1) + np.abs(t2))
+        c, a, b, total = c[live], a[live], b[live], total[live]
+        keys += [(c * d + a) * d + b, (c * d + b) * d + a]
+        values += [total, -total]
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    nonzeros = Nonzeros((d, d, d), np.unravel_index(keys[order], (d, d, d)),
+                        np.concatenate(values)[order])
+    return StructureConstants(d=d, nonzeros=nonzeros, gram_diag=gram, scheme=scheme,
+                              n=n, p=p, class_of=class_of)
+
+
 @lru_cache(maxsize=64)
 def shared_structure_constants(scheme: int, n: int, p: int | None = None) -> StructureConstants:
-    """``structure_constants(build_basis(scheme, n, p))``, built once per process.
+    """``structure_constants_of(scheme, n, p)``, built once per process.
 
     Every caller gets the same object, so none may modify it.
     """
-    return structure_constants(build_basis(scheme, n, p))
+    return structure_constants_of(scheme, n, p)
 
 
 def _gram_diagonal(d: int, n: int, gen, row, col, val) -> np.ndarray:

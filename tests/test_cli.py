@@ -34,6 +34,19 @@ def counted_structure_constants(monkeypatch) -> list:
     return built
 
 
+def counted_rule_builds(monkeypatch) -> list:
+    """Record the n of every ``structure_constants_of`` call from here on."""
+    built = []
+    original = liealg.structure_constants_of
+
+    def counted(scheme, n, p=None):
+        built.append(n)
+        return original(scheme, n, p)
+
+    monkeypatch.setattr(liealg, "structure_constants_of", counted)
+    return built
+
+
 class TestBasis:
     def test_scheme1_n3(self, capsys):
         code, out, _ = run(capsys, "basis", "--scheme", "1", "--n", "3")
@@ -118,11 +131,13 @@ class TestCheck:
         assert calls == {"ricci_fast": 1, "invariant_I1": int(code == 0)}
 
     def test_every_check_builds_structure_constants(self, capsys, monkeypatch):
-        built = counted_structure_constants(monkeypatch)
+        traced = counted_structure_constants(monkeypatch)
+        built = counted_rule_builds(monkeypatch)
         for _ in range(2):
             code, _, _ = run(capsys, "check", "--scheme", "1", "--n", "5", "--x", "1,1,1")
             assert code == 0
         assert built == [5, 5]
+        assert traced == []
 
     def test_non_einstein_exits_1(self, capsys):
         code, out, _ = run(capsys, "check", "--scheme", "1", "--n", "4",
@@ -435,3 +450,46 @@ class TestParserReuse:
         fresh = subprocess.run([sys.executable, "-m", "su_einstein.cli", *self.CHECK],
                                env=env, capture_output=True, text=True)
         assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+ENGINE_RUNS = [
+    ["check", "--scheme", "1", "--n", "4", "--x", "7,1,7", "--format", "json"],
+    ["solve", "--scheme", "2", "--n", "5", "--p", "2", "--starts", "20"],
+    ["catalog", "--n", "4"],
+]
+
+
+def test_no_engine_path_builds_the_dense_generators(capsys, monkeypatch):
+    expected = [run(capsys, *argv)[:2] for argv in ENGINE_RUNS]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine path built the dense generators")
+
+    monkeypatch.setattr(liealg, "_generators", refuse)
+    liealg.shared_structure_constants.cache_clear()
+    for argv, (code, out) in zip(ENGINE_RUNS, expected):
+        assert code == 0
+        assert run(capsys, *argv)[:2] == (0, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--scheme", "3", "--n", "5"],
+    ["basis", "--scheme", "1"],
+    ["basis", "--scheme", "2", "--n", "5", "--p", "x"],
+    ["check", "--scheme", "1", "--n", "4"],
+    [],
+], ids=["bad-choice", "missing-n", "non-integer-p", "missing-x", "no-command"])
+def test_parser_usage_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["basis", "--help"])
+    assert exit_info.value.code == 0
+    assert "--scheme" in capsys.readouterr().out

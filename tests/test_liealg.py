@@ -306,17 +306,36 @@ class TestOneDescription:
         from su_einstein import solver
 
         built = []
-        original = liealg.structure_constants
-        monkeypatch.setattr(liealg, "structure_constants",
-                            lambda basis: built.append(basis.n) or original(basis))
+        original = liealg.structure_constants_of
+        monkeypatch.setattr(liealg, "structure_constants_of",
+                            lambda scheme, n, p=None: built.append(n) or original(scheme, n, p))
         liealg.shared_structure_constants.cache_clear()
         sc = sc_for(2, 5, 2)
         records = solver.solve_configuration(2, 5, 2, n_starts=0).records
         assert records and all(r.I1 is not None for r in records)
         assert sc_for(2, 5, 2) is sc
         assert built == [5]
-        fresh = original(build_basis(2, 5, 2)).nonzeros
+        fresh = structure_constants(build_basis(2, 5, 2)).nonzeros
         assert sc.nonzeros.values.tobytes() == fresh.values.tobytes()
+
+
+# scheme 1 at n = 2..16, every split with n <= 12, and three larger bases
+RULE_CONFIGS = ([(1, n, None) for n in range(2, 17)]
+                + [(2, n, p) for n in range(2, 13) for p in range(n + 1)]
+                + [(1, 24, None), (2, 20, 3), (1, 40, None)])
+
+
+class TestBracketRule:
+    @pytest.mark.parametrize("scheme,n,p", RULE_CONFIGS)
+    def test_bit_identical_to_the_trace_formula(self, scheme, n, p):
+        rule = liealg.structure_constants_of(scheme, n, p)
+        trace = structure_constants(build_basis(scheme, n, p))
+        assert (rule.d, rule.scheme, rule.n, rule.p) == (trace.d, trace.scheme, trace.n, trace.p)
+        for got, want in zip(rule.nonzeros.index, trace.nonzeros.index):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rule.nonzeros.values.tobytes() == trace.nonzeros.values.tobytes()
+        assert rule.gram_diag.tobytes() == trace.gram_diag.tobytes()
+        assert np.array_equal(rule.class_of, trace.class_of)
 
 
 class TestExactValidation:
