@@ -25,7 +25,6 @@ from .curvature import (
     ricci,
     riem_norm_sq,
     riemann,
-    scalar_curvature,
 )
 from .liealg import (
     GeneratorBasis,
@@ -93,7 +92,6 @@ __all__ = [
     "ricci",
     "riem_norm_sq",
     "riemann",
-    "scalar_curvature",
     "scheme1_system",
     "scheme2_system",
     "solve_configuration",

@@ -20,9 +20,14 @@ and the curvature operator R(e_a, e_b) e_c = (grad_a grad_b - grad_b grad_a
 
 The engine works on nonzero entries (``sparse.Nonzeros``): Gamma lives on the
 nonzeros of f, and Ricci and |Riem|^2 are sums of products of Gamma and f
-entries joined on their shared indices, so no d^4 array is built; |Riem|^2
-needs only one Riemann row per metric class.  The dense ``riemann``,
-``ricci``, ``lower_riemann`` and ``riem_norm_sq`` remain as test oracles.
+entries joined on their shared indices, so no d^4 array is built.  Both are
+formed in one row per metric class, that of the class's first generator
+(``StructureConstants.class_rows``): the Einstein fit of ``curvature_bundle``
+reads lambda and the residual off the Ricci rows, and ``riemann_norm_sq``
+weights each Riemann row by its class size.  Their docstrings prove that the
+reductions are exact.  The full d x d ``ricci_fast(gamma, sc)`` serves
+``class_ricci_eigenvalues`` and the tests; the dense ``riemann``, ``ricci``,
+``lower_riemann`` and ``riem_norm_sq`` remain as test oracles.
 ``einstein_verdict`` is the one Einstein test; ``check`` and the solver's
 records both use it.
 Everything here is a pure function of (f, g); results are deterministic and
@@ -114,30 +119,46 @@ def levi_civita(sc: StructureConstants, metric: MetricSpec) -> Nonzeros:
     return Nonzeros(f.shape, (c[keep], a[keep], b[keep]), values[keep])
 
 
-def ricci_fast(gamma: Nonzeros, sc: StructureConstants) -> np.ndarray:
-    """Ricci matrix Ric[c, b] from the nonzeros of Gamma and f.
+def ricci_fast(gamma: Nonzeros, sc: StructureConstants,
+               rows: np.ndarray | None = None) -> np.ndarray:
+    """Rows Ric[c, :] of the Ricci matrix for c in ``rows``, from the nonzeros of Gamma and f.
 
     The same contraction as ricci(riemann(...)),
 
-        Ric_cb = v_e Gamma^e_bc - Gamma^a_be Gamma^e_ac - f^e_ab Gamma^a_ec,
-        v_e = Gamma^a_ae,
+        Ric_cb = -Gamma^a_be Gamma^e_ac - f^e_ab Gamma^a_ec,
 
     with each product formed only for entry pairs whose shared indices agree.
+    Its third term v_e Gamma^e_bc, v_e = Gamma^a_ae, vanishes: Gamma lives on
+    the nonzeros of f, and f^a_ae = 0 because the lowered f is totally
+    antisymmetric.
+    The row c is the last index of one Gamma entry in each term, so only the
+    Gamma entries (., ., c) with c in ``rows`` take part on that side; the
+    result is a (len(rows), d) array, and each of its entries sums the same
+    terms in the same order as the full matrix.  Without ``rows`` it is the
+    full d x d matrix.
     """
     d = sc.d
     gc, ga, gb = gamma.index
     gv = gamma.values
     fc, fa, fb = sc.nonzeros.index
     fv = sc.nonzeros.values
-    on_trace = gc == ga
-    v = np.bincount(gb[on_trace], weights=gv[on_trace], minlength=d)
+    # rc, ra, rv: the Gamma entries whose last index is an output row;
+    # out: that row's position in the result
+    if rows is None:
+        nrows, rc, ra, rv, out = d, gc, ga, gv, gb
+    else:
+        nrows = len(rows)
+        position = np.full(d, -1)
+        position[rows] = np.arange(nrows)
+        sel = np.flatnonzero(position[gb] >= 0)
+        rc, ra, rv, out = gc[sel], ga[sel], gv[sel], position[gb[sel]]
     # Gamma^a_be Gamma^e_ac: entries (a, b, e) and (e, a, c)
-    i, j = join(gc * d + gb, ga * d + gc)
+    i, j = join(gc * d + gb, ra * d + rc)
     # f^e_ab Gamma^a_ec: entries (e, a, b) and (a, e, c)
-    k, m = join(fa * d + fc, gc * d + ga)
-    keys = np.concatenate([gb * d + ga, gb[j] * d + ga[i], gb[m] * d + fb[k]])
-    terms = np.concatenate([v[gc] * gv, -gv[i] * gv[j], -fv[k] * gv[m]])
-    return np.bincount(keys, weights=terms, minlength=d * d).reshape(d, d)
+    k, m = join(fa * d + fc, rc * d + ra)
+    keys = np.concatenate([out[j] * d + ga[i], out[m] * d + fb[k]])
+    terms = np.concatenate([-gv[i] * rv[j], -fv[k] * rv[m]])
+    return np.bincount(keys, weights=terms, minlength=nrows * d).reshape(nrows, d)
 
 
 def riemann_nonzeros(gamma: Nonzeros, sc: StructureConstants) -> Nonzeros:
@@ -220,7 +241,7 @@ def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec)
       the same share.
     """
     g = metric.g
-    _, first, size = np.unique(sc.class_of, return_index=True, return_counts=True)
+    first, size = sc.class_rows
     weight = np.zeros(sc.d)
     weight[first] = size
     riem = _riemann_rows(gamma, sc, first)
@@ -262,17 +283,16 @@ def riem_norm_sq(riem: np.ndarray, metric: MetricSpec) -> float:
     return float(np.sum(low * up))
 
 
-def scalar_curvature(ric: np.ndarray, metric: MetricSpec) -> float:
-    """Scalar curvature, the g-trace of the Ricci matrix."""
-    return float(np.sum(np.diag(ric) / metric.g))
-
-
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """All curvature data of one metric."""
+    """All curvature data of one metric.
+
+    ``class_ric`` holds the Ricci rows Ric[c, :] of the first generator of each
+    nonempty class (``sc.class_rows``), one row per class in class order.
+    """
 
     gamma: Nonzeros
-    ric: np.ndarray
+    class_ric: np.ndarray
     scalar: float
     riem_norm_sq: float | None
     lambda_best: float
@@ -285,19 +305,60 @@ def curvature_bundle(sc: StructureConstants, metric: MetricSpec,
 
     With ``with_riemann=False`` only the Ricci-level quantities are computed
     (enough for Einstein residuals); |Riem|^2 is then None.
+
+    Ricci is formed only in the row of the first generator of each class
+    (3 rows for scheme 1, at most 4 for scheme 2).  With Ric_cc = r_k g_c on
+    class k of size |k|, the scalar curvature is s = sum_k |k| r_k,
+    lambda = s / d, and the residual is the largest entry of those rows minus
+    lambda g on their diagonal.  These are the g-trace mean and the max-norm of
+    Ric - lambda g over the full matrix, because Ric is diagonal in the frame
+    with Ric = r_k g on each class k:
+
+    - An automorphism of su(n) that maps each class to itself and preserves
+      the trace form is an isometry of every class-diagonal metric, so it
+      preserves Ric: Ric(phi u, phi v) = Ric(u, v).
+    - Within a class, the argument of ``riemann_norm_sq`` for Q applies to the
+      symmetric form Ric as well: S_n permutes the generators of each
+      scheme-1 off-diagonal class up to sign, so their diagonal entries
+      Ric_aa / g_a agree; the scheme-1 diagonal class and each scheme-2 class
+      are irreducible, so Ric is a multiple of g there.
+    - Scheme 1, the other entries.  Conjugation by diag(+-1) with index A
+      flipped maps E_AB to -E_AB for B != A and fixes the diagonal.  Between two
+      different pairs, or a pair and a diagonal generator, flip an index that
+      lies in exactly one of the two: one generator changes sign and the other
+      does not, so their entry is its own negative, i.e. 0.  That leaves
+      (S_AB, A_AB) of one pair: T -> -T^T is an automorphism that preserves
+      the trace form and maps S_AB to -S_AB, A_AB to A_AB and H to -H, so this
+      entry vanishes as well.
+    - Scheme 2.  The nonempty classes are pairwise inequivalent irreducible
+      representations of K = S(U(p) x U(q)): the balance line is the trivial
+      one; (e^{iqt} 1_p, e^{-ipt} 1_q) in K acts on the cross block by e^{int}
+      and trivially on su(p) and su(q); and (1_p, B) with B in SU(q) acts
+      trivially on su(p) but not on su(q).  By Schur, the block of Ric
+      between two classes, an equivariant map, is 0.
+
+    The full residual max_k |r_k - lambda| max_{a in k} g_a is then attained
+    in the formed rows: g is x_k G_aa up to a factor fixed per class, and the
+    first generator of a class is a pair (G_aa = 2) wherever the class has
+    one, since the pairs come before the diagonal mixes (G_aa = 1).
     """
     gamma = levi_civita(sc, metric)
-    ric = ricci_fast(gamma, sc)
+    first, size = sc.class_rows
+    ric = ricci_fast(gamma, sc, first)
     rnorm = riemann_norm_sq(gamma, sc, metric) if with_riemann else None
-    lam = float(np.mean(np.diag(ric) / metric.g))
-    res = float(np.abs(ric - lam * np.diag(metric.g)).max())
+    at = np.arange(first.size)
+    g = metric.g[first]
+    scalar = float(np.sum(size * (ric[at, first] / g)))
+    lam = scalar / sc.d
+    dev = ric.copy()
+    dev[at, first] -= lam * g
     return CurvatureBundle(
         gamma=gamma,
-        ric=ric,
-        scalar=scalar_curvature(ric, metric),
+        class_ric=ric,
+        scalar=scalar,
         riem_norm_sq=rnorm,
         lambda_best=lam,
-        residual=res,
+        residual=float(np.abs(dev).max()),
     )
 
 
@@ -391,9 +452,9 @@ def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec) -> np.nd
     the metric is Einstein.  Raises if the block-scalar structure is violated
     beyond _BLOCK_SCALAR_TOL (which would mean the ansatz is inconsistent).
     """
-    bundle = curvature_bundle(sc, metric, with_riemann=False)
-    sigma = np.diag(bundle.ric) / metric.weights
-    offdiag = float(np.abs(bundle.ric - np.diag(np.diag(bundle.ric))).max())
+    ric = ricci_fast(levi_civita(sc, metric), sc)
+    sigma = np.diag(ric) / metric.weights
+    offdiag = float(np.abs(ric - np.diag(np.diag(ric))).max())
     if offdiag > _BLOCK_SCALAR_TOL:
         raise ValueError(f"Ricci is not frame-diagonal (offdiag {offdiag:.3e})")
     out = np.empty(sc.num_classes)

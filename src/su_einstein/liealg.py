@@ -138,6 +138,16 @@ class StructureConstants:
         f.flags.writeable = False
         return f
 
+    @cached_property
+    def class_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, size): the first generator of each nonempty class and the
+        size of that class, in class order.  The engine forms curvature rows
+        only at these generators."""
+        _, first, size = np.unique(self.class_of, return_index=True, return_counts=True)
+        first.flags.writeable = False
+        size.flags.writeable = False
+        return first, size
+
     @property
     def num_classes(self) -> int:
         return len(class_sizes(self.scheme, self.n, self.p))

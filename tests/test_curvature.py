@@ -161,7 +161,7 @@ class TestRiemann:
         k = 3 if scheme == 1 else 4
         for _ in range(10):
             m = metric(scheme, n, p, random_x(rng, k))
-            ric = se.curvature_bundle(sc, m, with_riemann=False).ric
+            ric = ricci_fast(se.levi_civita(sc, m), sc)
             npt.assert_allclose(ric, ric.T, atol=1e-11)
             # diagonal in the frame, constant over each class: this is what
             # reduces the Einstein condition to one equation per class
@@ -176,6 +176,9 @@ class TestRiemann:
 # (p = 0 or n: all of su(n) is one class, and check accepts it)
 ORACLE_CONFIGS = ([(1, n, None) for n in range(2, 7)]
                   + [(2, n, p) for n in range(2, 7) for p in range(n + 1)])
+# beyond the dense oracle: scheme 1 up to n = 12 and every split with n <= 12
+RICCI_ROW_CONFIGS = ([(1, n, None) for n in range(2, 13)]
+                     + [(2, n, p) for n in range(2, 13) for p in range(n + 1)])
 
 
 def row_shares(riem, m):
@@ -197,8 +200,37 @@ class TestNonzeroEngine:
             ric = se.ricci(riem)
             npt.assert_allclose(ricci_fast(gamma, sc), ric,
                                 rtol=0, atol=1e-12 * np.abs(ric).max())
+            first, _ = sc.class_rows
+            npt.assert_allclose(ricci_fast(gamma, sc, first), ric[first],
+                                rtol=0, atol=1e-12 * np.abs(ric).max())
             assert riemann_norm_sq(gamma, sc, m) == pytest.approx(
                 se.riem_norm_sq(riem, m), rel=1e-12)
+
+    @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
+    def test_ricci_rows_give_the_full_fit(self, scheme, n, p, rng):
+        # curvature_bundle forms one Ricci row per class; its docstring proves
+        # that the full matrix is diagonal and r_k g on each class k
+        sc = sc_for(scheme, n, p)
+        first, _ = sc.class_rows
+        # the first generator has the largest g of its class, so the largest
+        # |Ric - lambda g| of the class is in its row
+        for a in first:
+            assert sc.gram_diag[a] == pytest.approx(
+                sc.gram_diag[sc.class_of == sc.class_of[a]].max(), rel=1e-15)
+        for _ in range(2):
+            m = metric(scheme, n, p, random_x(rng, sc.num_classes))
+            gamma = se.levi_civita(sc, m)
+            full = ricci_fast(gamma, sc)
+            assert ricci_fast(gamma, sc, first).tobytes() == full[first].tobytes()
+            scale = np.abs(full).max()
+            assert np.abs(full - np.diag(np.diag(full))).max() <= 1e-12 * scale
+            r = np.diag(full) / m.g
+            for c in np.unique(sc.class_of):
+                assert np.ptp(r[sc.class_of == c]) <= 1e-12 * np.abs(r).max()
+            lam = float(np.mean(r))
+            fit = se.curvature_bundle(sc, m, with_riemann=False)
+            assert abs(fit.lambda_best - lam) <= 1e-12 * np.abs(r).max()
+            assert abs(fit.residual - np.abs(full - lam * np.diag(m.g)).max()) <= 1e-12 * scale
 
     @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS)
     def test_row_shares_are_equal_on_each_orbit(self, scheme, n, p, rng):
@@ -245,6 +277,8 @@ class TestNonzeroEngine:
         sc = sc_for(2, 5, 3)
         gamma = se.levi_civita(sc, metric(2, 5, 3, random_x(rng, 4)))
         assert set(zip(*gamma.index)) <= set(zip(*sc.nonzeros.index))
+        # so v_e = Gamma^a_ae, a term of the Ricci contraction, is 0
+        assert not np.any(gamma.index[0] == gamma.index[1])
 
     @pytest.mark.parametrize("n", [12, 16, 20, 24])
     def test_second_family_I1_beyond_the_dense_oracle(self, n):
@@ -262,8 +296,8 @@ class TestEinsteinResidual:
     def test_biinvariant_ricci_proportional_to_metric(self, n):
         sc = sc_for(1, n)
         m = metric(1, n, None, (1, 1, 1))
-        bundle = se.curvature_bundle(sc, m, with_riemann=False)
-        npt.assert_allclose(bundle.ric, (n / 8.0) * np.diag(m.g), atol=1e-10)
+        ric = ricci_fast(se.levi_civita(sc, m), sc)
+        npt.assert_allclose(ric, (n / 8.0) * np.diag(m.g), atol=1e-10)
 
     def test_second_family_n4(self):
         residual, lam = se.einstein_residual(metric(1, 4, None, (7, 1, 7)), sc_for(1, 4))
