@@ -25,9 +25,13 @@ formed in one row per metric class, that of the class's first generator
 (``StructureConstants.class_rows``): the Einstein fit of ``curvature_bundle``
 reads lambda and the residual off the Ricci rows, and ``riemann_norm_sq``
 weights each Riemann row by its class size.  Their docstrings prove that the
-reductions are exact.  The full d x d ``ricci_fast(gamma, sc)`` serves
-``class_ricci_eigenvalues`` and the tests; the dense ``riemann``, ``ricci``,
-``lower_riemann`` and ``riem_norm_sq`` remain as test oracles.
+reductions are exact.  ``riemann_norm_sq`` reads the Riemann entries straight
+off ``sparse.sum_by_key`` of the row terms, with no ``Nonzeros`` in between,
+and forms the rows in blocks under a budget of products, so its memory stays
+bounded at large n while its value is the same to the bit.  The full d x d
+``ricci_fast(gamma, sc)`` serves ``class_ricci_eigenvalues`` and the tests;
+the dense ``riemann``, ``ricci``, ``lower_riemann`` and ``riem_norm_sq``
+remain as test oracles.
 ``einstein_verdict`` is the one Einstein test; ``check`` and the solver's
 records both use it.
 Everything here is a pure function of (f, g); results are deterministic and
@@ -43,12 +47,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liealg import StructureConstants
-from .sparse import Nonzeros, join
+from .sparse import CANCEL_RTOL, Nonzeros, blocks, check_key_range, join, sum_by_key
 
 DEFAULT_EINSTEIN_TOL = 1e-8
 
 _BIINVARIANT_WEIGHT = 4.0  # fixes lambda = n/8 at x = (1,...,1)
 _BLOCK_SCALAR_TOL = 1e-9   # Ricci off-diagonal and within-class spread allowed
+# Products per block of Riemann rows in ``riemann_norm_sq``: one block up to
+# n = 26 on scheme 1, and a bound on memory beyond (a row of more products is
+# a block of its own)
+_RIEMANN_TERM_BUDGET = 2**18
 
 
 def frame_weights(sc: StructureConstants) -> np.ndarray:
@@ -165,46 +173,55 @@ def riemann_nonzeros(gamma: Nonzeros, sc: StructureConstants) -> Nonzeros:
     """The nonzero Riem[d, c, a, b] with d < c and a < b, from the nonzeros of Gamma and f.
 
     The lowered tensor g_d Riem_dcab is antisymmetric in (d, c) and in (a, b),
-    so these entries determine Riem.  They are the entries of ``_riemann_rows``
+    so these entries determine Riem.  They are the sums of ``_riemann_rows``
     over all rows d that have d < c.  Every row is formed at once, so this is
     for small n; the engine forms one row per class.
     """
-    riem = _riemann_rows(gamma, sc, np.arange(sc.d))
+    D = sc.d
+    riem = Nonzeros.from_sums((D, D, D, D), *_riemann_rows(gamma, sc, np.arange(D)))
     keep = riem.index[0] < riem.index[1]
     return Nonzeros(riem.shape, tuple(k[keep] for k in riem.index), riem.values[keep])
 
 
-def _riemann_rows(gamma: Nonzeros, sc: StructureConstants, rows: np.ndarray) -> Nonzeros:
-    """The nonzero Riem[d, c, a, b] with a < b, for every c and every d in ``rows``.
+def _riemann_rows(gamma: Nonzeros, sc: StructureConstants,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(key, term): the terms of Riem[d, c, a, b] with a < b, for every c and
+    every d in ``rows``, each at the key ((r D + c) D + a) D + b of its entry,
+    where r is the position of d in ``rows``.
 
-    Each entry is a sum of key-joined products
+    Each entry is the sum of its terms, key-joined products
 
         Riem_dcab = P_dcab - P_dcba - f^e_ab Gamma^d_ec,   P_dcab = Gamma^d_ae Gamma^e_bc,
 
     where a P term with a > b is moved to (d, c, b, a) with its sign flipped.
+    The terms of a row d come in the same relative order for any ``rows``
+    that holds d.
     """
     D = sc.d
+    check_key_range(len(rows), D, D, D)
     gc, ga, gb = gamma.index
     gv = gamma.values
     fc, fa, fb = sc.nonzeros.index
     fv = sc.nonzeros.values
     upper = np.flatnonzero(fa < fb)
-    sel = np.flatnonzero(np.isin(gc, rows))
+    position = np.full(D, -1)
+    position[rows] = np.arange(len(rows))
+    sel = np.flatnonzero(position[gc] >= 0)
+    # rd, ra, rb, rv: the Gamma entries (d, a, b) with d in rows, rd as r D
+    rd, ra, rb, rv = position[gc[sel]] * D, ga[sel], gb[sel], gv[sel]
     # P: entries (d, a, e) and (e, b, c)
-    i, j = join(gb[sel], gc)
-    i = sel[i]
-    keep = ga[i] != ga[j]
+    i, j = join(rb, gc)
+    keep = ra[i] != ga[j]
     i, j = i[keep], j[keep]
-    sign = np.sign(ga[j] - ga[i])
+    a, b = ra[i], ga[j]
+    p_key = ((rd[i] + gb[j]) * D + np.minimum(a, b)) * D + np.maximum(a, b)
+    p_term = np.sign(b - a) * rv[i] * gv[j]
     # f^e_ab Gamma^d_ec: entries (e, a, b) with a < b and (d, e, c)
-    k, m = join(fc[upper], ga[sel])
-    k, m = upper[k], sel[m]
-    index = (np.concatenate([gc[i], gc[m]]),
-             np.concatenate([gb[j], gb[m]]),
-             np.concatenate([np.minimum(ga[i], ga[j]), fa[k]]),
-             np.concatenate([np.maximum(ga[i], ga[j]), fb[k]]))
-    terms = np.concatenate([sign * gv[i] * gv[j], -fv[k] * gv[m]])
-    return Nonzeros.from_sums((D, D, D, D), index, terms)
+    k, m = join(fc[upper], ra)
+    k = upper[k]
+    f_key = ((rd[m] + rb[m]) * D + fa[k]) * D + fb[k]
+    f_term = -fv[k] * rv[m]
+    return np.concatenate([p_key, f_key]), np.concatenate([p_term, f_term])
 
 
 def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec) -> float:
@@ -239,14 +256,40 @@ def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec)
       of g), or the one-dimensional balance line.  So Q restricted to a
       class is a multiple of g, and every unit generator of the class has
       the same share.
+
+    The rows are formed in ascending blocks of at most ``_RIEMANN_TERM_BUDGET``
+    products (a row with more is a block of its own).  An entry gets the same
+    terms in the same order in any block that holds its row, so it is the
+    same float, and the shares of all blocks are concatenated in ascending
+    key order before the one final sum: the result does not depend on the
+    blocks, to the bit.
     """
-    g = metric.g
+    D, g = sc.d, metric.g
     first, size = sc.class_rows
-    weight = np.zeros(sc.d)
+    weight = np.zeros(D)
     weight[first] = size
-    riem = _riemann_rows(gamma, sc, first)
-    d, c, a, b = riem.index
-    return 2.0 * float(np.sum(weight[d] * riem.values**2 * g[d] / (g[c] * g[a] * g[b])))
+    rows = np.sort(first)
+    shares = []
+    for lo, hi in blocks(_riemann_row_terms(gamma, sc)[rows], _RIEMANN_TERM_BUDGET):
+        key, total, scale = sum_by_key(*_riemann_rows(gamma, sc, rows[lo:hi]))
+        keep = np.abs(total) > CANCEL_RTOL * scale
+        rest, b = np.divmod(key[keep], D)
+        rest, a = np.divmod(rest, D)
+        r, c = np.divmod(rest, D)
+        d = rows[lo + r]
+        shares.append(weight[d] * total[keep]**2 * g[d] / (g[c] * g[a] * g[b]))
+    return 2.0 * float(np.sum(np.concatenate(shares)))
+
+
+def _riemann_row_terms(gamma: Nonzeros, sc: StructureConstants) -> np.ndarray:
+    """The number of products that ``_riemann_rows`` joins in each row d
+    (P products with a = b, which it drops, included)."""
+    D = sc.d
+    gc, ga, gb = gamma.index
+    fc, fa, fb = sc.nonzeros.index
+    right = np.bincount(gc, minlength=D)  # P: the entries (e, ., .) per e
+    upper = np.bincount(fc[fa < fb], minlength=D)  # f: the entries (e, a, b), a < b, per e
+    return np.bincount(gc, weights=right[gb] + upper[ga], minlength=D)
 
 
 # -- dense oracles -----------------------------------------------------------

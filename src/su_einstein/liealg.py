@@ -50,7 +50,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .sparse import CANCEL_RTOL, Nonzeros, join, sum_by_key
+from .sparse import CANCEL_RTOL, Nonzeros, blocks, check_key_range, join, sum_by_key
+
+# Products per block of the Jacobi sum of ``_identity_deviations``.  A block
+# peaks at about 280 bytes per product, 150 MB at this budget.
+_JACOBI_PAIR_BUDGET = 2**19
 
 
 def class_sizes(scheme: int, n: int, p: int | None = None) -> tuple[int, ...]:
@@ -292,8 +296,8 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
     c = gen[third]
     term = 2.0 * np.imag(val[first] * val[second] * val[third]) / gram_diag[c]
     live = term != 0.0
-    nonzeros = Nonzeros.from_sums(
-        (d, d, d), (c[live], gen[first][live], gen[second][live]), term[live])
+    key = np.ravel_multi_index((c[live], gen[first][live], gen[second][live]), (d, d, d))
+    nonzeros = Nonzeros.from_sums((d, d, d), key, term[live])
     return StructureConstants(
         d=d,
         nonzeros=nonzeros,
@@ -551,9 +555,15 @@ def _identity_deviations(sc: StructureConstants) -> tuple[float, float, float]:
     and of the total antisymmetry of f_abc = f^c_ab G_cc, from the nonzeros of f.
 
     Each left-hand side is a sum of key-joined entry products, so the result
-    is the max-norm of the dense tensor without building it.
+    is the max-norm of the dense tensor without building it.  Every Jacobi
+    key holds the output index d, so the Jacobi sum runs in blocks of d, each
+    within ``_JACOBI_PAIR_BUDGET`` products where one d allows: a block joins
+    only the entries (d, e, u) of its own d, its terms keep their relative
+    order, and each of its sums is the one of the whole, bit for bit.  Raises
+    ValueError when the Jacobi keys, d^4 of them, overflow int64.
     """
     d = sc.d
+    check_key_range(d, d, d, d)
     c, a, b = sc.nonzeros.index
     v = sc.nonzeros.values
 
@@ -567,11 +577,18 @@ def _identity_deviations(sc: StructureConstants) -> tuple[float, float, float]:
         total = sum_by_key(np.concatenate(keys), np.tile(values, len(keys)))[1]
         return float(np.abs(total).max())
 
+    def jacobi_block(right) -> float:
+        # every Jacobi term pairs an entry (e, s, t) with an entry (dd, e, u)
+        i, j = join(c, a[right])
+        j = right[j]
+        s, t, u, dd = a[i], b[i], b[j], c[j]
+        return max_sum(v[i] * v[j], key(s, t, u, dd), key(u, s, t, dd), key(t, u, s, dd))
+
     f_anti = max_sum(v, key(c, a, b), key(c, b, a))
-    # every Jacobi term pairs an entry (e, s, t) with an entry (d, e, u)
-    i, j = join(c, a)
-    s, t, u, dd = a[i], b[i], b[j], c[j]
-    jacobi = max_sum(v[i] * v[j], key(s, t, u, dd), key(u, s, t, dd), key(t, u, s, dd))
+    # products per output index: an entry (dd, e, u) pairs with every entry (e, ., .)
+    pairs = np.bincount(c, weights=np.bincount(c, minlength=d)[a], minlength=d)
+    jacobi = float(np.max([jacobi_block(np.flatnonzero((c >= lo) & (c < hi)))
+                           for lo, hi in blocks(pairs, _JACOBI_PAIR_BUDGET)], initial=0.0))
     low = v * sc.gram_diag[c]  # f_abc at (a, b, c)
     low_anti = max(max_sum(low, key(a, b, c), key(b, a, c)),
                    max_sum(low, key(a, b, c), key(a, c, b)))

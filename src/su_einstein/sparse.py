@@ -1,4 +1,4 @@
-"""Nonzero-entry tensors and the two operations the engine builds on them.
+"""Nonzero-entry tensors and the operations the engine builds on them.
 
 A tensor is kept as its nonzero entries: one integer index array per slot and
 a value array.  Contractions are key joins: every pair of entries whose
@@ -6,10 +6,22 @@ contracted indices agree is formed explicitly (``join``), its product is
 computed elementwise, and products that land on the same output index are
 summed (``sum_by_key``).  Cost and memory scale with the number of pairs, not
 with the dense size of the operands or of the result.
+
+``sum_by_key`` groups the keys with one stable sort: run boundaries of the
+sorted keys and their ``cumsum`` number the groups, and two ``np.bincount``s
+add the terms of each key in input order.  The sort is a plain ``np.sort`` of
+key * size + position where that fits in int64, and a stable ``argsort``
+beyond.  A sum therefore does not depend on the sort, and summing a subset of
+the keys whose terms keep their relative order gives the same floats.  That
+lets a caller split a large sum into blocks of keys (``blocks``) to bound its
+memory.  Output indices become keys by row-major arithmetic;
+``check_key_range`` rejects a key range that int64 cannot hold, where the
+arithmetic would wrap silently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +49,10 @@ class Nonzeros:
             arr.flags.writeable = False
 
     @classmethod
-    def from_sums(cls, shape, index, values) -> "Nonzeros":
-        """Sum duplicate entries and drop the ones that cancel to zero."""
-        key, total, scale = sum_by_key(np.ravel_multi_index(tuple(index), shape), values)
+    def from_sums(cls, shape, key, values) -> "Nonzeros":
+        """Sum the values at equal row-major linear indices ``key`` into ``shape``
+        and drop the sums that cancel to zero."""
+        key, total, scale = sum_by_key(key, values)
         keep = np.abs(total) > CANCEL_RTOL * scale
         return cls(tuple(int(s) for s in shape), np.unravel_index(key[keep], shape),
                    total[keep])
@@ -79,8 +92,47 @@ def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sum_by_key(key: np.ndarray, values: np.ndarray):
     """Distinct keys in ascending order, the sum of the values at each, and the
-    sum of their absolute values (the scale of the rounding error)."""
-    uniq, inverse = np.unique(key, return_inverse=True)
-    total = np.bincount(inverse, weights=values, minlength=uniq.size)
-    scale = np.bincount(inverse, weights=np.abs(values), minlength=uniq.size)
+    sum of their absolute values (the scale of the rounding error).
+
+    Keys are non-negative int64.  Each sum adds its values in input order.
+    """
+    n = key.size
+    if n and int(key.max()) < np.iinfo(np.int64).max // n:
+        # key * n + position: one np.sort orders by key, then by position
+        packed = np.sort(key * n + np.arange(n))
+        ordered = packed // n
+        order = packed - ordered * n
+    else:
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+    start = np.empty(n, dtype=bool)  # where a run of equal keys starts
+    start[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    uniq = ordered[start]
+    group = np.cumsum(start) - 1
+    values = values[order]  # each key's values stay in input order
+    total = np.bincount(group, weights=values, minlength=uniq.size)
+    scale = np.bincount(group, weights=np.abs(values), minlength=uniq.size)
     return uniq, total, scale
+
+
+def check_key_range(*dims: int) -> None:
+    """Raise ValueError unless the row-major linear keys of an array of shape
+    ``dims`` fit in int64."""
+    if math.prod(int(k) for k in dims) - 1 > np.iinfo(np.int64).max:
+        raise ValueError(f"keys of shape {dims} overflow int64")
+
+
+def blocks(cost: np.ndarray, budget: float) -> list[tuple[int, int]]:
+    """Split the items 0 .. len(cost)-1, in order, into runs [lo, hi) whose
+    total cost stays within ``budget``; an item that alone exceeds it is a run
+    of its own."""
+    total = np.cumsum(cost)
+    out = []
+    lo = 0
+    while lo < total.size:
+        spent = total[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(total, spent + budget, side="right")), lo + 1)
+        out.append((lo, hi))
+        lo = hi
+    return out

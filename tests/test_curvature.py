@@ -21,6 +21,8 @@ from su_einstein.curvature import (
     riemann_nonzeros,
     riemann_norm_sq,
 )
+from su_einstein.liealg import StructureConstants
+from su_einstein.sparse import Nonzeros
 from conftest import sc_for
 
 SQ2 = np.sqrt(2.0)
@@ -187,6 +189,19 @@ def row_shares(riem, m):
     return np.einsum("dcab,d,c,a,b->d", riem**2, g, 1 / g, 1 / g, 1 / g)
 
 
+def one_block_norm_sq(gamma, sc, m):
+    """|Riem|^2 = 2 sum w_d v^2 g_d / (g_c g_a g_b) over the Nonzeros of the
+    terms of every class row at once."""
+    D, g = sc.d, m.g
+    first, size = sc.class_rows
+    weight = np.zeros(D)
+    weight[first] = size
+    riem = Nonzeros.from_sums((first.size, D, D, D), *curvature._riemann_rows(gamma, sc, first))
+    r, c, a, b = riem.index
+    d = first[r]
+    return 2.0 * float(np.sum(weight[d] * riem.values**2 * g[d] / (g[c] * g[a] * g[b])))
+
+
 class TestNonzeroEngine:
     """The nonzero engine against the dense d^4 oracle, and at sizes the oracle cannot reach."""
 
@@ -260,6 +275,44 @@ class TestNonzeroEngine:
         riemann_norm_sq(gamma, sc, m)
         rows = np.concatenate(formed)
         npt.assert_array_equal(sc.class_of[rows], np.unique(sc.class_of))
+
+    @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
+    def test_riemann_norm_sq_is_the_one_block_sum(self, scheme, n, p, rng, monkeypatch):
+        sc = sc_for(scheme, n, p)
+        first, _ = sc.class_rows
+        riemann_rows = curvature._riemann_rows
+        formed = []
+
+        def recording(gamma, sc, rows):
+            formed.append(len(rows))
+            return riemann_rows(gamma, sc, rows)
+
+        monkeypatch.setattr(curvature, "_riemann_rows", recording)
+        for _ in range(2):
+            m = metric(scheme, n, p, random_x(rng, sc.num_classes))
+            gamma = se.levi_civita(sc, m)
+            expected = one_block_norm_sq(gamma, sc, m)
+            formed.clear()
+            assert riemann_norm_sq(gamma, sc, m) == expected
+            assert formed == [first.size]
+            with monkeypatch.context() as tiny:
+                tiny.setattr(curvature, "_RIEMANN_TERM_BUDGET", 1)  # one block per row
+                formed.clear()
+                assert riemann_norm_sq(gamma, sc, m) == expected
+                assert formed == [1] * first.size
+
+    def test_riemann_keys_beyond_int64_raise(self):
+        def one_row(D):
+            """The terms of row 0 of an empty connection on a synthetic dimension D."""
+            empty = np.zeros(0, dtype=np.intp)
+            nothing = Nonzeros((D, D, D), (empty,) * 3, np.zeros(0))
+            sc = StructureConstants(d=D, nonzeros=nothing, gram_diag=np.ones(1), scheme=1,
+                                    n=0, p=None, class_of=np.zeros(1, dtype=np.intp))
+            return curvature._riemann_rows(nothing, sc, np.array([0]))
+
+        assert one_row(2**21)[0].size == 0  # D^3 keys, the largest 2^63 - 1
+        with pytest.raises(ValueError, match="overflow int64"):
+            one_row(2**21 + 1)
 
     @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (2, 5, 2)])
     def test_riemann_nonzeros_are_the_dense_entries(self, scheme, n, p, rng):

@@ -14,6 +14,7 @@ from su_einstein import (
     structure_constants,
     validate_basis,
 )
+from su_einstein.sparse import Nonzeros
 from conftest import sc_for
 
 SQ2 = np.sqrt(2.0)
@@ -278,6 +279,67 @@ class TestIdentityDeviations:
         for prefix in ("f not antisymmetric (dev ", "Jacobi identity violated (dev ",
                        "lowered f not totally antisymmetric (dev "):
             assert any(p.startswith(prefix) for p in report.problems), report.problems
+
+
+def synthetic_sc(d):
+    """Structure constants of dimension d with no nonzero f: a key range to test."""
+    empty = np.zeros(0, dtype=np.intp)
+    return liealg.StructureConstants(
+        d=d, nonzeros=Nonzeros((d, d, d), (empty, empty, empty), np.zeros(0)),
+        gram_diag=np.ones(d), scheme=1, n=0, p=None, class_of=np.zeros(d, dtype=np.intp))
+
+
+def jacobi_sums(sc, monkeypatch, budget):
+    """The three deviations, and the Jacobi keys and sums of all blocks, in key order."""
+    calls = []
+    sum_by_key = liealg.sum_by_key
+
+    def recording(key, values):
+        calls.append(sum_by_key(key, values))
+        return calls[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(liealg, "sum_by_key", recording)
+        patch.setattr(liealg, "_JACOBI_PAIR_BUDGET", budget)
+        deviations = np.array(liealg._identity_deviations(sc))
+    jacobi = calls[1:-2]  # between the f antisymmetry sum and the two lowered ones
+    keys = np.concatenate([key for key, _, _ in jacobi])
+    totals = np.concatenate([total for _, total, _ in jacobi])
+    order = np.argsort(keys)
+    assert np.unique(keys).size == keys.size  # the blocks share no key
+    return deviations, len(jacobi), keys[order], totals[order]
+
+
+class TestJacobiBlocks:
+    @pytest.mark.parametrize("scheme,n,p", [(1, n, None) for n in range(3, 9)]
+                             + [(2, n, p) for n in range(2, 7) for p in range(n + 1)])
+    def test_blocks_of_d_give_the_one_block_floats(self, scheme, n, p, monkeypatch):
+        sc = sc_for(scheme, n, p)
+        whole = jacobi_sums(sc, monkeypatch, 2**19)
+        assert whole[1] == 1
+        assert jacobi_sums(sc, monkeypatch, 1)[1] == sc.d  # one block per d
+        for budget in (1, 500):  # and a few d per block from n = 4
+            blocked = jacobi_sums(sc, monkeypatch, budget)
+            for got, want in zip(blocked[::2], whole[::2]):
+                assert got.tobytes() == want.tobytes()
+            assert blocked[3].tobytes() == whole[3].tobytes()
+
+    @pytest.mark.parametrize("a", [0, 7, 13])
+    def test_blocks_of_d_give_the_one_block_floats_off_the_identity(self, a, monkeypatch):
+        sc = structure_constants(phase_rotated(build_scheme1_basis(4), a))
+        whole = jacobi_sums(sc, monkeypatch, 2**19)
+        assert whole[0][1] > 0.1
+        blocked = jacobi_sums(sc, monkeypatch, 50)
+        for got, want in zip(blocked[::2], whole[::2]):
+            assert got.tobytes() == want.tobytes()
+        assert blocked[3].tobytes() == whole[3].tobytes()
+
+    def test_jacobi_keys_beyond_int64_raise(self):
+        # su(n) has d = n^2 - 1 generators; the d^4 Jacobi keys fit in int64
+        # up to n = 234
+        assert liealg._identity_deviations(synthetic_sc(234**2 - 1)) == (0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="overflow int64"):
+            liealg._identity_deviations(synthetic_sc(235**2 - 1))
 
 
 class TestOneDescription:
