@@ -29,11 +29,15 @@ reductions are exact.  ``riemann_norm_sq`` reads the Riemann entries straight
 off ``sparse.sum_by_key`` of the row terms, with no ``Nonzeros`` in between,
 and forms the rows in blocks under a budget of products, so its memory stays
 bounded at large n while its value is the same to the bit.  The full d x d
-``ricci_fast(gamma, sc)`` serves ``class_ricci_eigenvalues`` and the tests;
-the dense ``riemann``, ``ricci``, ``lower_riemann`` and ``riem_norm_sq``
-remain as test oracles.
-``einstein_verdict`` is the one Einstein test; ``check`` and the solver's
-records both use it.
+``ricci_fast(gamma, sc)`` serves the tests; the dense ``riemann``, ``ricci``,
+``lower_riemann`` and ``riem_norm_sq`` remain as test oracles.
+
+``einstein_verdict`` is the one Einstein evaluation; ``check`` and the
+solver's records both use it.  It fits the metric at x * 2^-k, which is
+exact and puts every value in the float range wherever that is possible, so
+its residual, lambda and I1 are scale-free.  ``einstein_residual``,
+``invariant_I1`` and ``class_ricci_eigenvalues`` are views of that same fit:
+they give its bits and raise where it raises.
 Everything here is a pure function of (f, g); results are deterministic and
 safe to share.
 """
@@ -43,6 +47,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,7 +57,6 @@ from .sparse import CANCEL_RTOL, Nonzeros, blocks, check_key_range, join, sum_by
 DEFAULT_EINSTEIN_TOL = 1e-8
 
 _BIINVARIANT_WEIGHT = 4.0  # fixes lambda = n/8 at x = (1,...,1)
-_BLOCK_SCALAR_TOL = 1e-9   # Ricci off-diagonal and within-class spread allowed
 # Products per block of Riemann rows in ``riemann_norm_sq``: one block up to
 # n = 26 on scheme 1, and a bound on memory beyond (a row of more products is
 # a block of its own)
@@ -92,9 +96,10 @@ class MetricSpec:
         return cls(x=x, weights=w, g=np.asarray(x)[sc.class_of] * w)
 
     def scaled(self, c: float) -> "MetricSpec":
-        """The uniformly rescaled metric c*g."""
-        return MetricSpec(x=tuple(c * v for v in self.x), weights=self.weights.copy(),
-                          g=c * self.g)
+        """The uniformly rescaled metric c*g; raises ValueError unless each c*x_k
+        is finite and > 0."""
+        x = _positive(tuple(c * v for v in self.x))
+        return MetricSpec(x=x, weights=self.weights.copy(), g=c * self.g)
 
 
 def _checked_x(sc: StructureConstants, x) -> tuple[float, ...]:
@@ -102,6 +107,11 @@ def _checked_x(sc: StructureConstants, x) -> tuple[float, ...]:
     x = tuple(float(v) for v in x)
     if len(x) != sc.num_classes:
         raise ValueError(f"expected {sc.num_classes} metric constants, got {len(x)}")
+    return _positive(x)
+
+
+def _positive(x: tuple[float, ...]) -> tuple[float, ...]:
+    """x; raises ValueError unless each entry is finite and > 0."""
     if not all(math.isfinite(v) and v > 0 for v in x):
         raise ValueError(f"metric constants must be finite and strictly positive, got {x}")
     return x
@@ -332,22 +342,24 @@ class CurvatureBundle:
 
     ``class_ric`` holds the Ricci rows Ric[c, :] of the first generator of each
     nonempty class (``sc.class_rows``), one row per class in class order.
+    ``riem_norm_sq`` is formed on its first read, and only then.
     """
 
+    sc: StructureConstants
+    metric: MetricSpec
     gamma: Nonzeros
     class_ric: np.ndarray
     scalar: float
-    riem_norm_sq: float | None
     lambda_best: float
     residual: float
 
+    @cached_property
+    def riem_norm_sq(self) -> float:
+        return riemann_norm_sq(self.gamma, self.sc, self.metric)
 
-def curvature_bundle(sc: StructureConstants, metric: MetricSpec,
-                     with_riemann: bool = True) -> CurvatureBundle:
-    """Compute connection, Ricci, |Riem|^2 and the Einstein fit for a metric.
 
-    With ``with_riemann=False`` only the Ricci-level quantities are computed
-    (enough for Einstein residuals); |Riem|^2 is then None.
+def curvature_bundle(sc: StructureConstants, metric: MetricSpec) -> CurvatureBundle:
+    """Compute connection, Ricci and the Einstein fit for a metric; |Riem|^2 on demand.
 
     Ricci is formed only in the row of the first generator of each class
     (3 rows for scheme 1, at most 4 for scheme 2).  With Ric_cc = r_k g_c on
@@ -388,66 +400,42 @@ def curvature_bundle(sc: StructureConstants, metric: MetricSpec,
     gamma = levi_civita(sc, metric)
     first, size = sc.class_rows
     ric = ricci_fast(gamma, sc, first)
-    rnorm = riemann_norm_sq(gamma, sc, metric) if with_riemann else None
     at = np.arange(first.size)
     g = metric.g[first]
     scalar = float(np.sum(size * (ric[at, first] / g)))
     lam = scalar / sc.d
     dev = ric.copy()
     dev[at, first] -= lam * g
-    return CurvatureBundle(
-        gamma=gamma,
-        class_ric=ric,
-        scalar=scalar,
-        riem_norm_sq=rnorm,
-        lambda_best=lam,
-        residual=float(np.abs(dev).max()),
-    )
+    return CurvatureBundle(sc=sc, metric=metric, gamma=gamma, class_ric=ric, scalar=scalar,
+                           lambda_best=lam, residual=float(np.abs(dev).max()))
 
 
-def einstein_residual(metric: MetricSpec, sc: StructureConstants) -> tuple[float, float]:
-    """(residual, lambda_best) for the Einstein condition Ric = lambda g.
+def _unit_fit(sc: StructureConstants, x) -> tuple[CurvatureBundle, float]:
+    """(bundle, lambda): the curvature bundle of the metric at x * 2^-k, where k
+    puts max(x * 2^-k) in [1/2, 1) exactly, and lambda at x.
 
-    lambda_best is the g-trace mean of Ricci; the residual is the max-norm of
-    Ric - lambda_best * g in the frame.  Zero residual iff the metric is
-    Einstein.
+    Ric and the residual are the same at every scale of the metric and lambda
+    scales as 1/c, so a power of two changes no bit of them: lambda at x is
+    the bundle's lambda * 2^-k wherever that is representable.  Raises
+    ValueError when x is not one finite positive entry per class (quoting x
+    as given), when an entry of x * 2^-k is below the smallest normal float,
+    or when the residual or lambda at x is not finite.
     """
-    bundle = curvature_bundle(sc, metric, with_riemann=False)
-    return bundle.residual, bundle.lambda_best
-
-
-def invariant_I1(metric: MetricSpec, sc: StructureConstants,
-                 tol: float = DEFAULT_EINSTEIN_TOL,
-                 fit: CurvatureBundle | None = None) -> float:
-    """The dimensionless invariant |Riem|^2 / lambda^2 of an Einstein metric.
-
-    Invariant under uniform rescaling of the metric.  Raises ValueError when
-    the metric is not Einstein within ``tol``, when lambda vanishes (lambda^2
-    underflows to 0) or when the result is not a finite positive number (the
-    metric's scale puts |Riem|^2 or lambda^2 outside the float range).
-    ``fit`` is an already computed ``curvature_bundle`` of the same metric
-    (with or without |Riem|^2); its connection and Ricci are then reused.
-    """
-    if fit is None:
-        fit = curvature_bundle(sc, metric, with_riemann=False)
-    if fit.residual > tol:
-        raise ValueError(
-            f"I1 undefined: metric is not Einstein (residual {fit.residual:.3e} > {tol:.1e})"
-        )
+    x = _checked_x(sc, x)
+    k = math.frexp(max(x))[1]
+    x = tuple(math.ldexp(t, -k) for t in x)
+    if min(x) < sys.float_info.min:
+        raise ValueError("the metric constants span too many orders of magnitude to evaluate")
+    with np.errstate(all="ignore"):  # a non-finite result raises below
+        fit = curvature_bundle(sc, MetricSpec.from_x(sc, x))
     try:
-        lam_sq = fit.lambda_best**2
-    except OverflowError:
-        lam_sq = math.inf
-    if lam_sq == 0.0:
-        raise ValueError(f"I1 undefined: lambda vanishes (lambda {fit.lambda_best!r})")
-    rnorm = fit.riem_norm_sq
-    if rnorm is None:
-        rnorm = riemann_norm_sq(fit.gamma, sc, metric)
-    I1 = rnorm / lam_sq
-    if not 0.0 < I1 < math.inf:  # Ric = lambda g with lambda != 0 has Riem != 0
-        raise ValueError(f"I1 is not representable at this scale of the metric "
-                         f"(|Riem|^2 {rnorm!r}, lambda {fit.lambda_best!r})")
-    return I1
+        lam = math.ldexp(fit.lambda_best, -k)
+    except OverflowError:  # raises below
+        lam = math.inf
+    if not (math.isfinite(fit.residual) and math.isfinite(lam)):
+        raise ValueError(f"the curvature is not representable "
+                         f"(residual {fit.residual}, lambda {lam})")
+    return fit, lam
 
 
 def einstein_verdict(sc: StructureConstants, x,
@@ -456,59 +444,63 @@ def einstein_verdict(sc: StructureConstants, x,
 
     The metric is Einstein iff residual <= tol and lambda > 0 (every Einstein
     metric of compact non-abelian SU(n) has lambda > 0); I1 is then
-    |Riem|^2 / lambda^2, and None otherwise.  Ric = lambda g and I1 are
-    scale-free: the curvature is evaluated at x * 2^-k, which puts max(x) in
-    [1/2, 1) exactly, and lambda is scaled back by the same power of two, so
-    every value is the one at x to the bit wherever that is representable.
-    Raises ValueError when x is not one finite positive entry per class
-    (quoting x as given), when an entry of x * 2^-k is below the smallest
-    normal float, when the residual or lambda is not finite, or when I1 is not
-    representable (see ``invariant_I1``).
+    |Riem|^2 / lambda^2, and None otherwise.  All three are scale-free: they
+    are read off ``_unit_fit``.  Raises ValueError where ``_unit_fit`` does,
+    and when the I1 of an Einstein metric is not a finite positive number.
     """
-    x = _checked_x(sc, x)
-    k = math.frexp(max(x))[1]
-    x = tuple(math.ldexp(t, -k) for t in x)
-    if min(x) < sys.float_info.min:
-        raise ValueError("the metric constants span too many orders of magnitude to evaluate")
-    metric = MetricSpec.from_x(sc, x)
-    with np.errstate(all="ignore"):  # a non-finite result raises below
-        fit = curvature_bundle(sc, metric, with_riemann=False)
-        residual, lam = fit.residual, math.ldexp(fit.lambda_best, -k)
-        if not (math.isfinite(residual) and math.isfinite(lam)):
-            raise ValueError(f"the curvature is not representable "
-                             f"(residual {residual}, lambda {lam})")
-        I1 = None
-        if residual <= tol and lam > 0:
-            try:
-                I1 = invariant_I1(metric, sc, tol=tol, fit=fit)
-            except ValueError:  # its message quotes lambda at x * 2^-k
-                raise ValueError(f"I1 is not representable at this metric "
-                                 f"(lambda {lam!r})") from None
+    fit, lam = _unit_fit(sc, x)
+    residual = fit.residual
+    if not (residual <= tol and lam > 0):
+        return residual, lam, None
+    with np.errstate(all="ignore"):  # a non-finite I1 raises below
+        rnorm = fit.riem_norm_sq
+    try:
+        I1 = rnorm / fit.lambda_best**2
+    except (OverflowError, ZeroDivisionError):  # lambda^2 out of the float range
+        I1 = math.nan
+    if not 0.0 < I1 < math.inf:  # Ric = lambda g with lambda != 0 has Riem != 0
+        raise ValueError(f"I1 is not representable at this metric (lambda {lam!r})")
     return residual, lam, I1
 
 
-def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
-    """Per-class Ricci eigenvalues R_aa / w_a (one value per generator class).
+def einstein_residual(metric: MetricSpec, sc: StructureConstants) -> tuple[float, float]:
+    """(residual, lambda_best) of ``einstein_verdict`` for the Einstein condition Ric = lambda g.
 
-    For a class-diagonal metric the Ricci matrix is block-scalar, so R_aa/w_a
-    is constant on each class; that constant equals lambda * x_c exactly when
-    the metric is Einstein.  Raises if the block-scalar structure is violated
-    beyond _BLOCK_SCALAR_TOL (which would mean the ansatz is inconsistent).
+    lambda_best is the g-trace mean of Ricci; the residual is the max-norm of
+    Ric - lambda_best * g in the frame.  Zero residual iff the metric is
+    Einstein.
     """
-    ric = ricci_fast(levi_civita(sc, metric), sc)
-    sigma = np.diag(ric) / metric.weights
-    offdiag = float(np.abs(ric - np.diag(np.diag(ric))).max())
-    if offdiag > _BLOCK_SCALAR_TOL:
-        raise ValueError(f"Ricci is not frame-diagonal (offdiag {offdiag:.3e})")
-    out = np.empty(sc.num_classes)
-    for c in range(sc.num_classes):
-        vals = sigma[sc.class_of == c]
-        if vals.size == 0:
-            out[c] = np.nan
-            continue
-        if np.ptp(vals) > _BLOCK_SCALAR_TOL:
-            raise ValueError(
-                f"Ricci not scalar on class {c} (spread {np.ptp(vals):.3e})"
-            )
-        out[c] = vals.mean()
+    fit, lam = _unit_fit(sc, metric.x)
+    return fit.residual, lam
+
+
+def invariant_I1(metric: MetricSpec, sc: StructureConstants,
+                 tol: float = DEFAULT_EINSTEIN_TOL) -> float:
+    """The dimensionless invariant |Riem|^2 / lambda^2 of ``einstein_verdict``.
+
+    Raises ValueError where the verdict raises, and when it finds the metric
+    not Einstein within ``tol`` (a residual above ``tol``, or lambda <= 0).
+    """
+    residual, lam, I1 = einstein_verdict(sc, metric.x, tol)
+    if I1 is None:
+        raise ValueError(f"I1 undefined: metric is not Einstein "
+                         f"(residual {residual:.3e}, lambda {lam!r}, tol {tol:.1e})")
+    return I1
+
+
+def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
+    """Per-class Ricci eigenvalues R_aa / w_a (one value per generator class, NaN
+    for an empty class), from the fit of ``einstein_verdict``.
+
+    For a class-diagonal metric the Ricci matrix is diagonal in the frame and
+    r_k g on each class k (``curvature_bundle``), so R_aa / w_a is that of the
+    class's first generator; it equals lambda * x_c exactly when the metric is
+    Einstein.  Ric does not change with the scale of the metric, so this is
+    its value at x.
+    """
+    fit, _ = _unit_fit(sc, metric.x)
+    first, _ = sc.class_rows
+    out = np.full(sc.num_classes, np.nan)
+    out[sc.class_of[first]] = (fit.class_ric[np.arange(first.size), first]
+                               / fit.metric.weights[first])
     return out

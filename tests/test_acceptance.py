@@ -45,7 +45,7 @@ def biinvariant_results():
     for n in N_RANGE:
         sc = sc_for(1, n)
         m = se.MetricSpec.from_x(sc, (1.0, 1.0, 1.0))
-        bundle = se.curvature_bundle(sc, m, with_riemann=True)
+        bundle = se.curvature_bundle(sc, m)
         out[n] = (bundle.residual, bundle.lambda_best,
                   bundle.riem_norm_sq / bundle.lambda_best**2)
     return out, time.time() - t0
@@ -77,7 +77,7 @@ def test_criterion_3_second_family():
         I1_formula = (2 * n * n + 3 * n + 2) * (n - 1) * (3 * n + 4) / (n * (5 * n + 6))
         sc = sc_for(1, n)
         m = se.MetricSpec.from_x(sc, (X, 1.0, X))
-        bundle = se.curvature_bundle(sc, m, with_riemann=True)
+        bundle = se.curvature_bundle(sc, m)
         assert bundle.residual < RESIDUAL_TOL, f"n={n}: residual {bundle.residual:.3e}"
         assert bundle.lambda_best == pytest.approx(lam_formula, rel=I1_RTOL)
         I1 = bundle.riem_norm_sq / bundle.lambda_best**2

@@ -118,7 +118,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("x", ["7,1,7", "1,2,1"])
     def test_one_ricci_per_check(self, capsys, monkeypatch, x):
-        calls = {"ricci_fast": 0, "invariant_I1": 0}
+        calls = {"ricci_fast": 0, "riemann_norm_sq": 0}
         for name in calls:
             original = getattr(curvature, name)
 
@@ -128,7 +128,7 @@ class TestCheck:
 
             monkeypatch.setattr(curvature, name, counted)
         code, _, _ = run(capsys, "check", "--scheme", "1", "--n", "4", "--x", x)
-        assert calls == {"ricci_fast": 1, "invariant_I1": int(code == 0)}
+        assert calls == {"ricci_fast": 1, "riemann_norm_sq": int(code == 0)}
 
     def test_every_check_builds_structure_constants(self, capsys, monkeypatch):
         traced = counted_structure_constants(monkeypatch)
@@ -174,7 +174,7 @@ class TestCheck:
         assert results["I1"] == pytest.approx(754 / 63, abs=1e-8)
         assert results["lambda"] == pytest.approx(63 / 968 / float(f"1{scale}"), rel=1e-10)
 
-    @pytest.mark.parametrize("x", ["1e308,1,1e-308", "1e-200,1,1e-200"])
+    @pytest.mark.parametrize("x", ["1e308,1,1e-308", "1e-200,1,1e-200", "1e-300,1e-310,1e-300"])
     def test_unrepresentable_x_usage_error(self, capsys, x):
         code, out, err = run(capsys, "check", "--scheme", "1", "--n", "3", "--x", x)
         assert code == 2

@@ -53,6 +53,12 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             se.MetricSpec.from_x(sc_for(1, 3), (1.0, 1.0, 1.0, 1.0))
 
+    # 1e308 is finite and > 0, but 11 c overflows
+    @pytest.mark.parametrize("c", [-1.0, 0.0, np.nan, np.inf, 1e308])
+    def test_scaled_rejects_a_bad_scale(self, c):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            metric(1, 3, None, (11, 1, 11)).scaled(c)
+
     def test_frame_metric_positive(self, rng):
         m = metric(2, 5, 3, random_x(rng, 4))
         assert np.all(m.g > 0)
@@ -243,7 +249,7 @@ class TestNonzeroEngine:
             for c in np.unique(sc.class_of):
                 assert np.ptp(r[sc.class_of == c]) <= 1e-12 * np.abs(r).max()
             lam = float(np.mean(r))
-            fit = se.curvature_bundle(sc, m, with_riemann=False)
+            fit = se.curvature_bundle(sc, m)
             assert abs(fit.lambda_best - lam) <= 1e-12 * np.abs(r).max()
             assert abs(fit.residual - np.abs(full - lam * np.diag(m.g)).max()) <= 1e-12 * scale
 
@@ -275,6 +281,22 @@ class TestNonzeroEngine:
         riemann_norm_sq(gamma, sc, m)
         rows = np.concatenate(formed)
         npt.assert_array_equal(sc.class_of[rows], np.unique(sc.class_of))
+
+    def test_bundle_forms_riem_norm_sq_once(self, monkeypatch):
+        sc = sc_for(2, 5, 3)
+        m = metric(2, 5, 3, (1.0, 1.0, 1.0, 2.0 / 30))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return riemann_norm_sq(*args)
+
+        monkeypatch.setattr(curvature, "riemann_norm_sq", counted)
+        bundle = se.curvature_bundle(sc, m)
+        assert calls == []  # formed on first read only: a NOT-EINSTEIN verdict forms none
+        values = {bundle.riem_norm_sq for _ in range(3)}
+        assert len(calls) == 1
+        assert values == {riemann_norm_sq(bundle.gamma, sc, m)}
 
     @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
     def test_riemann_norm_sq_is_the_one_block_sum(self, scheme, n, p, rng, monkeypatch):
@@ -366,6 +388,12 @@ class TestEinsteinResidual:
         residual, _ = se.einstein_residual(metric(1, 3, None, (1, 2, 1)), sc_for(1, 3))
         assert residual > 1e-3
 
+    def test_nonfinite_curvature_is_a_value_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="curvature is not representable"):
+                se.einstein_residual(metric(1, 3, None, (1e-200, 1.0, 1e-200)), sc_for(1, 3))
+
 
 class TestInvariantI1:
     def test_biinvariant_n5(self):
@@ -381,34 +409,34 @@ class TestInvariantI1:
     def test_undefined_off_shell(self):
         with pytest.raises(ValueError, match="not Einstein"):
             se.invariant_I1(metric(1, 3, None, (1, 2, 1)), sc_for(1, 3))
-        m = metric(1, 3, None, (1, 2, 1))
+
+    def test_negative_lambda_is_not_einstein(self):
+        # the residual is within tol, but lambda = -8: no Einstein metric, no I1
         with pytest.raises(ValueError, match="not Einstein"):
-            se.invariant_I1(m, sc_for(1, 3), fit=se.curvature_bundle(sc_for(1, 3), m))
+            se.invariant_I1(metric(1, 2, None, (1.0, 1.0, 100.0)), sc_for(1, 2), tol=1e9)
+
+    def test_negative_scale_is_a_value_error(self):
+        m = metric(1, 4, None, (7, 1, 7))
+        negative = se.MetricSpec(x=tuple(-v for v in m.x), weights=m.weights, g=-m.g)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            se.invariant_I1(negative, sc_for(1, 4))
 
     def test_lambda_underflow_is_a_value_error(self):
-        # lambda ~ 6.5e-302, so lambda^2 underflows to 0
-        with pytest.raises(ValueError, match="lambda vanishes"):
-            se.invariant_I1(metric(1, 3, None, (11e300, 1e300, 11e300)), sc_for(1, 3))
+        # lambda ~ 6.5e-302, so lambda^2 would underflow to 0 at this scale;
+        # the verdict's exact rescaling gives the I1 of (11, 1, 11)
+        sc = sc_for(1, 3)
+        base = se.invariant_I1(metric(1, 3, None, (11, 1, 11)), sc)
+        assert se.invariant_I1(metric(1, 3, None, (11e300, 1e300, 11e300)), sc) \
+            == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e150])
     def test_unrepresentable_scale_is_a_value_error(self, scale):
-        # |Riem|^2 overflows to inf at 1e-160 and underflows to 0 at 1e150
+        # |Riem|^2 would overflow to inf at 1e-160 and underflow to 0 at 1e150;
+        # the verdict's exact rescaling gives the I1 of (11, 1, 11)
+        sc = sc_for(1, 3)
+        base = se.invariant_I1(metric(1, 3, None, (11, 1, 11)), sc)
         m = metric(1, 3, None, (11 * scale, scale, 11 * scale))
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not representable"):
-            se.invariant_I1(m, sc_for(1, 3))
-
-    @pytest.mark.parametrize("with_riemann", [False, True])
-    def test_reuses_a_given_fit(self, with_riemann, monkeypatch):
-        sc = sc_for(2, 5, 3)
-        m = metric(2, 5, 3, (1.0, 1.0, 1.0, 2.0 / 30))
-        fit = se.curvature_bundle(sc, m, with_riemann=with_riemann)
-        expected = se.invariant_I1(m, sc)
-
-        def no_ricci(*args):
-            raise AssertionError("Ricci recomputed")
-
-        monkeypatch.setattr(se.curvature, "ricci_fast", no_ricci)
-        assert se.invariant_I1(m, sc, fit=fit) == expected == pytest.approx(24.0, rel=1e-10)
+        assert se.invariant_I1(m, sc) == pytest.approx(base, rel=1e-12)
 
     def test_riem_norm_scaling(self):
         sc = sc_for(1, 3)
@@ -446,14 +474,30 @@ def verdict_points():
 class TestEinsteinVerdict:
     @pytest.mark.parametrize("scheme,n,p,x", verdict_points())
     def test_same_bits_at_every_scale(self, scheme, n, p, x):
+        # the verdict against the fit at the metric itself, not at x * 2^-k
         sc = sc_for(scheme, n, p)
-        m = se.MetricSpec.from_x(sc, x)
-        residual, lam = se.einstein_residual(m, sc)
-        assert se.einstein_verdict(sc, x) == (residual, lam, se.invariant_I1(m, sc))
+        fit = se.curvature_bundle(sc, se.MetricSpec.from_x(sc, x))
+        I1 = fit.riem_norm_sq / fit.lambda_best**2
+        assert se.einstein_verdict(sc, x) == (fit.residual, fit.lambda_best, I1)
         for e in (500, -500, 1000, -1000):  # lambda^2 leaves the float range at 2^+-1000
             scaled = tuple(np.ldexp(t, e) for t in x)
             assert se.einstein_verdict(sc, scaled) == (
-                residual, np.ldexp(lam, -e), se.invariant_I1(m, sc))
+                fit.residual, np.ldexp(fit.lambda_best, -e), I1)
+
+    @pytest.mark.parametrize("scheme,n,p,x", verdict_points())
+    def test_views_give_the_verdict_bits(self, scheme, n, p, x):
+        sc = sc_for(scheme, n, p)
+        for e in (0, 500, -500, 1000, -1000):
+            scaled = tuple(np.ldexp(t, e) for t in x)
+            m = se.MetricSpec.from_x(sc, scaled)
+            residual, lam, I1 = se.einstein_verdict(sc, scaled)
+            assert se.einstein_residual(m, sc) == (residual, lam)
+            assert se.invariant_I1(m, sc) == I1
+
+    def test_lambda_beyond_the_float_range_is_a_value_error(self):
+        # lambda at the unit scale is finite; scaled back by 2^996 it overflows
+        with pytest.raises(ValueError, match="curvature is not representable"):
+            se.einstein_verdict(sc_for(1, 3), (1e-300, 1e-310, 1e-300))
 
     def test_span_beyond_the_float_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="orders of magnitude"):
@@ -517,6 +561,17 @@ class TestEngineMatchesEquationSystems:
             x = random_x(rng, 4)
             sigma = se.class_ricci_eigenvalues(sc, metric(2, n, p, x))
             npt.assert_allclose(sigma, scheme2_lhs(n, p, *x), atol=1e-9)
+
+    @pytest.mark.parametrize("scheme,n,p", [(1, n, None) for n in range(2, 9)]
+                             + [(2, n, p) for n in range(2, 7) for p in range(n + 1)])
+    def test_class_means_of_the_full_ricci(self, scheme, n, p, rng):
+        sc = sc_for(scheme, n, p)
+        m = metric(scheme, n, p, random_x(rng, sc.num_classes))
+        sigma = np.diag(ricci_fast(se.levi_civita(sc, m), sc)) / m.weights
+        means = np.array([sigma[sc.class_of == c].mean() if np.any(sc.class_of == c)
+                          else np.nan for c in range(sc.num_classes)])
+        npt.assert_allclose(se.class_ricci_eigenvalues(sc, m), means,
+                            rtol=1e-13, atol=0, equal_nan=True)
 
     def test_einstein_iff_sigma_equals_lambda_x(self):
         sc = sc_for(1, 4)
