@@ -41,7 +41,7 @@ from .liealg import (
 _LAZY = {
     "catalog": ("CatalogEntry", "enumerate_metrics", "paper_count"),
     "solver": ("EinsteinRecord", "EinsteinSystem", "closed_form_scheme1",
-               "closed_form_scheme2", "einstein_system", "multistart_search",
+               "closed_form_scheme2", "multistart_search",
                "newton_solve", "scheme1_system", "scheme2_system",
                "solve_configuration"),
 }
@@ -78,7 +78,6 @@ __all__ = [
     "closed_form_scheme2",
     "curvature_bundle",
     "einstein_residual",
-    "einstein_system",
     "einstein_verdict",
     "enumerate_metrics",
     "exact_validate",

@@ -32,12 +32,15 @@ bounded at large n while its value is the same to the bit.  The full d x d
 ``ricci_fast(gamma, sc)`` serves the tests; the dense ``riemann``, ``ricci``,
 ``lower_riemann`` and ``riem_norm_sq`` remain as test oracles.
 
-``einstein_verdict`` is the one Einstein evaluation; ``check`` and the
-solver's records both use it.  It fits the metric at x * 2^-k, which is
-exact and puts every value in the float range wherever that is possible, so
-its residual, lambda and I1 are scale-free.  ``einstein_residual``,
-``invariant_I1`` and ``class_ricci_eigenvalues`` are views of that same fit:
-they give its bits and raise where it raises.
+``einstein_verdict(sc, x, tol)`` is the one Einstein evaluation; ``check``
+and the solver's records both use it.  It fits the metric at x * 2^-k, which
+is exact and puts every value in the float range wherever that is possible,
+so its residual, lambda and I1 are scale-free.  ``einstein_residual(sc, x)``,
+``invariant_I1(sc, x, tol)`` and ``class_ricci_eigenvalues(sc, x)`` are views
+of that same fit: they take the same class constants x, give its bits and
+raise where it raises.  ``MetricSpec`` carries the frame metric g of x to the
+engine primitives (``levi_civita``, ``riemann_norm_sq``, ``curvature_bundle``
+and the dense oracles) only.
 Everything here is a pure function of (f, g); results are deterministic and
 safe to share.
 """
@@ -76,30 +79,23 @@ def frame_weights(sc: StructureConstants) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A class-diagonal metric: positive constant x_c per generator class.
+    """A class-diagonal metric as the engine primitives take it: the positive
+    constants x, one per generator class, and the induced frame-diagonal
+    metric g_aa = x_class(a) * w_a (``frame_weights``).
 
-    ``g`` is the induced frame-diagonal metric, x_class(a) * w_a.
+    The Einstein views take x itself; build this with ``from_x``.
     """
 
     x: tuple[float, ...]
-    weights: np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
-        self.weights.flags.writeable = False
         self.g.flags.writeable = False
 
     @classmethod
     def from_x(cls, sc: StructureConstants, x) -> "MetricSpec":
         x = _checked_x(sc, x)
-        w = frame_weights(sc)
-        return cls(x=x, weights=w, g=np.asarray(x)[sc.class_of] * w)
-
-    def scaled(self, c: float) -> "MetricSpec":
-        """The uniformly rescaled metric c*g; raises ValueError unless each c*x_k
-        is finite and > 0."""
-        x = _positive(tuple(c * v for v in self.x))
-        return MetricSpec(x=x, weights=self.weights.copy(), g=c * self.g)
+        return cls(x=x, g=np.asarray(x)[sc.class_of] * frame_weights(sc))
 
 
 def _checked_x(sc: StructureConstants, x) -> tuple[float, ...]:
@@ -107,11 +103,6 @@ def _checked_x(sc: StructureConstants, x) -> tuple[float, ...]:
     x = tuple(float(v) for v in x)
     if len(x) != sc.num_classes:
         raise ValueError(f"expected {sc.num_classes} metric constants, got {len(x)}")
-    return _positive(x)
-
-
-def _positive(x: tuple[float, ...]) -> tuple[float, ...]:
-    """x; raises ValueError unless each entry is finite and > 0."""
     if not all(math.isfinite(v) and v > 0 for v in x):
         raise ValueError(f"metric constants must be finite and strictly positive, got {x}")
     return x
@@ -463,32 +454,31 @@ def einstein_verdict(sc: StructureConstants, x,
     return residual, lam, I1
 
 
-def einstein_residual(metric: MetricSpec, sc: StructureConstants) -> tuple[float, float]:
+def einstein_residual(sc: StructureConstants, x) -> tuple[float, float]:
     """(residual, lambda_best) of ``einstein_verdict`` for the Einstein condition Ric = lambda g.
 
     lambda_best is the g-trace mean of Ricci; the residual is the max-norm of
     Ric - lambda_best * g in the frame.  Zero residual iff the metric is
     Einstein.
     """
-    fit, lam = _unit_fit(sc, metric.x)
+    fit, lam = _unit_fit(sc, x)
     return fit.residual, lam
 
 
-def invariant_I1(metric: MetricSpec, sc: StructureConstants,
-                 tol: float = DEFAULT_EINSTEIN_TOL) -> float:
+def invariant_I1(sc: StructureConstants, x, tol: float = DEFAULT_EINSTEIN_TOL) -> float:
     """The dimensionless invariant |Riem|^2 / lambda^2 of ``einstein_verdict``.
 
     Raises ValueError where the verdict raises, and when it finds the metric
     not Einstein within ``tol`` (a residual above ``tol``, or lambda <= 0).
     """
-    residual, lam, I1 = einstein_verdict(sc, metric.x, tol)
+    residual, lam, I1 = einstein_verdict(sc, x, tol)
     if I1 is None:
         raise ValueError(f"I1 undefined: metric is not Einstein "
                          f"(residual {residual:.3e}, lambda {lam!r}, tol {tol:.1e})")
     return I1
 
 
-def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
+def class_ricci_eigenvalues(sc: StructureConstants, x) -> np.ndarray:
     """Per-class Ricci eigenvalues R_aa / w_a (one value per generator class, NaN
     for an empty class), from the fit of ``einstein_verdict``.
 
@@ -498,9 +488,9 @@ def class_ricci_eigenvalues(sc: StructureConstants, metric: MetricSpec) -> np.nd
     Einstein.  Ric does not change with the scale of the metric, so this is
     its value at x.
     """
-    fit, _ = _unit_fit(sc, metric.x)
+    fit, _ = _unit_fit(sc, x)
     first, _ = sc.class_rows
     out = np.full(sc.num_classes, np.nan)
     out[sc.class_of[first]] = (fit.class_ric[np.arange(first.size), first]
-                               / fit.metric.weights[first])
+                               / frame_weights(sc)[first])
     return out

@@ -10,7 +10,10 @@ system.
 
 Normalization gauges: x2 = 1 for the three-class family, x3 = 1 for the
 four-class family.  Einstein metrics come in scale families and the invariant
-I1 is scale-free, so records are stored in these gauges.
+I1 is scale-free, so records are stored in these gauges.  A record is built
+from the full gauge-fixed x and lambda (``EinsteinSystem.record``), as the
+closed forms give them; ``EinsteinSystem.full_x`` expands the reduced
+unknowns of Newton roots to that x.
 
 For the four-class family the closed-form x4 and lambda of the non-trivial
 branches are derived from the system itself (equations 1 and 4 give
@@ -144,19 +147,11 @@ class EinsteinSystem:
     def size(self) -> int:
         return len(self.unknowns)
 
-    def full_x_lambda(self, v: np.ndarray) -> tuple[tuple[float, ...], float]:
-        """Expand a reduced unknown vector to the full gauge-fixed x and lambda.
-
-        Gauge entries and constants of empty classes are set to 1.
-        """
-        x, lam = self._columns(v)
-        return tuple(float(t) for t in x), float(lam)
-
-    def unknowns_at(self, x, lam: float) -> np.ndarray:
-        """The reduced unknown vector of a full x and lambda; the inverse of
-        ``full_x_lambda`` (gauge entries and constants of empty classes are
-        dropped)."""
-        return np.array([x[c] for c in self._free] + [lam], dtype=float)
+    def full_x(self, v: np.ndarray) -> np.ndarray:
+        """The full gauge-fixed x of unknowns of shape (k,) or (B, k), as an
+        array of shape (classes,) or (B, classes); the gauge entry and the
+        constants of empty classes are 1."""
+        return np.stack(np.broadcast_arrays(*self._columns(v)[0]), axis=-1)
 
     def _columns(self, v: np.ndarray):
         """The full gauge-fixed x and lambda for unknowns of shape (k,) or (B, k).
@@ -215,10 +210,15 @@ class EinsteinSystem:
         J[..., 3, 3] = -x4
         return J[(Ellipsis, *self._block)]
 
-    def record(self, v: np.ndarray, provenance: str = "numeric",
+    def record(self, x, lam: float, provenance: str = "numeric",
                engine_tol: float = DEFAULT_EINSTEIN_TOL) -> EinsteinRecord:
-        """Cross-validate a root against the curvature engine and build a record."""
-        x, lam = self.full_x_lambda(v)
+        """Cross-validate a root, the full gauge-fixed x and lambda, against the
+        curvature engine and build a record.
+
+        The constant of an empty class multiplies nothing; the record reports
+        it as 1.
+        """
+        x = tuple(float(t) if c in self._rows else 1.0 for c, t in enumerate(x))
         sc = liealg.shared_structure_constants(self.scheme, self.n, self.p)
         residual, lam_best, I1 = curvature.einstein_verdict(sc, x, tol=engine_tol)
         valid = I1 is not None
@@ -228,17 +228,13 @@ class EinsteinSystem:
             n=self.n,
             p=self.p,
             x=x,
-            lam=lam_best if valid else lam,
+            lam=lam_best if valid else float(lam),
             I1=I1,
             provenance=provenance,
             residual=residual,
             valid=valid,
             notes=notes,
         )
-
-
-def einstein_system(scheme: int, n: int, p: int | None = None) -> EinsteinSystem:
-    return EinsteinSystem(scheme, n, p)
 
 
 NEWTON_OUTCOMES = (
@@ -465,7 +461,7 @@ def _distinct_roots(system: EinsteinSystem, n_starts: int, seed: int, engine_tol
     roots = roots[outcomes == "converged"]
     inside = roots.min(axis=1) >= BOUNDARY_FLOOR
     roots = roots[inside]
-    xs = np.column_stack(np.broadcast_arrays(*system._columns(roots)[0]))  # full x per root
+    xs = system.full_x(roots)
 
     records = dedup_records(closed)
     missed = [rec.provenance for rec in closed if rec.valid and not _near(xs, rec.x).any()]
@@ -476,7 +472,7 @@ def _distinct_roots(system: EinsteinSystem, n_starts: int, seed: int, engine_tol
     while new.any():
         i = int(np.argmax(new))
         new &= ~_near(xs, xs[i])
-        rec = system.record(roots[i], provenance="numeric", engine_tol=engine_tol)
+        rec = system.record(xs[i], roots[i, -1], provenance="numeric", engine_tol=engine_tol)
         validated += 1
         if rec.valid:
             records.append(rec)
@@ -519,13 +515,13 @@ def closed_form_scheme1(n: int, engine_tol: float = DEFAULT_EINSTEIN_TOL) -> lis
     against the curvature engine.
     """
     system = EinsteinSystem(1, n)
-    records = [system.record(system.unknowns_at((1.0, 1.0, 1.0), n / 8.0),
-                             provenance="closed_form_1", engine_tol=engine_tol)]
+    records = [system.record((1.0, 1.0, 1.0), n / 8.0, provenance="closed_form_1",
+                             engine_tol=engine_tol)]
     if n >= 3:
         X = (3.0 * n + 2.0) / (n - 2.0)
         lam = n * (n - 2.0) * (5.0 * n + 6.0) / (8.0 * (3.0 * n + 2.0) ** 2)
-        records.append(system.record(system.unknowns_at((X, 1.0, X), lam),
-                                     provenance="closed_form_2", engine_tol=engine_tol))
+        records.append(system.record((X, 1.0, X), lam, provenance="closed_form_2",
+                                     engine_tol=engine_tol))
     return records
 
 
@@ -582,7 +578,7 @@ def closed_form_scheme2(n: int, p: int,
     """
     system = EinsteinSystem(2, n, p)
     q = n - p
-    records = [system.record(system.unknowns_at((1.0, 1.0, 1.0, 2.0 / (p * q * n)), n / 8.0),
+    records = [system.record((1.0, 1.0, 1.0, 2.0 / (p * q * n)), n / 8.0,
                              provenance="closed_form_1", engine_tol=engine_tol)]
 
     for sign, provenance in ((+1, "closed_form_2_plus"), (-1, "closed_form_2_minus")):
@@ -590,8 +586,8 @@ def closed_form_scheme2(n: int, p: int,
         x2 = q / p * x1
         x4, lam = branch_x4_lambda(n, p, x1)
         x4_printed, lam_printed = printed_branch_x4_lambda(n, p, x1)
-        rec = system.record(system.unknowns_at((x1, x2, 1.0, x4), lam),
-                            provenance=provenance, engine_tol=engine_tol)
+        rec = system.record((x1, x2, 1.0, x4), lam, provenance=provenance,
+                            engine_tol=engine_tol)
         if not (math.isclose(x4, x4_printed, rel_tol=1e-9)
                 and math.isclose(lam, lam_printed, rel_tol=1e-9)):
             note = (f"transcribed closed form gives x4={x4_printed:.9g}, "

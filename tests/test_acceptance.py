@@ -93,7 +93,7 @@ def test_criterion_4_printed_system_audit():
         sc = sc_for(1, n)
         for _ in range(50):
             x = tuple(np.exp(rng.uniform(-1.2, 1.2, 3)))
-            sigma = se.class_ricci_eigenvalues(sc, se.MetricSpec.from_x(sc, x))
+            sigma = se.class_ricci_eigenvalues(sc, x)
             dev = np.abs(sigma - scheme1_lhs(n, *x)).max()
             worst = max(worst, dev)
             assert dev < SYSTEM_MATCH_TOL, f"scheme1 n={n} x={x}: dev {dev:.2e}"
@@ -102,7 +102,7 @@ def test_criterion_4_printed_system_audit():
             sc = sc_for(2, n, p)
             for _ in range(50):
                 x = tuple(np.exp(rng.uniform(-1.2, 1.2, 4)))
-                sigma = se.class_ricci_eigenvalues(sc, se.MetricSpec.from_x(sc, x))
+                sigma = se.class_ricci_eigenvalues(sc, x)
                 dev = np.abs(sigma - scheme2_lhs(n, p, *x)).max()
                 worst = max(worst, dev)
                 assert dev < SYSTEM_MATCH_TOL, f"scheme2 n={n} p={p} x={x}: dev {dev:.2e}"
@@ -116,8 +116,7 @@ def test_criterion_5_scheme2_solution_sets():
         for p in range(1, n):
             q = n - p
             sc = sc_for(2, n, p)
-            m = se.MetricSpec.from_x(sc, (1.0, 1.0, 1.0, 2.0 / (p * q * n)))
-            residual, lam = se.einstein_residual(m, sc)
+            residual, lam = se.einstein_residual(sc, (1.0, 1.0, 1.0, 2.0 / (p * q * n)))
             assert residual < RESIDUAL_TOL, f"sol1 n={n} p={p}: residual {residual:.3e}"
             assert lam == pytest.approx(n / 8.0, rel=LAMBDA_RTOL)
     # branch solutions: system-consistent x4/lambda pass the engine; the
@@ -171,12 +170,12 @@ def test_criterion_6_case_behavior():
 def test_criterion_7_multistart_completeness():
     for n in (3, 4, 5):
         closed = se.closed_form_scheme1(n)
-        ms = se.multistart_search(se.einstein_system(1, n), n_starts=400, seed=7)
+        ms = se.multistart_search(se.EinsteinSystem(1, n), n_starts=400, seed=7)
         assert len(ms.records) == 2, f"scheme1 n={n}: {len(ms.records)} roots"
         for rec, ref in zip(ms.records, sorted(closed, key=lambda r: r.I1)):
             assert rec.I1 == pytest.approx(ref.I1, rel=1e-6)
             npt.assert_allclose(rec.x, ref.x, rtol=1e-6, atol=1e-8)
-    ms = se.multistart_search(se.einstein_system(2, 5, 3), n_starts=400, seed=7)
+    ms = se.multistart_search(se.EinsteinSystem(2, 5, 3), n_starts=400, seed=7)
     assert len(ms.records) == 3, f"scheme2 (5,3): {len(ms.records)} roots"
     print("\nACCEPTANCE 7 PASS: 400 seeded starts recover exactly the "
           "closed-form solution sets (scheme 1 n=3..5: 2 each; (5,3): 3)")
@@ -232,9 +231,9 @@ def test_criterion_9_property_suites():
                                 + np.transpose(low, (0, 3, 1, 2)), 0.0, atol=1e-10)
     # I1 scale invariance
     sc = sc_for(1, 4)
-    m = se.MetricSpec.from_x(sc, (7.0, 1.0, 7.0))
-    base = se.invariant_I1(m, sc)
+    x = (7.0, 1.0, 7.0)
+    base = se.invariant_I1(sc, x)
     for c in (0.25, 2.0, 9.5):
-        assert se.invariant_I1(m.scaled(c), sc) == pytest.approx(base, rel=1e-9)
+        assert se.invariant_I1(sc, tuple(c * t for t in x)) == pytest.approx(base, rel=1e-9)
     print("\nACCEPTANCE 9 PASS: structure-constant, connection, Riemann and "
           "I1-invariance property suites hold at their stated tolerances")

@@ -53,12 +53,6 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             se.MetricSpec.from_x(sc_for(1, 3), (1.0, 1.0, 1.0, 1.0))
 
-    # 1e308 is finite and > 0, but 11 c overflows
-    @pytest.mark.parametrize("c", [-1.0, 0.0, np.nan, np.inf, 1e308])
-    def test_scaled_rejects_a_bad_scale(self, c):
-        with pytest.raises(ValueError, match="finite and strictly positive"):
-            metric(1, 3, None, (11, 1, 11)).scaled(c)
-
     def test_frame_metric_positive(self, rng):
         m = metric(2, 5, 3, random_x(rng, 4))
         assert np.all(m.g > 0)
@@ -174,7 +168,7 @@ class TestRiemann:
             # diagonal in the frame, constant over each class: this is what
             # reduces the Einstein condition to one equation per class
             npt.assert_allclose(ric - np.diag(np.diag(ric)), 0.0, atol=1e-10)
-            sigma = np.diag(ric) / m.weights
+            sigma = np.diag(ric) / se.frame_weights(sc)
             for c in range(sc.num_classes):
                 vals = sigma[sc.class_of == c]
                 assert np.ptp(vals) < 1e-10
@@ -362,8 +356,7 @@ class TestNonzeroEngine:
         X = (3 * n + 2) / (n - 2)
         I1_formula = (2 * n * n + 3 * n + 2) * (n - 1) * (3 * n + 4) / (n * (5 * n + 6))
         sc = sc_for(1, n)
-        assert se.invariant_I1(metric(1, n, None, (X, 1.0, X)), sc) == pytest.approx(
-            I1_formula, rel=1e-8)
+        assert se.invariant_I1(sc, (X, 1.0, X)) == pytest.approx(I1_formula, rel=1e-8)
 
 
 class TestEinsteinResidual:
@@ -375,58 +368,61 @@ class TestEinsteinResidual:
         npt.assert_allclose(ric, (n / 8.0) * np.diag(m.g), atol=1e-10)
 
     def test_second_family_n4(self):
-        residual, lam = se.einstein_residual(metric(1, 4, None, (7, 1, 7)), sc_for(1, 4))
+        residual, lam = se.einstein_residual(sc_for(1, 4), (7, 1, 7))
         assert residual < 1e-10
         assert lam == pytest.approx(13 / 98, rel=1e-12)
 
     def test_second_family_n3(self):
-        residual, lam = se.einstein_residual(metric(1, 3, None, (11, 1, 11)), sc_for(1, 3))
+        residual, lam = se.einstein_residual(sc_for(1, 3), (11, 1, 11))
         assert residual < 1e-10
         assert lam == pytest.approx(63 / 968, rel=1e-12)
 
     def test_generic_point_not_einstein(self):
-        residual, _ = se.einstein_residual(metric(1, 3, None, (1, 2, 1)), sc_for(1, 3))
+        residual, _ = se.einstein_residual(sc_for(1, 3), (1, 2, 1))
         assert residual > 1e-3
 
     def test_nonfinite_curvature_is_a_value_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="curvature is not representable"):
-                se.einstein_residual(metric(1, 3, None, (1e-200, 1.0, 1e-200)), sc_for(1, 3))
+                se.einstein_residual(sc_for(1, 3), (1e-200, 1.0, 1e-200))
 
 
 class TestInvariantI1:
     def test_biinvariant_n5(self):
-        assert se.invariant_I1(metric(1, 5, None, (1, 1, 1)), sc_for(1, 5)) \
+        assert se.invariant_I1(sc_for(1, 5), (1, 1, 1)) \
             == pytest.approx(24.0, rel=1e-10)
 
     def test_second_family_values(self):
-        assert se.invariant_I1(metric(1, 3, None, (11, 1, 11)), sc_for(1, 3)) \
+        assert se.invariant_I1(sc_for(1, 3), (11, 1, 11)) \
             == pytest.approx(754 / 63, rel=1e-10)
-        assert se.invariant_I1(metric(1, 4, None, (7, 1, 7)), sc_for(1, 4)) \
+        assert se.invariant_I1(sc_for(1, 4), (7, 1, 7)) \
             == pytest.approx(276 / 13, rel=1e-10)
 
     def test_undefined_off_shell(self):
         with pytest.raises(ValueError, match="not Einstein"):
-            se.invariant_I1(metric(1, 3, None, (1, 2, 1)), sc_for(1, 3))
+            se.invariant_I1(sc_for(1, 3), (1, 2, 1))
 
     def test_negative_lambda_is_not_einstein(self):
         # the residual is within tol, but lambda = -8: no Einstein metric, no I1
         with pytest.raises(ValueError, match="not Einstein"):
-            se.invariant_I1(metric(1, 2, None, (1.0, 1.0, 100.0)), sc_for(1, 2), tol=1e9)
+            se.invariant_I1(sc_for(1, 2), (1.0, 1.0, 100.0), tol=1e9)
 
     def test_negative_scale_is_a_value_error(self):
-        m = metric(1, 4, None, (7, 1, 7))
-        negative = se.MetricSpec(x=tuple(-v for v in m.x), weights=m.weights, g=-m.g)
         with pytest.raises(ValueError, match="finite and strictly positive"):
-            se.invariant_I1(negative, sc_for(1, 4))
+            se.invariant_I1(sc_for(1, 4), (-7.0, -1.0, -7.0))
+        # c x for a scale c that is not positive, or overflows: 1e308 is
+        # finite and > 0, but 11 c is not finite
+        for c in (-1.0, 0.0, np.nan, np.inf, 1e308):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                se.invariant_I1(sc_for(1, 3), (11 * c, c, 11 * c))
 
     def test_lambda_underflow_is_a_value_error(self):
         # lambda ~ 6.5e-302, so lambda^2 would underflow to 0 at this scale;
         # the verdict's exact rescaling gives the I1 of (11, 1, 11)
         sc = sc_for(1, 3)
-        base = se.invariant_I1(metric(1, 3, None, (11, 1, 11)), sc)
-        assert se.invariant_I1(metric(1, 3, None, (11e300, 1e300, 11e300)), sc) \
+        base = se.invariant_I1(sc, (11, 1, 11))
+        assert se.invariant_I1(sc, (11e300, 1e300, 11e300)) \
             == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e150])
@@ -434,14 +430,14 @@ class TestInvariantI1:
         # |Riem|^2 would overflow to inf at 1e-160 and underflow to 0 at 1e150;
         # the verdict's exact rescaling gives the I1 of (11, 1, 11)
         sc = sc_for(1, 3)
-        base = se.invariant_I1(metric(1, 3, None, (11, 1, 11)), sc)
-        m = metric(1, 3, None, (11 * scale, scale, 11 * scale))
-        assert se.invariant_I1(m, sc) == pytest.approx(base, rel=1e-12)
+        base = se.invariant_I1(sc, (11, 1, 11))
+        assert se.invariant_I1(sc, (11 * scale, scale, 11 * scale)) \
+            == pytest.approx(base, rel=1e-12)
 
     def test_riem_norm_scaling(self):
         sc = sc_for(1, 3)
         m = metric(1, 3, None, (1.0, 1.0, 1.0))
-        m2 = m.scaled(2.0)
+        m2 = metric(1, 3, None, (2.0, 2.0, 2.0))
         r1 = se.riem_norm_sq(se.riemann(se.levi_civita(sc, m), sc), m)
         r2 = se.riem_norm_sq(se.riemann(se.levi_civita(sc, m2), sc), m2)
         assert r2 == pytest.approx(r1 / 4.0, rel=1e-12)
@@ -450,9 +446,8 @@ class TestInvariantI1:
     @given(c=st.floats(min_value=0.1, max_value=10.0, allow_nan=False))
     def test_scale_invariance(self, c):
         sc = sc_for(1, 3)
-        m = metric(1, 3, None, (11, 1, 11))
-        base = se.invariant_I1(m, sc)
-        scaled = se.invariant_I1(m.scaled(c), sc)
+        base = se.invariant_I1(sc, (11, 1, 11))
+        scaled = se.invariant_I1(sc, (11 * c, c, 11 * c))
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
@@ -489,10 +484,9 @@ class TestEinsteinVerdict:
         sc = sc_for(scheme, n, p)
         for e in (0, 500, -500, 1000, -1000):
             scaled = tuple(np.ldexp(t, e) for t in x)
-            m = se.MetricSpec.from_x(sc, scaled)
             residual, lam, I1 = se.einstein_verdict(sc, scaled)
-            assert se.einstein_residual(m, sc) == (residual, lam)
-            assert se.invariant_I1(m, sc) == I1
+            assert se.einstein_residual(sc, scaled) == (residual, lam)
+            assert se.invariant_I1(sc, scaled) == I1
 
     def test_lambda_beyond_the_float_range_is_a_value_error(self):
         # lambda at the unit scale is finite; scaled back by 2^996 it overflows
@@ -551,7 +545,7 @@ class TestEngineMatchesEquationSystems:
         sc = sc_for(1, n)
         for _ in range(10):
             x = random_x(rng, 3)
-            sigma = se.class_ricci_eigenvalues(sc, metric(1, n, None, x))
+            sigma = se.class_ricci_eigenvalues(sc, x)
             npt.assert_allclose(sigma, scheme1_lhs(n, *x), atol=1e-9)
 
     @pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (5, 3), (6, 2)])
@@ -559,23 +553,24 @@ class TestEngineMatchesEquationSystems:
         sc = sc_for(2, n, p)
         for _ in range(10):
             x = random_x(rng, 4)
-            sigma = se.class_ricci_eigenvalues(sc, metric(2, n, p, x))
+            sigma = se.class_ricci_eigenvalues(sc, x)
             npt.assert_allclose(sigma, scheme2_lhs(n, p, *x), atol=1e-9)
 
     @pytest.mark.parametrize("scheme,n,p", [(1, n, None) for n in range(2, 9)]
                              + [(2, n, p) for n in range(2, 7) for p in range(n + 1)])
     def test_class_means_of_the_full_ricci(self, scheme, n, p, rng):
         sc = sc_for(scheme, n, p)
-        m = metric(scheme, n, p, random_x(rng, sc.num_classes))
-        sigma = np.diag(ricci_fast(se.levi_civita(sc, m), sc)) / m.weights
+        x = random_x(rng, sc.num_classes)
+        ric = ricci_fast(se.levi_civita(sc, metric(scheme, n, p, x)), sc)
+        sigma = np.diag(ric) / se.frame_weights(sc)
         means = np.array([sigma[sc.class_of == c].mean() if np.any(sc.class_of == c)
                           else np.nan for c in range(sc.num_classes)])
-        npt.assert_allclose(se.class_ricci_eigenvalues(sc, m), means,
+        npt.assert_allclose(se.class_ricci_eigenvalues(sc, x), means,
                             rtol=1e-13, atol=0, equal_nan=True)
 
     def test_einstein_iff_sigma_equals_lambda_x(self):
         sc = sc_for(1, 4)
-        m = metric(1, 4, None, (7, 1, 7))
-        sigma = se.class_ricci_eigenvalues(sc, m)
-        _, lam = se.einstein_residual(m, sc)
-        npt.assert_allclose(sigma, lam * np.array(m.x), atol=1e-12)
+        x = (7.0, 1.0, 7.0)
+        sigma = se.class_ricci_eigenvalues(sc, x)
+        _, lam = se.einstein_residual(sc, x)
+        npt.assert_allclose(sigma, lam * np.array(x), atol=1e-12)

@@ -55,7 +55,7 @@ class TestJacobians:
                                             (2, 4, 2), (2, 5, 3), (2, 5, 4), (2, 7, 1),
                                             (2, 2, 1), (2, 6, 3)])
     def test_matches_finite_differences(self, scheme, n, p, rng):
-        system = se.einstein_system(scheme, n, p)
+        system = se.EinsteinSystem(scheme, n, p)
         for _ in range(10):
             v = np.exp(rng.uniform(-1, 1, system.size))
             J = system.jacobian(v)
@@ -68,9 +68,9 @@ class TestJacobians:
             npt.assert_allclose(J, Jfd, atol=5e-6)
 
     def test_phantom_unknowns_dropped_at_q1(self):
-        system = se.einstein_system(2, 5, 4)
+        system = se.EinsteinSystem(2, 5, 4)
         assert system.unknowns == ("x1", "x4", "lambda")
-        system = se.einstein_system(2, 5, 1)
+        system = se.EinsteinSystem(2, 5, 1)
         assert system.unknowns == ("x2", "x4", "lambda")
 
 
@@ -85,7 +85,7 @@ def nonempty_classes(n, p):
 class TestClassLayout:
     @pytest.mark.parametrize("n,p", SPLITS)
     def test_equations_and_unknowns_are_the_classes(self, n, p, rng):
-        system = se.einstein_system(2, n, p)
+        system = se.EinsteinSystem(2, n, p)
         rows = nonempty_classes(n, p)
         free = [c for c in rows if c != 2]
         assert system.unknowns == tuple(f"x{c + 1}" for c in free) + ("lambda",)
@@ -96,39 +96,41 @@ class TestClassLayout:
         npt.assert_array_equal(system.residual(v),
                                se.scheme2_system(n, p, *x, lam)[rows])
 
+    # named for the pair of methods that full_x replaced, so the ids stay stable
     @pytest.mark.parametrize("n,p", SPLITS)
     def test_unknowns_at_inverts_full_x_lambda(self, n, p, rng):
-        system = se.einstein_system(2, n, p)
-        x = tuple(np.exp(rng.uniform(-1, 1, 4)))
-        full, lam = system.full_x_lambda(system.unknowns_at(x, 0.7))
-        expected = [1.0] * 4
-        for c in nonempty_classes(n, p):
-            if c != 2:
-                expected[c] = x[c]
-        assert full == tuple(expected)
-        assert lam == 0.7
+        system = se.EinsteinSystem(2, n, p)
+        free = [c for c in nonempty_classes(n, p) if c != 2]
+        v = np.exp(rng.uniform(-1, 1, (5, system.size)))
+        expected = np.ones((5, 4))
+        expected[:, free] = v[:, :-1]
+        full = system.full_x(v)
+        assert full.shape == (5, 4) and full.tobytes() == expected.tobytes()
+        single = system.full_x(v[0])
+        assert single.shape == (4,) and single.tobytes() == expected[0].tobytes()
 
     @pytest.mark.parametrize("n,p", SPLITS)
     def test_biinvariant_point_is_a_root(self, n, p):
-        system = se.einstein_system(2, n, p)
-        v = system.unknowns_at((1.0, 1.0, 1.0, 2.0 / (p * (n - p) * n)), n / 8.0)
+        system = se.EinsteinSystem(2, n, p)
+        x = (1.0, 1.0, 1.0, 2.0 / (p * (n - p) * n))
+        v = [x[c] for c in nonempty_classes(n, p) if c != 2] + [n / 8.0]
         assert np.abs(system.residual(v)).max() <= 1e-15
 
 
 class TestNewton:
     def test_converges_to_biinvariant(self):
-        system = se.einstein_system(1, 3)
+        system = se.EinsteinSystem(1, 3)
         v = se.newton_solve(system, np.array([1.1, 0.9, 0.4]))
         npt.assert_allclose(v, [1.0, 1.0, 3 / 8], atol=1e-9)
 
     def test_converges_to_second_family(self):
-        system = se.einstein_system(1, 3)
+        system = se.EinsteinSystem(1, 3)
         v = se.newton_solve(system, np.array([10.0, 10.0, 0.1]))
         npt.assert_allclose(v[:2], [11.0, 11.0], atol=1e-8)
         npt.assert_allclose(v[2], 63 / 968, atol=1e-10)
 
     def test_rejects_nonpositive_start(self):
-        system = se.einstein_system(1, 3)
+        system = se.EinsteinSystem(1, 3)
         with pytest.raises(ValueError):
             se.newton_solve(system, np.array([1.0, 0.0, 0.4]))
         for bad in (np.nan, np.inf, -np.inf):
@@ -138,7 +140,7 @@ class TestNewton:
 
     def test_failure_returns_none_or_root(self):
         # extremely unbalanced start: must either fail cleanly or truly converge
-        system = se.einstein_system(1, 4)
+        system = se.EinsteinSystem(1, 4)
         v = se.newton_solve(system, np.array([1e-2, 1e2, 1e-2]), max_iter=50)
         if v is not None:
             assert np.abs(system.residual(v)).max() < 1e-12
@@ -156,7 +158,7 @@ def log_uniform_starts(system, count, seed):
 class TestBatchedNewton:
     @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (2, 5, 3), (2, 7, 1)])
     def test_residual_and_jacobian_broadcast(self, scheme, n, p, rng):
-        system = se.einstein_system(scheme, n, p)
+        system = se.EinsteinSystem(scheme, n, p)
         V = np.exp(rng.uniform(-1, 1, (7, system.size)))
         R, J = system.residual(V), system.jacobian(V)
         assert R.shape == (7, system.size) and J.shape == (7, system.size, system.size)
@@ -167,7 +169,7 @@ class TestBatchedNewton:
     @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 4, None), (1, 6, None),
                                             (2, 4, 2), (2, 5, 3), (2, 6, 5)])
     def test_each_start_as_if_alone(self, scheme, n, p):
-        system = se.einstein_system(scheme, n, p)
+        system = se.EinsteinSystem(scheme, n, p)
         starts = log_uniform_starts(system, 200, seed=n)
         roots, outcomes = se.newton_solve(system, starts)
         assert roots.shape == starts.shape and outcomes.shape == (200,)
@@ -180,7 +182,7 @@ class TestBatchedNewton:
             assert np.isnan(root).all() == (outcome != "converged")
 
     def test_single_start_is_the_batch_of_one(self):
-        system = se.einstein_system(2, 5, 2)
+        system = se.EinsteinSystem(2, 5, 2)
         starts = log_uniform_starts(system, 30, seed=8)
         roots, outcomes = se.newton_solve(system, starts)
         for start, root, outcome in zip(starts, roots, outcomes):
@@ -191,7 +193,7 @@ class TestBatchedNewton:
                 assert v is None
 
     def test_singular_start_fails_only_itself(self):
-        system = se.einstein_system(2, 5, 3)
+        system = se.EinsteinSystem(2, 5, 3)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(system.jacobian(SINGULAR_5_3), -system.residual(SINGULAR_5_3))
         good = log_uniform_starts(system, 12, seed=3)
@@ -204,7 +206,7 @@ class TestBatchedNewton:
         assert se.newton_solve(system, SINGULAR_5_3) is None
 
     def test_rejects_bad_shapes(self):
-        system = se.einstein_system(1, 3)
+        system = se.EinsteinSystem(1, 3)
         for bad in (np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3))):
             with pytest.raises(ValueError):
                 se.newton_solve(system, bad)
@@ -212,7 +214,7 @@ class TestBatchedNewton:
             se.newton_solve(system, np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]]))
 
     def test_empty_batch(self):
-        roots, outcomes = se.newton_solve(se.einstein_system(1, 3), np.ones((0, 3)))
+        roots, outcomes = se.newton_solve(se.EinsteinSystem(1, 3), np.ones((0, 3)))
         assert roots.shape == (0, 3) and outcomes.shape == (0,)
 
 
@@ -303,7 +305,7 @@ class TestLineSearch:
     @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (1, 5, None), (2, 4, 2),
                                             (2, 5, 2), (2, 6, 3), (2, 7, 1)])
     def test_matches_the_blockwise_scan_bit_for_bit(self, scheme, n, p):
-        system = se.einstein_system(scheme, n, p)
+        system = se.EinsteinSystem(scheme, n, p)
         starts = log_uniform_starts(system, 400, seed=0)
         roots, outcomes = se.newton_solve(system, starts)
         ref_roots, ref_outcomes = reference_newton(system, starts)
@@ -313,7 +315,7 @@ class TestLineSearch:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), which=st.sampled_from(LINE_SEARCH_SYSTEMS))
     def test_pick_is_the_first_positive_accepted_halving(self, data, which):
-        system = se.einstein_system(*which)
+        system = se.EinsteinSystem(*which)
         batch = data.draw(st.integers(1, 6))
         k = system.size
         exponent = st.floats(-3.0, 3.0)
@@ -336,7 +338,7 @@ class TestLineSearch:
            ulps=st.integers(-3, 3), x=st.floats(0.5, 2.0), reject=st.booleans())
     def test_bound_at_a_power_of_two(self, which, e, ulps, x, reject):
         # one component's bound is 2^-e, moved by a few ulps of the step
-        system = se.einstein_system(*which)
+        system = se.EinsteinSystem(*which)
         v = np.full((1, system.size), x)
         step = np.full((1, system.size), 0.5)
         step[0, 0] = -x * 2.0**e
@@ -346,7 +348,7 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("which", LINE_SEARCH_SYSTEMS)
     def test_adversarial_bounds(self, which):
-        system = se.einstein_system(*which)
+        system = se.EinsteinSystem(*which)
         k = system.size
         ones = np.ones(k)
         cases = [  # (v[0], step[0], the bound or None)
@@ -374,7 +376,7 @@ class TestLineSearch:
         assert list(pick[:6]) == [3, -1, -1, -1, 59, 0]  # the subnormal case: brute force above
 
     def test_one_residual_call_unless_a_start_is_rejected(self, monkeypatch):
-        system = se.einstein_system(1, 4)
+        system = se.EinsteinSystem(1, 4)
         calls = []
         residual = system.residual
         monkeypatch.setattr(system, "residual", lambda v: calls.append(len(v)) or residual(v))
@@ -393,7 +395,7 @@ class TestLineSearch:
     def test_no_forced_step_off_the_root(self):
         # every trial near v = 1 has a residual far above 1e-6: off the root no
         # halving is accepted, while a start below NEWTON_TOL takes 2^-27 <= 1e-8
-        system = se.einstein_system(1, 4)
+        system = se.EinsteinSystem(1, 4)
         tol = solver.NEWTON_TOL
         rnorm = np.array([1e-6, 2 * tol, tol, tol / 2, 0.0])
         v, step = np.ones((len(rnorm), 3)), np.full((len(rnorm), 3), 0.5)
@@ -403,7 +405,7 @@ class TestLineSearch:
     def test_start_off_the_root_ends_instead_of_crawling(self, monkeypatch):
         # scheme 1 at n = 5: two seed-0 starts have no acceptable step off the
         # root; with forced steps they crawled through all 200 iterations
-        system = se.einstein_system(1, 5)
+        system = se.EinsteinSystem(1, 5)
         calls = []
         jacobian = system.jacobian
         monkeypatch.setattr(system, "jacobian", lambda v: calls.append(len(v)) or jacobian(v))
@@ -413,7 +415,7 @@ class TestLineSearch:
         assert len(calls) <= 60
 
     def test_one_residual_call_per_accepting_iteration(self, monkeypatch):
-        system = se.einstein_system(1, 4)
+        system = se.EinsteinSystem(1, 4)
         calls = {"residual": 0, "jacobian": 0}
         for name in calls:
             def counted(v, _method=getattr(system, name), _name=name):
@@ -435,8 +437,8 @@ def test_record_computes_ricci_once(monkeypatch):
     original = se.curvature.ricci_fast
     monkeypatch.setattr(se.curvature, "ricci_fast",
                         lambda *args: calls.append(1) or original(*args))
-    system = se.einstein_system(1, 4)
-    rec = system.record(np.array([7.0, 7.0, 13 / 98]))
+    system = se.EinsteinSystem(1, 4)
+    rec = system.record((7.0, 1.0, 7.0), 13 / 98)
     assert rec.valid and rec.I1 == pytest.approx(276 / 13, rel=1e-10)
     assert len(calls) == 1
 
@@ -499,6 +501,15 @@ class TestClosedFormScheme2:
             assert rec.lam == pytest.approx((p + 1) / 8, rel=1e-10)
         assert len(dedup_records(recs)) == 1
 
+    @pytest.mark.parametrize("n,p", [(n, p) for n in range(3, 9) for p in (1, n - 1)])
+    def test_empty_block_constant_is_one(self, n, p):
+        # the branches give x1 = 1/(n-1) at p = 1 and x2 = 1/(n-1) at p = n-1, a
+        # constant that multiplies nothing; the records report it as 1
+        empty = 0 if p == 1 else 1
+        for rec in se.closed_form_scheme2(n, p):
+            assert rec.x[empty] == 1.0, rec
+        assert len(solve_configuration(2, n, p, n_starts=0).records) == 1
+
     def test_sol1_values(self):
         rec = se.closed_form_scheme2(5, 3)[0]
         npt.assert_allclose(rec.x, (1, 1, 1, 2 / 30), atol=1e-14)
@@ -546,23 +557,23 @@ class TestClosedFormScheme2:
 
 class TestMultistart:
     def test_scheme1_n3_exactly_two(self):
-        ms = se.multistart_search(se.einstein_system(1, 3), n_starts=200, seed=11)
+        ms = se.multistart_search(se.EinsteinSystem(1, 3), n_starts=200, seed=11)
         assert len(ms.records) == 2
         assert ms.records[0].I1 == pytest.approx(8.0, rel=1e-8)
         assert ms.records[1].I1 == pytest.approx(754 / 63, rel=1e-8)
 
     def test_scheme2_n5_p3_exactly_three(self):
-        ms = se.multistart_search(se.einstein_system(2, 5, 3), n_starts=400, seed=7)
+        ms = se.multistart_search(se.EinsteinSystem(2, 5, 3), n_starts=400, seed=7)
         assert len(ms.records) == 3
 
     def test_scheme2_q1_exactly_one(self):
-        ms = se.multistart_search(se.einstein_system(2, 5, 4), n_starts=400, seed=7)
+        ms = se.multistart_search(se.EinsteinSystem(2, 5, 4), n_starts=400, seed=7)
         assert len(ms.records) == 1
         assert ms.records[0].I1 == pytest.approx(24.0, rel=1e-8)
 
     def test_determinism(self):
-        a = se.multistart_search(se.einstein_system(2, 5, 3), n_starts=120, seed=3)
-        b = se.multistart_search(se.einstein_system(2, 5, 3), n_starts=120, seed=3)
+        a = se.multistart_search(se.EinsteinSystem(2, 5, 3), n_starts=120, seed=3)
+        b = se.multistart_search(se.EinsteinSystem(2, 5, 3), n_starts=120, seed=3)
         assert [r.x for r in a.records] == [r.x for r in b.records]
         assert [r.I1 for r in a.records] == [r.I1 for r in b.records]
         assert a.diagnostics == b.diagnostics
@@ -573,8 +584,8 @@ class TestMultistart:
         npt.assert_array_equal(np.random.default_rng(17).uniform(-2.0, 2.0, (50, 4)), one_by_one)
 
     def test_newton_outcomes_sum_to_starts(self):
-        a = se.multistart_search(se.einstein_system(1, 4), n_starts=150, seed=4)
-        b = se.multistart_search(se.einstein_system(1, 4), n_starts=150, seed=4)
+        a = se.multistart_search(se.EinsteinSystem(1, 4), n_starts=150, seed=4)
+        b = se.multistart_search(se.EinsteinSystem(1, 4), n_starts=150, seed=4)
         counts = a.diagnostics["newton_outcomes"]
         assert set(counts) == set(NEWTON_OUTCOMES)
         assert sum(counts.values()) == a.diagnostics["starts"] == 150
@@ -583,13 +594,13 @@ class TestMultistart:
         assert counts == b.diagnostics["newton_outcomes"]
 
     def test_zero_and_negative_starts(self):
-        ms = se.multistart_search(se.einstein_system(1, 3), n_starts=0)
+        ms = se.multistart_search(se.EinsteinSystem(1, 3), n_starts=0)
         assert ms.records == [] and sum(ms.diagnostics["newton_outcomes"].values()) == 0
         with pytest.raises(ValueError):
-            se.multistart_search(se.einstein_system(1, 3), n_starts=-1)
+            se.multistart_search(se.EinsteinSystem(1, 3), n_starts=-1)
 
     def test_records_sorted_and_valid(self):
-        ms = se.multistart_search(se.einstein_system(1, 4), n_starts=200, seed=5)
+        ms = se.multistart_search(se.EinsteinSystem(1, 4), n_starts=200, seed=5)
         i1s = [r.I1 for r in ms.records]
         assert i1s == sorted(i1s)
         assert all(r.valid and r.residual < 1e-8 for r in ms.records)
@@ -597,14 +608,14 @@ class TestMultistart:
     def test_engine_rejected_root_is_kept_for_matching(self):
         # every root fails a tolerance below its residual: each metric is
         # validated once, and its copies are counted as duplicates
-        a = se.multistart_search(se.einstein_system(1, 3), n_starts=200, seed=11)
-        b = se.multistart_search(se.einstein_system(1, 3), n_starts=200, seed=11,
+        a = se.multistart_search(se.EinsteinSystem(1, 3), n_starts=200, seed=11)
+        b = se.multistart_search(se.EinsteinSystem(1, 3), n_starts=200, seed=11,
                                  engine_tol=1e-300)
         assert b.records == [] and b.diagnostics["engine_rejected"] == len(a.records) == 2
         assert b.diagnostics["duplicates"] == a.diagnostics["duplicates"]
 
     def test_boundary_roots_counted_not_returned(self):
-        ms = se.multistart_search(se.einstein_system(1, 5), n_starts=300, seed=2)
+        ms = se.multistart_search(se.EinsteinSystem(1, 5), n_starts=300, seed=2)
         assert ms.diagnostics["boundary_discarded"] > 0
         assert all(min(r.x) > 1e-4 for r in ms.records)
 
@@ -627,7 +638,7 @@ class TestMultistart:
             closed = (se.closed_form_scheme1(n) if system.scheme == 1
                       else se.closed_form_scheme2(n, system.p))
             for v in roots[roots.min(axis=1) >= solver.BOUNDARY_FLOOR]:
-                x, _ = system.full_x_lambda(v)
+                x = system.full_x(v)
                 assert any(max(abs(s - t) for s, t in zip(x, c.x))
                            <= solver.DEDUP_RTOL / 10 * max(1.0, *c.x)
                            for c in closed if c.valid), (system.scheme, n, system.p, x)
