@@ -436,9 +436,13 @@ def einstein_verdict(sc: StructureConstants, x,
     The metric is Einstein iff residual <= tol and lambda > 0 (every Einstein
     metric of compact non-abelian SU(n) has lambda > 0); I1 is then
     |Riem|^2 / lambda^2, and None otherwise.  All three are scale-free: they
-    are read off ``_unit_fit``.  Raises ValueError where ``_unit_fit`` does,
-    and when the I1 of an Einstein metric is not a finite positive number.
+    are read off ``_unit_fit``.  Raises ValueError unless tol is finite and
+    > 0 (a nan, zero or negative tol would decide every verdict), where
+    ``_unit_fit`` does, and when the I1 of an Einstein metric is not a finite
+    positive number.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and strictly positive (got {tol})")
     fit, lam = _unit_fit(sc, x)
     residual = fit.residual
     if not (residual <= tol and lam > 0):

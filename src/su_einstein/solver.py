@@ -26,6 +26,7 @@ carries an audit note comparing both (see ``printed_branch_x4_lambda``).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -438,19 +439,28 @@ class MultistartResult:
     diagnostics: dict
 
 
-def _distinct_roots(system: EinsteinSystem, n_starts: int, seed: int, engine_tol: float,
-                    closed: list[EinsteinRecord]):
-    """The seeded multistart of ``system``, each metric kept once, in one pass.
+def multistart_search(system: EinsteinSystem, n_starts: int = 400, seed: int = 0,
+                      engine_tol: float = DEFAULT_EINSTEIN_TOL,
+                      closed: Sequence[EinsteinRecord] = ()) -> MultistartResult:
+    """Seeded multistart Newton search of ``system``, each metric kept once, in one pass.
 
-    Converged roots with a component under BOUNDARY_FLOOR are discarded.  The
-    rest are taken in start order and matched (``_near`` on the full x)
+    Starts are log-uniform in [1e-2, 1e2] per unknown and are iterated as one
+    batch.  Converged roots with a component under BOUNDARY_FLOOR are
+    degenerate limits of the system and are discarded (counted in
+    ``boundary_discarded``); the heuristic search makes no completeness claim.
+    The rest are taken in start order and matched (``_near`` on the full x)
     against the metrics kept so far, the valid ``closed`` records first: a
     root that matches is counted in ``duplicates``, and only a root that
-    matches nothing is validated by the engine.  A root the engine rejects
-    stays kept, so its copies are counted, not validated again.
+    matches nothing is validated by the engine and annotated with I1.  A root
+    the engine rejects stays kept, so its copies are counted, not validated
+    again.
 
-    Returns (the kept valid records sorted by (I1, x), the diagnostics, the
-    provenances of the valid closed records that no root matched).
+    Returns the kept valid records, the closed ones included, sorted by
+    (I1, x); identical seeds give identical record lists.  In the
+    diagnostics, ``newton_outcomes`` counts each start's Newton outcome
+    (NEWTON_OUTCOMES), and the counts sum to ``starts``; ``search_missed``
+    lists the valid closed records that no root matched, and
+    ``invalid_closed_forms`` the closed records the engine rejected.
     """
     if n_starts < 0:
         raise ValueError(f"n_starts must be >= 0, got {n_starts}")
@@ -464,7 +474,6 @@ def _distinct_roots(system: EinsteinSystem, n_starts: int, seed: int, engine_tol
     xs = system.full_x(roots)
 
     records = dedup_records(closed)
-    missed = [rec.provenance for rec in closed if rec.valid and not _near(xs, rec.x).any()]
     new = np.ones(len(roots), dtype=bool)  # matches no kept metric
     for rec in records:
         new &= ~_near(xs, rec.x)
@@ -483,25 +492,10 @@ def _distinct_roots(system: EinsteinSystem, n_starts: int, seed: int, engine_tol
             "failed": n_starts - tally["converged"],
             "boundary_discarded": int(np.count_nonzero(~inside)),
             "engine_rejected": rejected, "duplicates": len(roots) - validated,
-            "newton_outcomes": tally}
-    return records, diag, missed
-
-
-def multistart_search(system: EinsteinSystem, n_starts: int = 400, seed: int = 0,
-                      engine_tol: float = DEFAULT_EINSTEIN_TOL) -> MultistartResult:
-    """Seeded multistart Newton search, deduplicated and engine-validated.
-
-    Starts are log-uniform in [1e-2, 1e2] per unknown and are iterated as one
-    batch.  Converged roots with a component under BOUNDARY_FLOOR are
-    degenerate limits of the system and are discarded (counted in the
-    diagnostics); the heuristic search makes no completeness claim.  Each
-    metric is kept once, as its first root in start order (``_distinct_roots``),
-    and annotated with I1 by the curvature engine.
-    ``diagnostics["newton_outcomes"]`` counts each start's Newton outcome
-    (NEWTON_OUTCOMES); the counts sum to ``starts``.  Output is sorted by
-    (I1, x); identical seeds give identical record lists.
-    """
-    records, diag, _ = _distinct_roots(system, n_starts, seed, engine_tol, [])
+            "newton_outcomes": tally,
+            "search_missed": [rec.provenance for rec in closed
+                              if rec.valid and not _near(xs, rec.x).any()],
+            "invalid_closed_forms": [rec.provenance for rec in closed if not rec.valid]}
     return MultistartResult(records=records, diagnostics=diag)
 
 
@@ -615,17 +609,15 @@ def solve_configuration(scheme: int, n: int, p: int | None = None,
     """Closed forms plus multistart for one (scheme, n, p), each metric once.
 
     The closed-form records are always included and come first: a root of
-    the multistart that matches one is counted in ``duplicates`` and is not
-    validated again.  The multistart is the audit that there are no further
-    isolated solutions within reach of the seeded search; the diagnostics
-    flag ``search_missed`` lists the closed-form records that no root matched.
+    the multistart (``multistart_search`` with ``closed``) that matches one
+    is counted in ``duplicates`` and is not validated again.  The multistart
+    is the audit that there are no further isolated solutions within reach of
+    the seeded search; the diagnostics flag ``search_missed`` lists the
+    closed-form records that no root matched.
     """
     system = EinsteinSystem(scheme, n, p)
     if scheme == 1:
         closed = closed_form_scheme1(n, engine_tol=engine_tol)
     else:
         closed = closed_form_scheme2(n, p, engine_tol=engine_tol)
-    records, diagnostics, missed = _distinct_roots(system, n_starts, seed, engine_tol, closed)
-    diagnostics["search_missed"] = missed
-    diagnostics["invalid_closed_forms"] = [r.provenance for r in closed if not r.valid]
-    return MultistartResult(records=records, diagnostics=diagnostics)
+    return multistart_search(system, n_starts, seed, engine_tol, closed)

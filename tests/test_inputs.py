@@ -2,8 +2,9 @@
 
 ``liealg.class_sizes`` checks a basis configuration (scheme, n, p),
 ``solver.EinsteinSystem`` adds the solving rule 1 <= p <= n-1 for scheme 2,
-and ``curvature.einstein_verdict`` checks the metric constants x.  Every
-other function and the command line reach these checks and add none.
+and ``curvature.einstein_verdict`` checks the metric constants x and the
+tolerance.  Every other function and the command line reach these checks and
+add none; the command line keeps its own ``--tol`` message.
 """
 
 import json
@@ -95,6 +96,24 @@ def test_verdict_quotes_the_callers_x(x, quoted):
     with pytest.raises(ValueError, match="finite and strictly positive") as info:
         curvature.einstein_verdict(sc_for(1, 4), x)
     assert quoted in str(info.value) and "0.875" not in str(info.value)
+
+
+TOL_CALLS = {
+    "einstein_verdict": lambda tol: curvature.einstein_verdict(sc_for(1, 4), (7.0, 1.0, 7.0), tol),
+    "invariant_I1": lambda tol: curvature.invariant_I1(sc_for(1, 4), (7.0, 1.0, 7.0), tol),
+    "record": lambda tol: solver.EinsteinSystem(1, 4).record((7.0, 1.0, 7.0), 13 / 98,
+                                                             engine_tol=tol),
+    "solve_configuration": lambda tol: solver.solve_configuration(1, 4, n_starts=0,
+                                                                  engine_tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", TOL_CALLS)
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_bad_tol_raises_instead_of_deciding_the_verdict(name, tol):
+    # (7, 1, 7) at n = 4 is Einstein; a bad tol must not turn it into NOT EINSTEIN
+    with pytest.raises(ValueError, match="tol must be finite and strictly positive"):
+        TOL_CALLS[name](tol)
 
 
 def test_validate_basis_reports_a_bad_configuration_without_raising():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su_einstein as se
-from su_einstein import solver
+from su_einstein import cli, solver
 from su_einstein.solver import (
     NEWTON_OUTCOMES,
     branch_x1,
@@ -642,6 +642,46 @@ class TestMultistart:
                 assert any(max(abs(s - t) for s, t in zip(x, c.x))
                            <= solver.DEDUP_RTOL / 10 * max(1.0, *c.x)
                            for c in closed if c.valid), (system.scheme, n, system.p, x)
+
+
+SEARCH_DIAGNOSTICS = {"starts", "converged", "failed", "boundary_discarded", "engine_rejected",
+                      "duplicates", "newton_outcomes", "search_missed", "invalid_closed_forms"}
+CONFIGURATIONS = [(1, n, None) for n in range(3, 7)] + [
+    (2, n, p) for n in range(2, 7) for p in range(1, n)]
+
+
+class TestOneSearch:
+    @pytest.mark.parametrize("scheme,n,p", CONFIGURATIONS)
+    def test_solve_configuration_is_the_search_with_the_closed_forms(self, scheme, n, p):
+        closed = se.closed_form_scheme1(n) if scheme == 1 else se.closed_form_scheme2(n, p)
+        system = se.EinsteinSystem(scheme, n, p)
+        direct = se.multistart_search(system, 60, n, closed=closed)
+        solved = solve_configuration(scheme, n, p, n_starts=60, seed=n)
+        assert [r.as_dict() for r in direct.records] == [r.as_dict() for r in solved.records]
+        assert direct.diagnostics == solved.diagnostics
+        assert set(solved.diagnostics) == SEARCH_DIAGNOSTICS
+
+    def test_search_without_closed_forms_has_the_same_keys(self):
+        ms = se.multistart_search(se.EinsteinSystem(2, 5, 3), n_starts=60, seed=5)
+        assert set(ms.diagnostics) == SEARCH_DIAGNOSTICS
+        assert ms.diagnostics["search_missed"] == ms.diagnostics["invalid_closed_forms"] == []
+
+    def test_solve_and_catalog_reach_the_module_search(self, monkeypatch, capsys):
+        # a wrapper on the module attribute sees every configuration
+        searched = []
+        search = solver.multistart_search
+
+        def counted(system, *args, **kwargs):
+            searched.append((system.scheme, system.n, system.p))
+            return search(system, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "multistart_search", counted)
+        se.enumerate_metrics(5, n_starts=10)
+        assert searched == [(1, 5, None), (2, 5, 2)]
+        searched.clear()
+        assert cli.main(["solve", "--scheme", "2", "--n", "5", "--p", "3", "--starts", "10"]) == 0
+        capsys.readouterr()
+        assert searched == [(2, 5, 3)]
 
 
 class TestSolveConfiguration:
