@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -79,14 +78,13 @@ def frame_weights(sc: StructureConstants) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A class-diagonal metric as the engine primitives take it: the positive
-    constants x, one per generator class, and the induced frame-diagonal
-    metric g_aa = x_class(a) * w_a (``frame_weights``).
+    """A class-diagonal metric as the engine primitives take it: the
+    frame-diagonal metric g_aa = x_class(a) * w_a (``frame_weights``) of the
+    positive class constants x.
 
     The Einstein views take x itself; build this with ``from_x``.
     """
 
-    x: tuple[float, ...]
     g: np.ndarray
 
     def __post_init__(self):
@@ -94,8 +92,7 @@ class MetricSpec:
 
     @classmethod
     def from_x(cls, sc: StructureConstants, x) -> "MetricSpec":
-        x = _checked_x(sc, x)
-        return cls(x=x, g=np.asarray(x)[sc.class_of] * frame_weights(sc))
+        return cls(g=np.asarray(_checked_x(sc, x))[sc.class_of] * frame_weights(sc))
 
 
 def _checked_x(sc: StructureConstants, x) -> tuple[float, ...]:
@@ -333,10 +330,9 @@ class CurvatureBundle:
 
     ``class_ric`` holds the Ricci rows Ric[c, :] of the first generator of each
     nonempty class (``sc.class_rows``), one row per class in class order.
-    ``riem_norm_sq`` is formed on its first read, and only then.
+    |Riem|^2 is ``riemann_norm_sq(gamma, sc, metric)``.
     """
 
-    sc: StructureConstants
     metric: MetricSpec
     gamma: Nonzeros
     class_ric: np.ndarray
@@ -344,13 +340,9 @@ class CurvatureBundle:
     lambda_best: float
     residual: float
 
-    @cached_property
-    def riem_norm_sq(self) -> float:
-        return riemann_norm_sq(self.gamma, self.sc, self.metric)
-
 
 def curvature_bundle(sc: StructureConstants, metric: MetricSpec) -> CurvatureBundle:
-    """Compute connection, Ricci and the Einstein fit for a metric; |Riem|^2 on demand.
+    """Compute connection, Ricci and the Einstein fit for a metric.
 
     Ricci is formed only in the row of the first generator of each class
     (3 rows for scheme 1, at most 4 for scheme 2).  With Ric_cc = r_k g_c on
@@ -397,7 +389,7 @@ def curvature_bundle(sc: StructureConstants, metric: MetricSpec) -> CurvatureBun
     lam = scalar / sc.d
     dev = ric.copy()
     dev[at, first] -= lam * g
-    return CurvatureBundle(sc=sc, metric=metric, gamma=gamma, class_ric=ric, scalar=scalar,
+    return CurvatureBundle(metric=metric, gamma=gamma, class_ric=ric, scalar=scalar,
                            lambda_best=lam, residual=float(np.abs(dev).max()))
 
 
@@ -448,7 +440,7 @@ def einstein_verdict(sc: StructureConstants, x,
     if not (residual <= tol and lam > 0):
         return residual, lam, None
     with np.errstate(all="ignore"):  # a non-finite I1 raises below
-        rnorm = fit.riem_norm_sq
+        rnorm = riemann_norm_sq(fit.gamma, sc, fit.metric)
     try:
         I1 = rnorm / fit.lambda_best**2
     except (OverflowError, ZeroDivisionError):  # lambda^2 out of the float range

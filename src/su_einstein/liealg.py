@@ -82,7 +82,8 @@ class GeneratorBasis:
     """An ordered basis of traceless Hermitian n x n matrices with class labels.
 
     ``class_of[a]`` is the class index of generator ``a`` (0..2 for scheme 1,
-    0..3 for scheme 2).  The arrays are read-only; instances are safe to share.
+    0..3 for scheme 2), and ``class_sizes(scheme, n, p)`` counts each class.
+    The arrays are read-only; instances are safe to share.
     """
 
     n: int
@@ -98,13 +99,6 @@ class GeneratorBasis:
     @property
     def dim(self) -> int:
         return self.generators.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return len(class_sizes(self.scheme, self.n, self.p))
-
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(int(np.sum(self.class_of == c)) for c in range(self.num_classes))
 
     def gram_diagonal(self) -> np.ndarray:
         """Diagonal of G_ab = Re tr(T_a T_b) (the basis is trace-orthogonal)."""

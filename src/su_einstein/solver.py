@@ -34,22 +34,21 @@ import numpy as np
 from . import curvature, liealg
 from .curvature import DEFAULT_EINSTEIN_TOL
 
-PROVENANCES = (
-    "closed_form_1",        # bi-invariant family
-    "closed_form_2",        # three-class second family
-    "closed_form_2_plus",   # four-class branch, + root
-    "closed_form_2_minus",  # four-class branch, - root
-    "numeric",              # multistart root
-)
-
 BOUNDARY_FLOOR = 1e-4   # converged components below this are degenerate limits
 NEWTON_TOL = 1e-12      # a Newton root's residual max-norm is below this
+MAX_ITER = 200          # Newton steps per start at most
 DEDUP_RTOL = 1e-4      # two roots of a configuration are one metric iff their x agree within this
 
 
 @dataclass(frozen=True)
 class EinsteinRecord:
-    """One solved Einstein metric in the normalization gauge."""
+    """One solved Einstein metric in the normalization gauge.
+
+    ``provenance`` names where x comes from: ``closed_form_1`` (the
+    bi-invariant family), ``closed_form_2`` (the three-class second family),
+    ``closed_form_2_plus`` and ``closed_form_2_minus`` (the + and - roots of
+    the four-class branches) or ``numeric`` (a multistart root).
+    """
 
     scheme: int
     n: int
@@ -244,7 +243,7 @@ NEWTON_OUTCOMES = (
     "nonfinite_step",      # the Newton step has a nan or inf component
     "line_search_failed",  # no halving gave a positive iterate whose residual did not grow
     "stalled_off_root",    # the step stalled, but the residual is not below NEWTON_TOL
-    "max_iter",            # max_iter steps taken, and the residual is not below NEWTON_TOL
+    "max_iter",            # MAX_ITER steps taken, and the residual is not below NEWTON_TOL
 )
 _OUTCOME = {name: code for code, name in enumerate(NEWTON_OUTCOMES)}
 
@@ -253,7 +252,7 @@ _HALVINGS = 0.5 ** np.arange(60)
 _HALVING_INDEX = np.arange(60)
 
 
-def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
+def newton_solve(system: EinsteinSystem, starts) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton iteration on the reduced system, staying positive.
 
     Each step is the first halving 2^-j (j < 60) whose iterate keeps all
@@ -266,24 +265,22 @@ def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
     where two solution branches collide (there the Jacobian is singular and
     plain Newton converges only linearly).
 
-    ``x0`` of shape (k,) is one start: returns the root or None.  ``x0`` of
-    shape (B, k) is a batch of starts iterated together: returns
-    ``(roots, outcomes)``, the (B, k) roots (nan rows where a start did not
-    converge) and each start's entry of NEWTON_OUTCOMES.  Every start takes
-    the steps it would take alone, and a singular Jacobian fails only its own
-    start.  The live starts are kept compact, as (k, m) iterates and residuals
-    with the unknowns along axis 0, so that every reduction over the unknowns
-    runs along the starts; a start that finishes is written to the result
-    once, and the live arrays shrink only in an iteration where some start
-    finishes.
+    ``starts`` of shape (B, k) are iterated together, for at most MAX_ITER
+    steps: returns ``(roots, outcomes)``, the (B, k) roots (nan rows where a
+    start did not converge) and each start's entry of NEWTON_OUTCOMES.  Every
+    start takes the steps it would take alone, and a singular Jacobian fails
+    only its own start.  The live starts are kept compact, as (k, m) iterates
+    and residuals with the unknowns along axis 0, so that every reduction
+    over the unknowns runs along the starts; a start that finishes is written
+    to the result once, and the live arrays shrink only in an iteration where
+    some start finishes.
     """
-    v = np.array(x0, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1] != system.size:
-        raise ValueError(f"expected {system.size} unknowns {system.unknowns}, got {v.shape}")
+    v = np.array(starts, dtype=float)
+    if v.ndim != 2 or v.shape[1] != system.size:
+        raise ValueError(f"expected (B, k) starts with k = {system.size} unknowns "
+                         f"{system.unknowns}, got {v.shape}")
     if not np.all(np.isfinite(v) & (v > 0)):
         raise ValueError("starting point must be finite and strictly positive")
-    single = v.ndim == 1
-    v = v.reshape(-1, system.size)
     outcome = np.full(len(v), _OUTCOME["max_iter"])
     roots = np.full_like(v, np.nan)
     live, x = np.arange(len(v)), v.T.copy()  # the live starts and their (k, m) iterates
@@ -297,7 +294,7 @@ def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
     with np.errstate(all="ignore"):
         r = system.residual(x.T).T
         rnorm = np.abs(r).max(axis=0)
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             done = rnorm < 1e-15  # below NEWTON_TOL: these starts have converged
             if done.any():
                 settle(done)
@@ -331,9 +328,7 @@ def newton_solve(system: EinsteinSystem, x0, max_iter: int = 200):
                 settle(stall)
                 keep = ~stall
                 live, x, r, rnorm = live[keep], x[:, keep], r[:, keep], rnorm[keep]
-        settle(np.ones(live.size, dtype=bool))  # the rest took max_iter steps
-    if single:
-        return roots[0] if outcome[0] == _OUTCOME["converged"] else None
+        settle(np.ones(live.size, dtype=bool))  # the rest took MAX_ITER steps
     return roots, np.array(NEWTON_OUTCOMES)[outcome]
 
 

@@ -18,7 +18,7 @@ import numpy.testing as npt
 import pytest
 
 import su_einstein as se
-from su_einstein.curvature import lower_riemann
+from su_einstein.curvature import lower_riemann, riemann_norm_sq
 from su_einstein.solver import (
     branch_x1,
     branch_x4_lambda,
@@ -47,7 +47,7 @@ def biinvariant_results():
         m = se.MetricSpec.from_x(sc, (1.0, 1.0, 1.0))
         bundle = se.curvature_bundle(sc, m)
         out[n] = (bundle.residual, bundle.lambda_best,
-                  bundle.riem_norm_sq / bundle.lambda_best**2)
+                  riemann_norm_sq(bundle.gamma, sc, m) / bundle.lambda_best**2)
     return out, time.time() - t0
 
 
@@ -80,7 +80,7 @@ def test_criterion_3_second_family():
         bundle = se.curvature_bundle(sc, m)
         assert bundle.residual < RESIDUAL_TOL, f"n={n}: residual {bundle.residual:.3e}"
         assert bundle.lambda_best == pytest.approx(lam_formula, rel=I1_RTOL)
-        I1 = bundle.riem_norm_sq / bundle.lambda_best**2
+        I1 = riemann_norm_sq(bundle.gamma, sc, m) / bundle.lambda_best**2
         assert I1 == pytest.approx(I1_formula, rel=I1_RTOL)
     print("\nACCEPTANCE 3 PASS: second family x1=x3=(3n+2)/(n-2) reproduces "
           "lambda and I1 for n=3..8")

@@ -276,22 +276,6 @@ class TestNonzeroEngine:
         rows = np.concatenate(formed)
         npt.assert_array_equal(sc.class_of[rows], np.unique(sc.class_of))
 
-    def test_bundle_forms_riem_norm_sq_once(self, monkeypatch):
-        sc = sc_for(2, 5, 3)
-        m = metric(2, 5, 3, (1.0, 1.0, 1.0, 2.0 / 30))
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return riemann_norm_sq(*args)
-
-        monkeypatch.setattr(curvature, "riemann_norm_sq", counted)
-        bundle = se.curvature_bundle(sc, m)
-        assert calls == []  # formed on first read only: a NOT-EINSTEIN verdict forms none
-        values = {bundle.riem_norm_sq for _ in range(3)}
-        assert len(calls) == 1
-        assert values == {riemann_norm_sq(bundle.gamma, sc, m)}
-
     @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
     def test_riemann_norm_sq_is_the_one_block_sum(self, scheme, n, p, rng, monkeypatch):
         sc = sc_for(scheme, n, p)
@@ -472,7 +456,7 @@ class TestEinsteinVerdict:
         # the verdict against the fit at the metric itself, not at x * 2^-k
         sc = sc_for(scheme, n, p)
         fit = se.curvature_bundle(sc, se.MetricSpec.from_x(sc, x))
-        I1 = fit.riem_norm_sq / fit.lambda_best**2
+        I1 = riemann_norm_sq(fit.gamma, sc, fit.metric) / fit.lambda_best**2
         assert se.einstein_verdict(sc, x) == (fit.residual, fit.lambda_best, I1)
         for e in (500, -500, 1000, -1000):  # lambda^2 leaves the float range at 2^+-1000
             scaled = tuple(np.ldexp(t, e) for t in x)
