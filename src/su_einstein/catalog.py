@@ -16,7 +16,7 @@ n, and the catalog's job is to audit the claim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .curvature import DEFAULT_EINSTEIN_TOL
 from .solver import EinsteinRecord, solve_configuration
@@ -43,16 +43,11 @@ class CatalogEntry:
     diagnostics: dict
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "count_inequivalent": self.count_inequivalent,
-            "paper_count": self.paper_count,
-            "agreement": self.agreement,
-            "search_complete": self.search_complete,
-            "class_I1": list(self.class_I1),
-            "records": [r.as_dict() for r in self.records],
-            "diagnostics": self.diagnostics,
-        }
+        """The fields by name, each record as its ``as_dict``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["class_I1"] = list(self.class_I1)
+        out["records"] = [r.as_dict() for r in self.records]
+        return out
 
 
 def assign_classes(records: list[EinsteinRecord]) -> tuple[list[EinsteinRecord], list[float]]:

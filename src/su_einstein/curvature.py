@@ -140,24 +140,23 @@ def ricci_fast(gamma: Nonzeros, sc: StructureConstants,
     The row c is the last index of one Gamma entry in each term, so only the
     Gamma entries (., ., c) with c in ``rows`` take part on that side; the
     result is a (len(rows), d) array, and each of its entries sums the same
-    terms in the same order as the full matrix.  Without ``rows`` it is the
-    full d x d matrix.
+    terms in the same order as the full matrix.  ``rows`` defaults to every
+    row, which gives the full d x d matrix.
     """
     d = sc.d
     gc, ga, gb = gamma.index
     gv = gamma.values
     fc, fa, fb = sc.nonzeros.index
     fv = sc.nonzeros.values
+    if rows is None:
+        rows = np.arange(d)
     # rc, ra, rv: the Gamma entries whose last index is an output row;
     # out: that row's position in the result
-    if rows is None:
-        nrows, rc, ra, rv, out = d, gc, ga, gv, gb
-    else:
-        nrows = len(rows)
-        position = np.full(d, -1)
-        position[rows] = np.arange(nrows)
-        sel = np.flatnonzero(position[gb] >= 0)
-        rc, ra, rv, out = gc[sel], ga[sel], gv[sel], position[gb[sel]]
+    nrows = len(rows)
+    position = np.full(d, -1)
+    position[rows] = np.arange(nrows)
+    sel = np.flatnonzero(position[gb] >= 0)
+    rc, ra, rv, out = gc[sel], ga[sel], gv[sel], position[gb[sel]]
     # Gamma^a_be Gamma^e_ac: entries (a, b, e) and (e, a, c)
     i, j = join(gc * d + gb, ra * d + rc)
     # f^e_ab Gamma^a_ec: entries (e, a, b) and (a, e, c)
@@ -165,20 +164,6 @@ def ricci_fast(gamma: Nonzeros, sc: StructureConstants,
     keys = np.concatenate([out[j] * d + ga[i], out[m] * d + fb[k]])
     terms = np.concatenate([-gv[i] * rv[j], -fv[k] * rv[m]])
     return np.bincount(keys, weights=terms, minlength=nrows * d).reshape(nrows, d)
-
-
-def riemann_nonzeros(gamma: Nonzeros, sc: StructureConstants) -> Nonzeros:
-    """The nonzero Riem[d, c, a, b] with d < c and a < b, from the nonzeros of Gamma and f.
-
-    The lowered tensor g_d Riem_dcab is antisymmetric in (d, c) and in (a, b),
-    so these entries determine Riem.  They are the sums of ``_riemann_rows``
-    over all rows d that have d < c.  Every row is formed at once, so this is
-    for small n; the engine forms one row per class.
-    """
-    D = sc.d
-    riem = Nonzeros.from_sums((D, D, D, D), *_riemann_rows(gamma, sc, np.arange(D)))
-    keep = riem.index[0] < riem.index[1]
-    return Nonzeros(riem.shape, tuple(k[keep] for k in riem.index), riem.values[keep])
 
 
 def _riemann_rows(gamma: Nonzeros, sc: StructureConstants,
@@ -336,7 +321,6 @@ class CurvatureBundle:
     metric: MetricSpec
     gamma: Nonzeros
     class_ric: np.ndarray
-    scalar: float
     lambda_best: float
     residual: float
 
@@ -385,12 +369,11 @@ def curvature_bundle(sc: StructureConstants, metric: MetricSpec) -> CurvatureBun
     ric = ricci_fast(gamma, sc, first)
     at = np.arange(first.size)
     g = metric.g[first]
-    scalar = float(np.sum(size * (ric[at, first] / g)))
-    lam = scalar / sc.d
+    lam = float(np.sum(size * (ric[at, first] / g))) / sc.d
     dev = ric.copy()
     dev[at, first] -= lam * g
-    return CurvatureBundle(metric=metric, gamma=gamma, class_ric=ric, scalar=scalar,
-                           lambda_best=lam, residual=float(np.abs(dev).max()))
+    return CurvatureBundle(metric=metric, gamma=gamma, class_ric=ric, lambda_best=lam,
+                           residual=float(np.abs(dev).max()))
 
 
 def _unit_fit(sc: StructureConstants, x) -> tuple[CurvatureBundle, float]:

@@ -18,7 +18,7 @@ combinations, and class 4 is the single trace-balance generator
 q*sum(E_aa, a<=p) - p*sum(E_bb, b>p), kept unnormalized.
 
 Both schemes are written once, as (class, {(row, col): coefficient}) entries
-(``_description``); numpy materializes them for the builders and sympy for
+(``_description``); numpy materializes them for ``build_basis`` and sympy for
 ``exact_validate``, and ``structure_constants_of`` reads the pairs and the
 diagonal entries off them.
 
@@ -55,6 +55,8 @@ from .sparse import CANCEL_RTOL, Nonzeros, blocks, check_key_range, join, sum_by
 # Products per block of the Jacobi sum of ``_identity_deviations``.  A block
 # peaks at about 280 bytes per product, 150 MB at this budget.
 _JACOBI_PAIR_BUDGET = 2**19
+# Largest deviation that ``validate_basis`` passes in each of its checks
+VALIDATE_TOL = 1e-12
 
 
 def class_sizes(scheme: int, n: int, p: int | None = None) -> tuple[int, ...]:
@@ -237,35 +239,23 @@ def _generators(scheme: int, n: int, p: int | None,
     return T, np.array([c for c, _ in entries], dtype=int)
 
 
-def _numpy_basis(scheme: int, n: int, p: int | None) -> GeneratorBasis:
+def build_basis(scheme: int, n: int, p: int | None = None) -> GeneratorBasis:
+    """The basis of a (scheme, n, p) configuration, which ``class_sizes``
+    checks; p is the scheme-2 block size, and scheme 1 takes no p.  The pairs
+    A < B come in lexicographic order; a scheme-2 block of size 0 or 1 has no
+    generators, and the balance class needs both blocks nonempty."""
     T, class_of = _generators(scheme, n, p)
     return GeneratorBasis(n=n, scheme=scheme, p=p, generators=T, class_of=class_of)
 
 
 def build_scheme1_basis(n: int) -> GeneratorBasis:
-    """Build the three-class su(n) basis: sym/antisym pairs, then diagonal mixes.
-
-    Off-diagonal generators are ordered lexicographically in (A, B), A < B.
-    Requires n >= 2.
-    """
-    return _numpy_basis(1, n, None)
+    """``build_basis(1, n)``."""
+    return build_basis(1, n)
 
 
 def build_scheme2_basis(n: int, p: int) -> GeneratorBasis:
-    """Build the four-class basis adapted to SU(p) x SU(q) in SU(n), q = n - p.
-
-    Degenerate splits are allowed: p or q in {0, 1} simply leaves class 1
-    or 2 empty (su(1) has no generators), and the trace-balance class is
-    present only when both blocks are nonempty.  Requires 0 <= p <= n.
-    """
-    return _numpy_basis(2, n, p)
-
-
-def build_basis(scheme: int, n: int, p: int | None = None) -> GeneratorBasis:
-    """The basis of a (scheme, n, p) configuration, which ``class_sizes``
-    checks; p is the scheme-2 block size, and scheme 1 takes no p."""
-    class_sizes(scheme, n, p)
-    return build_scheme1_basis(n) if scheme == 1 else build_scheme2_basis(n, p)
+    """``build_basis(2, n, p)``."""
+    return build_basis(2, n, p)
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureConstants:
@@ -473,8 +463,9 @@ class BasisReport:
         return lines
 
 
-def validate_basis(basis: GeneratorBasis, tol: float = 1e-12) -> BasisReport:
-    """Check Hermiticity, tracelessness, Gram structure and the f identities.
+def validate_basis(basis: GeneratorBasis) -> BasisReport:
+    """Check Hermiticity, tracelessness, Gram structure and the f identities,
+    each to ``VALIDATE_TOL``.
 
     Report only; never raises.  Used by the CLI and the test harness.
     """
@@ -482,10 +473,10 @@ def validate_basis(basis: GeneratorBasis, tol: float = 1e-12) -> BasisReport:
     problems: list[str] = []
 
     herm = float(np.abs(T - np.conj(np.transpose(T, (0, 2, 1)))).max())
-    if herm > tol:
+    if herm > VALIDATE_TOL:
         problems.append(f"non-Hermitian generator (dev {herm:.2e})")
     trc = float(np.abs(np.einsum("aii->a", T)).max())
-    if trc > tol:
+    if trc > VALIDATE_TOL:
         problems.append(f"generator with nonzero trace (dev {trc:.2e})")
 
     try:
@@ -499,27 +490,27 @@ def validate_basis(basis: GeneratorBasis, tol: float = 1e-12) -> BasisReport:
 
     gram = np.real(np.einsum("aij,bji->ab", T, T))
     offdiag = float(np.abs(gram - np.diag(np.diag(gram))).max())
-    if offdiag > tol:
+    if offdiag > VALIDATE_TOL:
         problems.append(f"Gram matrix not diagonal (dev {offdiag:.2e})")
     eigs = np.linalg.eigvalsh(gram)
     min_eig = float(eigs.min())
-    if min_eig <= tol:
+    if min_eig <= VALIDATE_TOL:
         problems.append(f"Gram matrix near-singular (min eig {min_eig:.2e})")
 
     f_anti = jacobi = low_anti = 0.0
     sc = None
-    if min_eig > tol:
+    if min_eig > VALIDATE_TOL:
         try:
             sc = structure_constants(basis)
         except ValueError as exc:
             problems.append(f"no structure constants: {exc}")
     if sc is not None:
         f_anti, jacobi, low_anti = _identity_deviations(sc)
-        if f_anti > tol:
+        if f_anti > VALIDATE_TOL:
             problems.append(f"f not antisymmetric (dev {f_anti:.2e})")
-        if jacobi > tol:
+        if jacobi > VALIDATE_TOL:
             problems.append(f"Jacobi identity violated (dev {jacobi:.2e})")
-        if low_anti > tol:
+        if low_anti > VALIDATE_TOL:
             problems.append(f"lowered f not totally antisymmetric (dev {low_anti:.2e})")
 
     return BasisReport(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,19 +63,11 @@ class EinsteinRecord:
     eq_class: int | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "n": self.n,
-            "p": self.p,
-            "x": list(self.x),
-            "lambda": self.lam,
-            "I1": self.I1,
-            "provenance": self.provenance,
-            "residual": self.residual,
-            "valid": self.valid,
-            "notes": self.notes,
-            "eq_class": self.eq_class,
-        }
+        """The fields by name, with ``lam`` as "lambda" and x as a list."""
+        out = {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+               for f in fields(self)}
+        out["x"] = list(self.x)
+        return out
 
 
 def scheme1_system(n: int, x1: float, x2: float, x3: float, lam: float) -> np.ndarray:

@@ -24,11 +24,11 @@ from su_einstein.solver import (
     branch_x4_lambda,
     dedup_records,
     printed_branch_x4_lambda,
+    scheme1_system,
+    scheme2_system,
     solve_configuration,
 )
 from conftest import sc_for
-
-from test_curvature import scheme1_lhs, scheme2_lhs
 
 N_RANGE = range(2, 9)
 RESIDUAL_TOL = 1e-8
@@ -94,7 +94,7 @@ def test_criterion_4_printed_system_audit():
         for _ in range(50):
             x = tuple(np.exp(rng.uniform(-1.2, 1.2, 3)))
             sigma = se.class_ricci_eigenvalues(sc, x)
-            dev = np.abs(sigma - scheme1_lhs(n, *x)).max()
+            dev = np.abs(sigma - scheme1_system(n, *x, 0.0)).max()
             worst = max(worst, dev)
             assert dev < SYSTEM_MATCH_TOL, f"scheme1 n={n} x={x}: dev {dev:.2e}"
     for n in (3, 4, 5):
@@ -103,7 +103,7 @@ def test_criterion_4_printed_system_audit():
             for _ in range(50):
                 x = tuple(np.exp(rng.uniform(-1.2, 1.2, 4)))
                 sigma = se.class_ricci_eigenvalues(sc, x)
-                dev = np.abs(sigma - scheme2_lhs(n, p, *x)).max()
+                dev = np.abs(sigma - scheme2_system(n, p, *x, 0.0)).max()
                 worst = max(worst, dev)
                 assert dev < SYSTEM_MATCH_TOL, f"scheme2 n={n} p={p} x={x}: dev {dev:.2e}"
     print(f"\nACCEPTANCE 4 PASS: engine Ricci eigenvalues match both equation "
@@ -201,7 +201,7 @@ def test_criterion_9_property_suites():
                            (2, 4, 2), (2, 5, 2), (2, 6, 3), (2, 8, 4)]:
         basis = (se.build_scheme1_basis(n) if scheme == 1
                  else se.build_scheme2_basis(n, p))
-        report = se.validate_basis(basis, tol=1e-12)
+        report = se.validate_basis(basis)
         assert report.passed, (scheme, n, p, report.problems)
 
     rng = np.random.default_rng(999)

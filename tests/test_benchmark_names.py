@@ -1,18 +1,52 @@
-"""Every su_einstein name that the benchmark's tracer wraps still exists.
+"""Every su_einstein name that the benchmark wraps or calls still exists.
 
 ``perfbench/layers.py`` replaces the functions and methods it lists by name
-for a traced pass, so renaming or removing one of them breaks the traced
-benchmark.  The file is run by path, not imported, so nothing is written
-under ``perfbench/``.
+for a traced pass, and the probes, workloads and runner call su_einstein's
+modules as ``module.attr(...)``, so renaming or removing one of them breaks
+the benchmark.  The files are run or read by path, not imported, so nothing
+is written under ``perfbench/``.
 """
 
 import importlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-LAYERS = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LAYERS = runpy.run_path(str(PERFBENCH / "layers.py"))
+
+
+def _called_names() -> list[tuple[str, str]]:
+    """(module, dotted attribute) of each ``module.attr(`` call in the probes,
+    workloads and runner, where the module is one imported from su_einstein."""
+    found = set()
+    for name in ("probes.py", "workloads.py", "run.py"):
+        text = (PERFBENCH / name).read_text()
+        modules = {m for line in re.findall(r"from su_einstein import ([\w, ]+)", text)
+                   for m in re.split(r",\s*", line.strip())}
+        found |= set(re.findall(rf"\b({'|'.join(sorted(modules))})\.([\w.]+)\(", text))
+    return sorted(found)
+
+
+CALLED = _called_names()
+
+
+def test_the_calls_are_found():
+    assert len(CALLED) >= 16
+    assert ("liealg", "build_scheme1_basis") in CALLED
+    assert ("curvature", "MetricSpec.from_x") in CALLED
+    assert ("curvature", "ricci_fast") in CALLED
+    assert ("solver", "scheme2_system") in CALLED
+
+
+@pytest.mark.parametrize("module,attr", CALLED)
+def test_called_name_exists(module, attr):
+    owner = importlib.import_module(f"su_einstein.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    assert callable(owner)
 
 
 @pytest.mark.parametrize("module,attr", [(module, attr)

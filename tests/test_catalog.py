@@ -1,11 +1,43 @@
 """Enumeration and I1 equivalence classes."""
 
+import dataclasses
 import math
 
 import pytest
 
 import su_einstein as se
 from su_einstein.catalog import assign_classes, paper_count
+
+# catalog --n 9..16 --starts 0: the I1 of each class, in order.  The closest
+# two, 274.438 and 274.900 at n = 16, lie 1.7e-3 apart (relative).
+CLASS_I1 = {
+    9: [79.99999999999993, 80.46562258392974, 83.46747651745027, 85.4351812064559,
+        87.09590699709425, 92.23300879418723, 94.95732075175285, 103.19825708061013],
+    10: [98.99999999999994, 100.79624700366428, 104.63447145174891, 105.75891050981154,
+         106.70578348474318, 112.81566041549505, 116.76237262614234, 118.12204558636783,
+         126.77142857142854],
+    11: [119.99999999999989, 120.4772614785305, 123.83736374479606, 127.98640821391695,
+         128.00723020754046, 128.2474954376234, 135.24762122999505, 140.33611398048814,
+         142.99715035387572, 152.74217585693],
+    12: [142.99999999999991, 144.8615385921855, 149.41923239318604, 151.73307514867105,
+         152.10887199879713, 153.467104901352, 159.5521761838631, 165.70934083742176,
+         169.61166093555943, 170.94501880583607, 181.11111111111094],
+    13: [167.99999999999977, 168.48382972636733, 172.0368735352672, 177.17168102401163,
+         177.38751365953456, 178.12744932767288, 180.93164465529853, 185.7475807998754,
+         192.90709875829359, 197.99150990061193, 200.620391808307, 211.87865655471265],
+    14: [194.99999999999963, 196.89958003878573, 201.8656776870532, 204.57045535352017,
+         206.0481887756927, 207.61243147340645, 210.34603336621902, 213.84847586300964,
+         221.95014126778474, 228.15977306424338, 232.0408974839844, 233.35923222366935,
+         245.04511278195523],
+    15: [223.9999999999999, 224.48790532970634, 228.15734547929907, 233.93507781475967,
+         234.21255289527016, 235.87923301559016, 239.989661262026, 241.67559034479405,
+         243.8668067874443, 252.8558817852154, 260.1368532680973, 265.22492527424987,
+         267.83509350894803, 280.6106995884775],
+    16: [254.99999999999955, 256.92375429081966, 262.14484399905, 265.27013847595657,
+         267.62930210638564, 268.9543023376447, 274.4379351913422, 274.89986588986005,
+         275.8124552964931, 285.6390740834087, 293.94073093009905, 300.1903603948081,
+         304.059680903479, 305.36860206429475, 318.5755813953495],
+}
 
 
 class TestPaperCount:
@@ -96,6 +128,28 @@ class TestEnumerate:
         assert len(entry.records) == 2 + 3 + 2
         assert all(r.provenance != "numeric" for r in entry.records)
 
+    @pytest.mark.parametrize("n", sorted(CLASS_I1))
+    def test_classes_beyond_n8(self, n):
+        # classes close to the I1 tolerance: a looser one merges two of them
+        entry = se.enumerate_metrics(n, n_starts=0)
+        assert entry.count_inequivalent == n - 1 == len(entry.class_I1)
+        assert entry.paper_count == paper_count(n)
+        assert entry.agreement is (n % 2 == 1)
+        assert entry.class_I1 == pytest.approx(CLASS_I1[n], rel=1e-8)
+
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             se.enumerate_metrics(1)
+
+
+class TestAsDict:
+    def test_keys_are_the_fields(self):
+        entry = se.enumerate_metrics(4, n_starts=0)
+        record = entry.records[0].as_dict()
+        assert list(record) == ["lambda" if f.name == "lam" else f.name
+                                for f in dataclasses.fields(se.EinsteinRecord)]
+        assert record["lambda"] == entry.records[0].lam
+        assert isinstance(record["x"], list)
+        d = entry.as_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(se.CatalogEntry)]
+        assert d["records"] == [r.as_dict() for r in entry.records]

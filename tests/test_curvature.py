@@ -18,9 +18,9 @@ from su_einstein import curvature
 from su_einstein.curvature import (
     lower_riemann,
     ricci_fast,
-    riemann_nonzeros,
     riemann_norm_sq,
 )
+from su_einstein.solver import scheme1_system, scheme2_system
 from su_einstein.liealg import StructureConstants
 from su_einstein.sparse import Nonzeros
 from conftest import sc_for
@@ -138,7 +138,6 @@ class TestRiemann:
             for b in range(a + 1, 3):
                 K = low[a, b, a, b] / (m.g[a] * m.g[b])
                 assert K > 0
-        assert bundle.scalar == pytest.approx(3 * 0.25, rel=1e-12)
         assert bundle.lambda_best == pytest.approx(0.25, rel=1e-12)
 
     def test_balance_block_self_curvature_vanishes(self):
@@ -321,9 +320,10 @@ class TestNonzeroEngine:
         gamma = se.levi_civita(sc, m)
         dense = se.riemann(gamma, sc)
         i = np.arange(sc.d)
-        quarter = ((i[:, None, None, None] < i[None, :, None, None])
-                   & (i[None, None, :, None] < i[None, None, None, :]))
-        npt.assert_allclose(np.asarray(riemann_nonzeros(gamma, sc)), dense * quarter,
+        upper = i[None, None, :, None] < i[None, None, None, :]
+        # every row's terms, summed per entry: the entries with a < b
+        riem = Nonzeros.from_sums(dense.shape, *curvature._riemann_rows(gamma, sc, i))
+        npt.assert_allclose(np.asarray(riem), dense * upper,
                             rtol=0, atol=1e-12 * np.abs(dense).max())
 
     def test_connection_lives_on_the_support_of_f(self, rng):
@@ -500,29 +500,9 @@ class TestEinsteinVerdict:
         assert I1 is None
 
 
-def scheme1_lhs(n, x1, x2, x3):
-    return np.array([
-        n / 4 - (n - 2) / 8 * x2 / x1 + 0.25 * x1**2 / (x2 * x3)
-        - 0.25 * x3 / x2 - 0.25 * x2 / x3,
-        (n + 6) / 16 + (n - 2) / 16 * x2**2 / x1**2 + 0.25 * x2**2 / (x1 * x3)
-        - 0.25 * x3 / x1 - 0.25 * x1 / x3,
-        n / 8 * (2 - x2 / x1 - x1 / x2 + x3**2 / (x1 * x2)),
-    ])
-
-
-def scheme2_lhs(n, p, x1, x2, x3, x4):
-    q = n - p
-    return np.array([
-        p / 8 + q / 8 * x1**2 / x3**2,
-        q / 8 + p / 8 * x2**2 / x3**2,
-        (p + q) / 4 - (p - 1) * (p + 1) / (8 * p) * x1 / x3
-        - (q - 1) * (q + 1) / (8 * q) * x2 / x3 - (p + q)**2 / 16 * x4 / x3,
-        p * q * (p + q)**2 / 16 * x4**2 / x3**2,
-    ])
-
-
 class TestEngineMatchesEquationSystems:
-    """Class Ricci eigenvalues == closed-form equation left-hand sides."""
+    """Class Ricci eigenvalues == the left-hand sides of the systems Newton solves
+    (``scheme*_system`` at lambda = 0)."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_scheme1(self, n, rng):
@@ -530,7 +510,7 @@ class TestEngineMatchesEquationSystems:
         for _ in range(10):
             x = random_x(rng, 3)
             sigma = se.class_ricci_eigenvalues(sc, x)
-            npt.assert_allclose(sigma, scheme1_lhs(n, *x), atol=1e-9)
+            npt.assert_allclose(sigma, scheme1_system(n, *x, 0.0), atol=1e-9)
 
     @pytest.mark.parametrize("n,p", [(4, 2), (5, 2), (5, 3), (6, 2)])
     def test_scheme2(self, n, p, rng):
@@ -538,7 +518,7 @@ class TestEngineMatchesEquationSystems:
         for _ in range(10):
             x = random_x(rng, 4)
             sigma = se.class_ricci_eigenvalues(sc, x)
-            npt.assert_allclose(sigma, scheme2_lhs(n, p, *x), atol=1e-9)
+            npt.assert_allclose(sigma, scheme2_system(n, p, *x, 0.0), atol=1e-9)
 
     @pytest.mark.parametrize("scheme,n,p", [(1, n, None) for n in range(2, 9)]
                              + [(2, n, p) for n in range(2, 7) for p in range(n + 1)])
