@@ -85,7 +85,8 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
     check(basis.dim == d, f"dimension {d} does not match scheme={scheme} n={n} p={p}")
     check(len(rows) == nnz, f"{len(rows)} records, header says {nnz}")
     check(gram_diag.shape == (d,), f"expected {d} Gram entries, got {gram_diag.size}")
-    check(np.allclose(gram_diag, basis.gram_diagonal(), rtol=1e-12, atol=0.0),
+    T = basis.generators
+    check(np.allclose(gram_diag, np.real(np.einsum("aij,aji->a", T, T)), rtol=1e-12, atol=0.0),
           "Gram diagonal does not match the basis")
     check(all(np.all((0 <= idx) & (idx < d)) for idx in (a, b, c)),
           f"an index is outside 0..{d - 1}")

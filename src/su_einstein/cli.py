@@ -271,6 +271,7 @@ def _params(args: argparse.Namespace) -> dict:
     if args.command in ("solve", "catalog"):
         params["starts"] = args.starts
         params["seed"] = args.seed
+        params["tol"] = args.tol
     return params
 
 

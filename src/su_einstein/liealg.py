@@ -102,11 +102,6 @@ class GeneratorBasis:
     def dim(self) -> int:
         return self.generators.shape[0]
 
-    def gram_diagonal(self) -> np.ndarray:
-        """Diagonal of G_ab = Re tr(T_a T_b) (the basis is trace-orthogonal)."""
-        T = self.generators
-        return np.real(np.einsum("aij,aji->a", T, T))
-
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -134,7 +129,7 @@ class StructureConstants:
     def f(self) -> np.ndarray:
         """Dense f[c, a, b], materialized from the nonzeros (d^3 floats: for
         tests, not for the engine)."""
-        f = self.nonzeros.toarray()
+        f = np.asarray(self.nonzeros)
         f.flags.writeable = False
         return f
 
@@ -151,11 +146,6 @@ class StructureConstants:
     @property
     def num_classes(self) -> int:
         return len(class_sizes(self.scheme, self.n, self.p))
-
-    def lowered(self) -> np.ndarray:
-        """Fully lowered tensor f_abc = f^e_ab G_ec (totally antisymmetric);
-        dense, for tests."""
-        return np.moveaxis(self.f, 0, -1) * self.gram_diag
 
 
 @dataclass(frozen=True)

@@ -61,14 +61,10 @@ class Nonzeros:
     def nnz(self) -> int:
         return int(self.values.size)
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape, dtype=dtype)
         out[self.index] = self.values
         return out
-
-    def __array__(self, dtype=None, copy=None):
-        out = self.toarray()
-        return out if dtype is None else out.astype(dtype)
 
 
 def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

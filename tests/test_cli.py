@@ -227,7 +227,8 @@ class TestCheck:
 
 def test_basis_and_check_do_not_import_solver_or_catalog():
     code = (
-        "import sys\n"
+        "import sys, su_einstein\n"
+        "print(sorted(m for m in sys.modules if m.startswith('su_einstein.')))\n"
         "from su_einstein import cli\n"
         "assert cli.main(['basis', '--scheme', '1', '--n', '3']) == 0\n"
         "assert cli.main(['check', '--scheme', '1', '--n', '4', '--x', '7,1,7']) == 0\n"
@@ -239,17 +240,46 @@ def test_basis_and_check_do_not_import_solver_or_catalog():
     env = dict(os.environ, PYTHONPATH=str(Path(su_einstein.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    loaded, same = proc.stdout.splitlines()[-2:]
+    lines = proc.stdout.splitlines()
+    bare, loaded, same = lines[0], lines[-2], lines[-1]
+    assert bare == "[]"  # the package alone loads no submodule
     assert loaded == str(["su_einstein", "su_einstein.cli", "su_einstein.curvature",
                           "su_einstein.liealg", "su_einstein.sparse"])
     assert same == "True"
 
 
+PUBLIC_NAMES = [
+    "CatalogEntry", "CurvatureBundle", "EinsteinRecord", "EinsteinSystem", "GeneratorBasis",
+    "MetricSpec", "StructureConstants", "build_basis", "build_scheme1_basis",
+    "build_scheme2_basis", "class_ricci_eigenvalues", "closed_form_scheme1",
+    "closed_form_scheme2", "curvature_bundle", "einstein_residual", "einstein_verdict",
+    "enumerate_metrics", "exact_validate", "frame_weights", "invariant_I1", "levi_civita",
+    "lower_riemann", "multistart_search", "newton_solve", "paper_count", "ricci",
+    "riem_norm_sq", "riemann", "scheme1_system", "scheme2_system", "solve_configuration",
+    "structure_constants", "structure_constants_of", "validate_basis",
+]
+
+
 def test_lazy_package_names():
-    for name in su_einstein.__all__:
+    assert sorted(su_einstein.__all__) == PUBLIC_NAMES
+    listed = dir(su_einstein)
+    for name in PUBLIC_NAMES:
         assert getattr(su_einstein, name) is not None
+        assert name in listed
     with pytest.raises(AttributeError, match="no_such_name"):
         su_einstein.no_such_name
+
+
+@pytest.mark.parametrize("module,name", [("curvature", "einstein_verdict"),
+                                         ("solver", "newton_solve")])
+def test_package_names_follow_their_module(monkeypatch, module, name):
+    owner = getattr(su_einstein, module)
+    original = getattr(owner, name)
+    replacement = object()
+    monkeypatch.setattr(owner, name, replacement)
+    assert getattr(su_einstein, name) is replacement
+    monkeypatch.undo()
+    assert getattr(su_einstein, name) is original
 
 
 class TestSolve:
@@ -405,6 +435,22 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert code == 2
     assert "--tol" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+@pytest.mark.parametrize("command", ["solve", "catalog"])
+def test_params_record_the_tol(capsys, command, tol):
+    argv = (["solve", "--scheme", "1"] if command == "solve" else ["catalog"])
+    argv += ["--n", "3", "--starts", "0", "--format", "json"]
+    if tol is not None:
+        argv += ["--tol", repr(tol)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    expected = {"n": 3, "seed": 0, "starts": 0,
+                "tol": curvature.DEFAULT_EINSTEIN_TOL if tol is None else tol}
+    if command == "solve":
+        expected["scheme"] = 1
+    assert json.loads(out)["params"] == expected
 
 
 @pytest.mark.parametrize("command", ["solve", "catalog"])

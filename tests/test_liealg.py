@@ -20,6 +20,17 @@ from conftest import sc_for
 SQ2 = np.sqrt(2.0)
 
 
+def gram_diagonal(basis):
+    """Diagonal of G_ab = Re tr(T_a T_b) (the bases are trace-orthogonal)."""
+    T = basis.generators
+    return np.real(np.einsum("aij,aji->a", T, T))
+
+
+def lowered(sc):
+    """Fully lowered tensor f_abc = f^e_ab G_ec (totally antisymmetric), dense."""
+    return np.moveaxis(sc.f, 0, -1) * sc.gram_diag
+
+
 def counted_sizes(basis):
     """The class sizes of a built basis, counted off its class labels."""
     classes = len(liealg.class_sizes(basis.scheme, basis.n, basis.p))
@@ -81,7 +92,7 @@ class TestScheme1Basis:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_diag_trace_norm_sums_to_n_minus_1(self, n):
         basis = build_scheme1_basis(n)
-        diag_gram = basis.gram_diagonal()[basis.class_of == 2]
+        diag_gram = gram_diagonal(basis)[basis.class_of == 2]
         npt.assert_allclose(diag_gram.sum(), n - 1, atol=1e-13)
 
     def test_rejects_n_below_2(self):
@@ -96,7 +107,7 @@ class TestScheme1Basis:
 
     def test_su3_gram_diagonal(self):
         basis = build_scheme1_basis(3)
-        npt.assert_allclose(basis.gram_diagonal(), [2, 2, 2, 2, 2, 2, 1, 1], atol=1e-14)
+        npt.assert_allclose(gram_diagonal(basis), [2, 2, 2, 2, 2, 2, 1, 1], atol=1e-14)
 
 
 class TestScheme2Basis:
@@ -119,7 +130,7 @@ class TestScheme2Basis:
 
     def test_gram_balance_entry(self):
         basis = build_scheme2_basis(4, 2)
-        gram = basis.gram_diagonal()
+        gram = gram_diagonal(basis)
         assert gram[basis.class_of == 3][0] == pytest.approx(16.0, abs=1e-14)
 
     def test_degenerate_splits(self):
@@ -167,7 +178,7 @@ class TestStructureConstants:
         npt.assert_allclose(np.einsum("caa->ca", sc.f), 0.0, atol=0)
 
     def test_su3_lowered_totally_antisymmetric(self):
-        low = sc_for(1, 3).lowered()
+        low = lowered(sc_for(1, 3))
         for perm, sign in ((( 1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1),
                            ((1, 2, 0), 1), ((2, 0, 1), 1)):
             npt.assert_allclose(low, sign * np.transpose(low, perm), atol=1e-12)
@@ -240,6 +251,23 @@ class TestValidateBasis:
         assert not report.passed
         assert any("trace" in p for p in report.problems)
 
+    @pytest.mark.parametrize("index,problem", [
+        ((0, 0, 1), "non-Hermitian generator (dev "),
+        ((6, 0, 0), "generator with nonzero trace (dev "),
+        (1, "Gram matrix not diagonal (dev "),
+    ], ids=["hermiticity", "trace", "gram"])
+    def test_defect_of_1e9_flagged(self, index, problem):
+        """+1e-9 on one off-diagonal entry, on one diagonal entry, or T_1 += 1e-9 T_0:
+        each fails validation on its own check, well below a 1e-6 tolerance."""
+        basis = build_scheme1_basis(3)
+        T = basis.generators.copy()
+        T[index] += 1e-9 * (T[0] if index == 1 else 1)
+        bad = GeneratorBasis(n=3, scheme=1, p=None, generators=T,
+                             class_of=basis.class_of.copy())
+        report = validate_basis(bad)
+        assert report.passed is False
+        assert any(p.startswith(problem) for p in report.problems), report.problems
+
 
 def dense_identity_deviations(sc):
     """The dense oracle: f antisymmetry, Jacobi sum and lowered-f antisymmetry
@@ -249,7 +277,7 @@ def dense_identity_deviations(sc):
     jac = np.einsum("eab,dec->abcd", f, f)
     jac += np.einsum("ebc,dea->abcd", f, f)
     jac += np.einsum("eca,deb->abcd", f, f)
-    low = sc.lowered()
+    low = lowered(sc)
     low_anti = max(np.abs(low + np.einsum("bac->abc", low)).max(),
                    np.abs(low + np.einsum("acb->abc", low)).max())
     return f_anti, np.abs(jac).max(), low_anti
