@@ -17,10 +17,11 @@ the same for the lower su(q) block, class 3 holds the 2pq off-block
 combinations, and class 4 is the single trace-balance generator
 q*sum(E_aa, a<=p) - p*sum(E_bb, b>p), kept unnormalized.
 
-Both schemes are written once, as (class, {(row, col): coefficient}) entries
-(``_description``); numpy materializes them for ``build_basis`` and sympy for
-``exact_validate``, and ``structure_constants_of`` reads the pairs and the
-diagonal entries off them.
+Both schemes are written once (``_description``), as the class and the kind
+of each generator: a pair generator E_AB + E_BA or i(E_AB - E_BA) on its pair
+A < B, or a diagonal generator sum_A h_A E_AA with its row h.  numpy
+materializes these records for ``build_basis`` and sympy for
+``exact_validate``, and ``structure_constants_of`` reads f off them.
 
 Generators T_a are Hermitian, so the real structure constants are defined
 through [T_a, T_b] = i f^c_ab T_c.  The basis is trace-orthogonal with Gram
@@ -43,6 +44,7 @@ f is built in one of two ways, which agree bit for bit:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -168,47 +170,59 @@ def _diag_mix_rows(k: int, num: _Numbers) -> np.ndarray:
     """
     Q = np.zeros((k, k), dtype=num.dtype)
     for j in range(1, k):
-        Q[j - 1, :j] = 1 / num.sqrt(j * (j + 1))
-        Q[j - 1, j] = -j / num.sqrt(j * (j + 1))
+        norm = num.sqrt(j * (j + 1))
+        Q[j - 1, :j] = 1 / norm
+        Q[j - 1, j] = -j / norm
     Q[k - 1, :] = 1 / num.sqrt(k)
     P = np.eye(k, dtype=num.dtype)
     P[: k - 1, : k - 1] = num.ratio(2, k - 1) - np.eye(k - 1, dtype=num.dtype)
     return (P @ Q)[: k - 1]
 
 
-def _offdiag(pairs, classes: tuple[int, int], num: _Numbers) -> list:
-    """E_AB + E_BA for every pair (A, B), then i(E_AB - E_BA) for every pair."""
-    sym, anti = classes
-    return ([(sym, {(A, B): 1, (B, A): 1}) for A, B in pairs]
-            + [(anti, {(A, B): num.i, (B, A): -num.i}) for A, B in pairs])
-
-
-def _block(idxs: range, classes: tuple[int, int, int], num: _Numbers) -> list:
-    """Scheme-1-style generators supported on the index set: the off-diagonal
-    pairs (A < B, lexicographic), then the diagonal mixes, with the given
-    (symmetric, antisymmetric, diagonal) classes."""
-    entries = _offdiag(list(itertools.combinations(idxs, 2)), classes[:2], num)
-    if len(idxs) >= 2:
-        entries += [(classes[2], {(i, i): v for i, v in zip(idxs, row)})
-                    for row in _diag_mix_rows(len(idxs), num)]
-    return entries
-
-
-def _description(scheme: int, n: int, p: int | None, num: _Numbers) -> list:
-    """The generators of a basis as (class, {(row, col): coefficient}) entries,
-    in basis order; numpy and sympy both materialize this one description.
-    Raises ValueError on a bad configuration (``class_sizes``)."""
+def _description(scheme: int, n: int, p: int | None, num: _Numbers) -> tuple:
+    """The generators of a basis in basis order, in three parts: ``class_of``,
+    the class of each generator; ``pairs``, a row (a, kind, A, B) for each pair
+    generator a, which is S_AB = E_AB + E_BA for kind 0 and
+    A_AB = i(E_AB - E_BA) for kind 1; and ``(diag, h)``, the diagonal
+    generators a = sum_A h_A E_AA with their rows h of n coefficients.  numpy
+    and sympy both materialize this one description, and
+    ``structure_constants_of`` reads f off it.  Raises ValueError on a bad
+    configuration (``class_sizes``)."""
     sizes = class_sizes(scheme, n, p)
+    class_of, pairs, diag, h = [], [], [], []
+
+    def offdiag(pair_list: list, sym: int, anti: int):
+        # S_AB for every pair (A, B), then A_AB for every pair
+        for kind, cls in ((0, sym), (1, anti)):
+            pairs.extend((len(class_of) + i, kind, A, B) for i, (A, B) in enumerate(pair_list))
+            class_of.extend([cls] * len(pair_list))
+
+    def diagonal(rows: np.ndarray, cls: int):
+        diag.extend(range(len(class_of), len(class_of) + len(rows)))
+        h.extend(rows)
+        class_of.extend([cls] * len(rows))
+
+    def block(lo: int, hi: int, sym: int, anti: int, mix: int):
+        # the pairs A < B in lexicographic order, then the diagonal mixes
+        offdiag(list(itertools.combinations(range(lo, hi), 2)), sym, anti)
+        if hi - lo >= 2:
+            rows = np.zeros((hi - lo - 1, n), dtype=num.dtype)
+            rows[:, lo:hi] = _diag_mix_rows(hi - lo, num)
+            diagonal(rows, mix)
+
     if scheme == 1:
-        return _block(range(n), (0, 1, 2), num)
-    entries = _block(range(p), (0, 0, 0), num) + _block(range(p, n), (1, 1, 1), num)
-    entries += _offdiag(list(itertools.product(range(p), range(p, n))), (2, 2), num)
-    if sizes[3]:
-        entries.append((3, {(a, a): n - p if a < p else -p for a in range(n)}))
-    return entries
+        block(0, n, 0, 1, 2)
+    else:
+        block(0, p, 0, 0, 0)
+        block(p, n, 1, 1, 1)
+        offdiag(list(itertools.product(range(p), range(p, n))), 2, 2)
+        if sizes[3]:
+            diagonal(np.array([[n - p] * p + [-p] * (n - p)], dtype=num.dtype), 3)
+    return (np.array(class_of, dtype=int), np.array(pairs, dtype=np.intp),
+            (np.array(diag, dtype=np.intp), np.array(h, dtype=num.dtype)))
 
 
-_FLOATS = _Numbers(float, np.sqrt, operator.truediv, 1j)
+_FLOATS = _Numbers(float, math.sqrt, operator.truediv, 1j)
 
 
 def _generators(scheme: int, n: int, p: int | None,
@@ -221,12 +235,16 @@ def _generators(scheme: int, n: int, p: int | None,
         num, dtype = _Numbers(object, sp.sqrt, sp.Rational, sp.I), object
     else:
         num, dtype = _FLOATS, complex
-    entries = _description(scheme, n, p, num)
-    T = np.zeros((len(entries), n, n), dtype=dtype)
-    for a, (_, coeffs) in enumerate(entries):
-        for (row, col), value in coeffs.items():
-            T[a, row, col] = value
-    return T, np.array([c for c, _ in entries], dtype=int)
+    class_of, pairs, (diag, h) = _description(scheme, n, p, num)
+    T = np.zeros((class_of.size, n, n), dtype=dtype)
+    a, kind, A, B = pairs.T
+    T[a, A, B] = np.array([1, num.i], dtype=dtype)[kind]
+    T[a, B, A] = np.array([1, -num.i], dtype=dtype)[kind]
+    # every (i, i) entry of a diagonal generator, zeros included: a -0.0 of a
+    # mix row is kept, and outside its block h holds the 0 that T starts with
+    idx = np.arange(n)
+    T[diag[:, None], idx, idx] = h
+    return T, class_of
 
 
 def build_basis(scheme: int, n: int, p: int | None = None) -> GeneratorBasis:
@@ -326,55 +344,48 @@ def structure_constants_of(scheme: int, n: int, p: int | None = None) -> Structu
     |t1 + t2| <= CANCEL_RTOL (|t1| + |t2|) of ``Nonzeros.from_sums`` come out
     the same.  A missing cycle (h_A = 0 is not a matrix entry) adds 0.0,
     which changes neither.  G_kk = sum_A h_A^2 is summed in ascending A, as
-    the trace formula's ``bincount`` does; ``cumsum`` adds in that order.
+    the trace formula's ``bincount`` does; ``cumsum`` adds in that order.  The
+    three generators of a lowered triple are distinct and no two triples share
+    their set, so the keys (c, a, b) of all six permutations of all triples are
+    distinct, and one sort puts them in the order of ``Nonzeros``.
     """
-    entries = _description(scheme, n, p, _FLOATS)
-    d = len(entries)
-    class_of = np.array([c for c, _ in entries], dtype=int)
-    # pair_of[0][A, B] is the generator S_AB and pair_of[1][A, B] is A_AB,
-    # whose coefficient at (A, B) is i where that of S_AB is 1
+    class_of, pairs, (diag, h) = _description(scheme, n, p, _FLOATS)
+    d = class_of.size
+    # pair_of[kind][A, B] is the generator S_AB (kind 0) or A_AB (kind 1)
     pair_of = np.zeros((2, n, n), dtype=np.intp)
-    diag, h = [], []
-    for a, (_, coeffs) in enumerate(entries):
-        (row, col), value = next(iter(coeffs.items()))
-        if row != col:
-            pair_of[int(value != 1), row, col] = a
-        else:
-            diag.append(a)
-            h.append(np.zeros(n))
-            for (i, _), v in coeffs.items():
-                h[-1][i] = v
-    diag, h = np.array(diag, dtype=np.intp), np.array(h).reshape(-1, n)
+    a, kind, A, B = pairs.T
+    pair_of[kind, A, B] = a
     gram = np.full(d, 2.0)  # |1|^2 + |1|^2 = |i|^2 + |-i|^2 for a pair generator
     gram[diag] = np.cumsum(h * h, axis=1)[:, -1]
 
     # the lowered triples (x, y, z), with Im(T_x T_y T_z) of each one's one or
-    # two cycles: the triangles, then (H, S_AB, A_AB) for each H and pair
-    S, A = pair_of
+    # two cycles: the triangles, then (H, S_AB, A_AB) for each H and pair.  The
+    # four triangle patterns (S, S, A), (S, A, S), (A, S, S) and (A, A, A) on
+    # the pairs (ab, bc, ac) of each triangle are one gather into pair_of.
     idx = np.arange(n)
     lo, hi = np.nonzero(idx[:, None] < idx)  # the pairs
     ta, tb, tc = np.nonzero((idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx))
-    ab, bc, ac = (ta, tb), (tb, tc), (ta, tc)  # the pairs of each triangle
-    x = np.concatenate([S[ab], S[ab], A[ab], A[ab], np.repeat(diag, lo.size)])
-    y = np.concatenate([S[bc], A[bc], S[bc], A[bc], np.tile(S[lo, hi], diag.size)])
-    z = np.concatenate([A[ac], S[ac], S[ac], A[ac], np.tile(A[lo, hi], diag.size)])
+    kinds = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1]])[:, :, None]
+    triangles = pair_of[kinds, np.stack([ta, tb, ta])[:, None], np.stack([tb, tc, tc])[:, None]]
+    xyz = np.concatenate([triangles.reshape(3, -1),
+                          [np.repeat(diag, lo.size), np.tile(pair_of[0, lo, hi], diag.size),
+                           np.tile(pair_of[1, lo, hi], diag.size)]], axis=1)
     im1 = np.concatenate([np.repeat([-1.0, 1.0, 1.0, 1.0], ta.size), h[:, hi].ravel()])
     im2 = np.concatenate([np.zeros(4 * ta.size), -h[:, lo].ravel()])
 
-    # f^c_ab with c each of x, y and z: (a, b) in cyclic order has the lowered
-    # triple's sign and the swapped order the opposite one
-    keys, values = [], []
-    for c, a, b in ((z, x, y), (x, y, z), (y, z, x)):
-        t1, t2 = 2.0 * im1 / gram[c], 2.0 * im2 / gram[c]
-        total = t1 + t2
-        live = np.abs(total) > CANCEL_RTOL * (np.abs(t1) + np.abs(t2))
-        c, a, b, total = c[live], a[live], b[live], total[live]
-        keys += [(c * d + a) * d + b, (c * d + b) * d + a]
-        values += [total, -total]
-    keys = np.concatenate(keys)
-    order = np.argsort(keys)
-    nonzeros = Nonzeros((d, d, d), np.unravel_index(keys[order], (d, d, d)),
-                        np.concatenate(values)[order])
+    # f^c_ab with c each of x, y and z, in one pass over the three rotations:
+    # (a, b) in cyclic order has the lowered triple's sign and the swapped order
+    # the opposite one
+    c, a, b = xyz[[[2, 0, 1], [0, 1, 2], [1, 2, 0]]].reshape(3, -1)
+    gram_c = gram[c]
+    t1, t2 = np.tile(2.0 * im1, 3) / gram_c, np.tile(2.0 * im2, 3) / gram_c
+    total = t1 + t2
+    live = np.abs(total) > CANCEL_RTOL * (np.abs(t1) + np.abs(t2))
+    c, a, b, total = c[live], a[live], b[live], total[live]
+    index = np.stack([np.concatenate([c, c]), np.concatenate([a, b]), np.concatenate([b, a])])
+    order = np.argsort((index[0] * d + index[1]) * d + index[2])
+    nonzeros = Nonzeros((d, d, d), tuple(np.take(index, order, axis=1)),
+                        np.take(np.concatenate([total, -total]), order))
     return StructureConstants(d=d, nonzeros=nonzeros, gram_diag=gram, scheme=scheme,
                               n=n, p=p, class_of=class_of)
 

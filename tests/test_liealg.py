@@ -1,5 +1,7 @@
 """Generator bases: construction, Gram data, structure-constant identities."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -50,6 +52,39 @@ def diag_mix_reference(n):
             P[i, j] = 2.0 / (n - 1) - (1.0 if i == j else 0.0)
     P[n - 1, n - 1] = 1.0
     return P @ Q
+
+
+def dict_description(scheme, n, p, mix_rows, i):
+    """Oracle of ``liealg._description``: the generators as
+    (class, {(row, col): coefficient}) entries in basis order, with the
+    imaginary unit i and ``mix_rows(k)``, the diagonal mixes of k indices."""
+    def offdiag(pairs, sym, anti):
+        return ([(sym, {(A, B): 1, (B, A): 1}) for A, B in pairs]
+                + [(anti, {(A, B): i, (B, A): -i}) for A, B in pairs])
+
+    def block(idxs, sym, anti, mix):
+        entries = offdiag(list(itertools.combinations(idxs, 2)), sym, anti)
+        if len(idxs) >= 2:
+            entries += [(mix, {(j, j): v for j, v in zip(idxs, row)})
+                        for row in mix_rows(len(idxs))]
+        return entries
+
+    if scheme == 1:
+        return block(range(n), 0, 1, 2)
+    entries = block(range(p), 0, 0, 0) + block(range(p, n), 1, 1, 1)
+    entries += offdiag(list(itertools.product(range(p), range(p, n))), 2, 2)
+    if p and n - p:
+        entries.append((3, {(a, a): n - p if a < p else -p for a in range(n)}))
+    return entries
+
+
+def dict_generators(entries, n, dtype):
+    """The entries written one by one into (d, n, n) generators, and their classes."""
+    T = np.zeros((len(entries), n, n), dtype=dtype)
+    for a, (_, coeffs) in enumerate(entries):
+        for (row, col), value in coeffs.items():
+            T[a, row, col] = value
+    return T, np.array([c for c, _ in entries], dtype=int)
 
 
 class TestScheme1Basis:
@@ -376,9 +411,13 @@ class TestJacobiBlocks:
             liealg._identity_deviations(synthetic_sc(235**2 - 1))
 
 
+# the bases that the sympy materialization is checked on
+EXACT_CONFIGS = ([(1, n, None) for n in range(2, 6)]
+                 + [(2, n, p) for n in range(2, 6) for p in range(n + 1)])
+
+
 class TestOneDescription:
-    @pytest.mark.parametrize("scheme,n,p", [(1, n, None) for n in range(2, 6)]
-                             + [(2, n, p) for n in range(2, 6) for p in range(n + 1)])
+    @pytest.mark.parametrize("scheme,n,p", EXACT_CONFIGS)
     def test_sympy_materialization_matches_numpy(self, scheme, n, p):
         basis = build_basis(scheme, n, p)
         T, class_of = liealg._generators(scheme, n, p, exact=True)
@@ -419,6 +458,32 @@ class TestOneDescription:
 RULE_CONFIGS = ([(1, n, None) for n in range(2, 17)]
                 + [(2, n, p) for n in range(2, 13) for p in range(n + 1)]
                 + [(1, 24, None), (2, 20, 3), (1, 40, None)])
+
+
+class TestDescriptionOracle:
+    """The basis against the entries written one by one.  The bracket rule and
+    the trace formula would both follow a change to the basis itself, so
+    ``TestBracketRule`` cannot see one."""
+
+    @pytest.mark.parametrize("scheme,n,p", RULE_CONFIGS)
+    def test_float_basis_is_bit_identical(self, scheme, n, p):
+        entries = dict_description(scheme, n, p, lambda k: diag_mix_reference(k)[:k - 1], 1j)
+        want, want_class = dict_generators(entries, n, complex)
+        got, got_class = liealg._generators(scheme, n, p)
+        assert got.tobytes() == want.tobytes()
+        assert got_class.tobytes() == want_class.tobytes()
+
+    @pytest.mark.parametrize("scheme,n,p", EXACT_CONFIGS)
+    def test_sympy_basis_is_entry_by_entry_equal(self, scheme, n, p):
+        import sympy as sp
+
+        num = liealg._Numbers(object, sp.sqrt, sp.Rational, sp.I)
+        entries = dict_description(scheme, n, p, lambda k: liealg._diag_mix_rows(k, num), sp.I)
+        want, want_class = dict_generators(entries, n, object)
+        got, got_class = liealg._generators(scheme, n, p, exact=True)
+        assert got.shape == want.shape and np.array_equal(got_class, want_class)
+        for have, expected in zip(got.ravel(), want.ravel()):
+            assert type(have) is type(expected) and have == expected
 
 
 class TestBracketRule:
