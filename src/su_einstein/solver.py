@@ -131,9 +131,11 @@ class EinsteinSystem:
         self._rows = [c for c, size in enumerate(sizes) if size]
         self._free = [c for c in self._rows if c != gauge]
         self.unknowns = tuple(f"x{c + 1}" for c in self._free) + ("lambda",)
-        # the hand-typed scheme-2 Jacobian has a column per non-gauge class, then lambda
+        # the hand-typed scheme-2 Jacobian has a column per non-gauge class, then
+        # lambda; with every class nonempty, every row and column is kept and
+        # residual and jacobian skip the gathers
         keep = [c - (c > gauge) for c in self._free] + [len(sizes) - 1]
-        self._block = np.ix_(self._rows, keep)
+        self._block = None if len(self._rows) == len(sizes) else np.ix_(self._rows, keep)
 
     @property
     def size(self) -> int:
@@ -167,7 +169,7 @@ class EinsteinSystem:
             full = scheme1_system(self.n, *x, lam)
         else:
             full = scheme2_system(self.n, self.p, *x, lam)
-        return full[self._rows].T
+        return (full if self._block is None else full[self._rows]).T
 
     def jacobian(self, v: np.ndarray) -> np.ndarray:
         """Analytic Jacobian of ``residual``: (k, k) for v of shape (k,), (B, k, k) for (B, k)."""
@@ -194,13 +196,11 @@ class EinsteinSystem:
         J[..., 0, 3] = -x1
         J[..., 1, 1] = p / 4 * x2 - lam
         J[..., 1, 3] = -x2
-        J[..., 2, 0] = -(p - 1) * (p + 1) / (8 * p)
-        J[..., 2, 1] = -(q - 1) * (q + 1) / (8 * q)
-        J[..., 2, 2] = -n**2 / 16
-        J[..., 2, 3] = -1.0
+        J[..., 2, :] = (-(p - 1) * (p + 1) / (8 * p), -(q - 1) * (q + 1) / (8 * q),
+                        -n**2 / 16, -1.0)
         J[..., 3, 2] = p * q * n**2 / 8 * x4 - lam
         J[..., 3, 3] = -x4
-        return J[(Ellipsis, *self._block)]
+        return J if self._block is None else J[(Ellipsis, *self._block)]
 
     def record(self, x, lam: float, provenance: str = "numeric",
                engine_tol: float = DEFAULT_EINSTEIN_TOL) -> EinsteinRecord:
@@ -242,6 +242,7 @@ _OUTCOME = {name: code for code, name in enumerate(NEWTON_OUTCOMES)}
 # Line-search step fractions 1, 1/2, ..., 2^-59 (exact powers of two).
 _HALVINGS = 0.5 ** np.arange(60)
 _HALVING_INDEX = np.arange(60)
+_SMALL_HALVING = int(np.argmax(_HALVINGS <= 1e-8))  # 27: from here on 2^-j <= 1e-8
 
 
 def newton_solve(system: EinsteinSystem, starts) -> tuple[np.ndarray, np.ndarray]:
@@ -252,10 +253,10 @@ def newton_solve(system: EinsteinSystem, starts) -> tuple[np.ndarray, np.ndarray
     (``_line_search``).  Only a start whose residual is already below
     NEWTON_TOL may take a step fraction of at most 1e-8 that grows it; a
     start off the root with no acceptable halving ends ``line_search_failed``.
-    The accepted trial's residual is kept for the next iteration.  Iterates
-    past the NEWTON_TOL threshold until the step stalls, which sharpens roots
-    where two solution branches collide (there the Jacobian is singular and
-    plain Newton converges only linearly).
+    The accepted trial's residual and its max-norm are kept for the next
+    iteration.  Iterates past the NEWTON_TOL threshold until the step stalls,
+    which sharpens roots where two solution branches collide (there the
+    Jacobian is singular and plain Newton converges only linearly).
 
     ``starts`` of shape (B, k) are iterated together, for at most MAX_ITER
     steps: returns ``(roots, outcomes)``, the (B, k) roots (nan rows where a
@@ -264,8 +265,8 @@ def newton_solve(system: EinsteinSystem, starts) -> tuple[np.ndarray, np.ndarray
     only its own start.  The live starts are kept compact, as (k, m) iterates
     and residuals with the unknowns along axis 0, so that every reduction
     over the unknowns runs along the starts; a start that finishes is written
-    to the result once, and the live arrays shrink only in an iteration where
-    some start finishes.
+    to the result once, the live arrays shrink only in an iteration where
+    some start finishes, and the loop ends as soon as no start is live.
     """
     v = np.array(starts, dtype=float)
     if v.ndim != 2 or v.shape[1] != system.size:
@@ -296,25 +297,29 @@ def newton_solve(system: EinsteinSystem, starts) -> tuple[np.ndarray, np.ndarray
                 break
             step, singular = _newton_steps(system.jacobian(x.T), -r.T)
             step = np.ascontiguousarray(step.T)
-            bad = ~np.isfinite(step).all(axis=0)  # a singular start's step is nan
-            if bad.any():
+            if not np.isfinite(step).all():
+                keep = np.isfinite(step).all(axis=0)  # a singular start's step is nan
+                bad = ~keep
                 outcome[live[bad]] = np.where(singular[bad], _OUTCOME["singular_jacobian"],
                                               _OUTCOME["nonfinite_step"])
-                keep = ~bad
                 live, x, rnorm, step = live[keep], x[:, keep], rnorm[keep], step[:, keep]
+                if live.size == 0:
+                    break
 
-            pick, r = _line_search(system, x.T, step.T, rnorm)
+            pick, r, rnorm = _line_search(system, x.T, step.T, rnorm)
             r = r.T  # the accepted trial is x + move below, bit for bit
-            found = pick >= 0
-            if not found.all():
+            if pick.min() < 0:
+                found = pick >= 0
                 outcome[live[~found]] = _OUTCOME["line_search_failed"]
                 live, x, step, pick = live[found], x[:, found], step[:, found], pick[found]
-                r = r[:, found]
+                r, rnorm = r[:, found], rnorm[found]
+                if live.size == 0:
+                    break
             move = _HALVINGS[pick] * step
             x += move
-            rnorm = np.abs(r).max(axis=0)
 
-            stall = np.abs(move).max(axis=0) < 1e-14 * np.fmax(1.0, np.abs(x).max(axis=0))
+            # the iterates are positive: max(1, max |x_i|) is x.max(initial=1)
+            stall = np.abs(move).max(axis=0) < 1e-14 * x.max(axis=0, initial=1.0)
             if stall.any():
                 outcome[live[stall]] = _OUTCOME["stalled_off_root"]
                 settle(stall)
@@ -325,16 +330,19 @@ def newton_solve(system: EinsteinSystem, starts) -> tuple[np.ndarray, np.ndarray
 
 
 def _line_search(system: EinsteinSystem, v: np.ndarray, step: np.ndarray,
-                 rnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 rnorm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first halving j of each start whose iterate v + 2^-j step is positive
-    and accepted; (j or -1 where none is, residual rows at the accepted iterates).
+    and accepted; (j or -1 where none is, residual rows at the accepted
+    iterates, their max-norms).  Rows and norms of a start with j = -1 are
+    undefined.
 
     ``v`` and ``step`` are (B, k).  A trial is accepted when its residual
     max-norm is at most ``rnorm``, or when its step fraction is at most 1e-8
     and ``rnorm`` is below NEWTON_TOL: a start off the root never takes a
     step that grows its residual.  With rate = max(-step_i / v_i), the
     reciprocal of the largest positive step fraction, and f the exponent with
-    2^(f-1) <= rate < 2^f, the first positive halving is f or a later one:
+    2^(f-1) <= max(rate, 1/2) < 2^f, the first positive halving is f or a
+    later one:
 
     - a quotient of floats that rounds to at least 2^(f-1) is at least
       2^(f-1), so every halving j < f is at least the largest positive step
@@ -344,48 +352,57 @@ def _line_search(system: EinsteinSystem, v: np.ndarray, step: np.ndarray,
       step fraction grows; so halving f is positive unless a product
       underflows, and positivity holds from one halving on.
 
-    The residual is evaluated at halving f, and only the starts it rejects,
-    or whose iterate there is not positive, try every later halving.
-    Internally the unknowns run along axis 0, so that reductions over them
-    run along the starts.  ``newton_solve`` passes transposed views of its
-    (k, m) arrays, which are therefore not copied, and the residual rows come
-    back as a transposed view of a (k, m) array.
+    The residual is evaluated at halving f; when every start's iterate there
+    is positive and accepted, that is the answer.  Otherwise only the starts
+    it rejects, or whose iterate there is not positive, try every later
+    halving.  Internally the unknowns run along axis 0, so that reductions
+    over them run along the starts.  ``newton_solve`` passes transposed views
+    of its (k, m) arrays, which are therefore not copied, and the residual
+    rows come back as a transposed view of a (k, m) array.
     """
     m, k = v.shape
     v, step = v.T, step.T
-    rate = np.maximum(-(step / v).min(axis=0), 0.0)
-    first = np.minimum(np.maximum(np.frexp(rate)[1], 0), 60)  # f; 60: no positive halving
-    forced = rnorm < NEWTON_TOL  # may take a step fraction <= 1e-8 that grows the residual
-
-    def accepted(res, start, j):
-        return (np.abs(res).max(axis=1) <= rnorm[start]) | ((_HALVINGS[j] <= 1e-8) & forced[start])
+    # f is the exponent of min(step_i / v_i, -1/2) = -max(rate, 1/2), and 0 where that is -inf
+    f = np.frexp((step / v).min(axis=0, initial=-0.5))[1]
+    j = np.minimum(f, 59)  # where f >= 60, halving 59 < f is not positive
 
     # halving f of every start that has one, in one residual call
-    j = np.minimum(first, 59)  # where f = 60, halving 59 < f is not positive
     trial = v + _HALVINGS[j] * step
-    positive = (trial > 0).all(axis=0)
-    take = slice(None) if positive.all() else np.flatnonzero(positive)
-    res = system.residual(trial[:, take].T)
-    rows = np.empty((k, m))
-    rows[:, take] = res.T
+    if trial.min() > 0:
+        take = slice(None)
+        res = system.residual(trial.T)
+        norms = np.abs(res).max(axis=1)
+        if (norms <= rnorm).all():
+            return j, res, norms
+        rows = res.T  # the residual's own (k, m) array also takes the later halvings' rows
+    else:
+        take = np.flatnonzero((trial > 0).all(axis=0))
+        res = system.residual(trial[:, take].T)
+        rows, norms = np.empty((k, m)), np.empty(m)
+        rows[:, take], norms[take] = res.T, np.abs(res).max(axis=1)
+    forced = rnorm < NEWTON_TOL  # may take a step fraction <= 1e-8 that grows the residual
+
+    def accepted(norm, start, j):
+        return (norm <= rnorm[start]) | ((j >= _SMALL_HALVING) & forced[start])
+
     pick = np.full(m, -1)
-    pick[take] = np.where(accepted(res, take, j[take]), first[take], -1)
+    pick[take] = np.where(accepted(norms[take], take, j[take]), j[take], -1)
 
     # every later halving of the rest, in (start, j) order
     todo = np.flatnonzero(pick < 0)
-    start, j = np.nonzero(_HALVING_INDEX > first[todo, None])
+    start, j = np.nonzero(_HALVING_INDEX > j[todo, None])
     if j.size:
         start = todo[start]
         trial = v[:, start] + _HALVINGS[j] * step[:, start]
-        positive = (trial > 0).all(axis=0)
-        take = slice(None) if positive.all() else np.flatnonzero(positive)
+        take = slice(None) if trial.min() > 0 else np.flatnonzero((trial > 0).all(axis=0))
         start, j, res = start[take], j[take], system.residual(trial[:, take].T)
-        ok = np.flatnonzero(accepted(res, start, j))
+        norm = np.abs(res).max(axis=1)
+        ok = np.flatnonzero(accepted(norm, start, j))
         lead = np.ones(ok.size, dtype=bool)
         lead[1:] = start[ok[1:]] != start[ok[:-1]]
         ok = ok[lead]
-        pick[start[ok]], rows[:, start[ok]] = j[ok], res.T[:, ok]
-    return pick, rows.T
+        pick[start[ok]], rows[:, start[ok]], norms[start[ok]] = j[ok], res.T[:, ok], norm[ok]
+    return pick, rows.T, norms
 
 
 def _newton_steps(J: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -280,9 +280,18 @@ def brute_force_pick(system, v, step, rnorm):
     return -1, None
 
 
+def line_search(system, v, step, rnorm):
+    """``solver._line_search``, checked to return the max-norms of its accepted
+    rows bit for bit; (pick, rows)."""
+    pick, rows, norms = solver._line_search(system, v, step, rnorm)
+    found = pick >= 0
+    assert norms[found].tobytes() == np.abs(rows[found]).max(axis=1).tobytes()
+    return pick, rows
+
+
 def assert_picks_match(system, v, step, rnorm):
     with np.errstate(all="ignore"):
-        pick, rows = solver._line_search(system, v, step, rnorm)
+        pick, rows = line_search(system, v, step, rnorm)
         for i in range(len(v)):
             j, res = brute_force_pick(system, v[i], step[i], rnorm[i])
             assert pick[i] == j, (v[i], step[i], rnorm[i])
@@ -291,14 +300,19 @@ def assert_picks_match(system, v, step, rnorm):
 
 
 LINE_SEARCH_SYSTEMS = [(1, 4, None), (2, 5, 2)]
+# (scheme, n, p, seed); the last two are catalog-sweep's scheme-2 searches,
+# whose seed is the catalog's seed 0 + p
+BLOCKWISE_CASES = [(1, 4, None, 0), (1, 5, None, 0), (2, 4, 2, 0), (2, 5, 2, 0),
+                   (2, 6, 3, 0), (2, 7, 1, 0), (2, 4, 2, 2), (2, 5, 2, 2)]
 
 
 class TestLineSearch:
-    @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (1, 5, None), (2, 4, 2),
-                                            (2, 5, 2), (2, 6, 3), (2, 7, 1)])
-    def test_matches_the_blockwise_scan_bit_for_bit(self, scheme, n, p):
+    @pytest.mark.parametrize("scheme,n,p,seed", BLOCKWISE_CASES,
+                             ids=[f"{scheme}-{n}-{p}" + (f"-seed{seed}" if seed else "")
+                                  for scheme, n, p, seed in BLOCKWISE_CASES])
+    def test_matches_the_blockwise_scan_bit_for_bit(self, scheme, n, p, seed):
         system = se.EinsteinSystem(scheme, n, p)
-        starts = log_uniform_starts(system, 400, seed=0)
+        starts = log_uniform_starts(system, 400, seed=seed)
         roots, outcomes = se.newton_solve(system, starts)
         ref_roots, ref_outcomes = reference_newton(system, starts)
         assert list(outcomes) == list(ref_outcomes)
@@ -364,7 +378,7 @@ class TestLineSearch:
         for rnorm in (np.zeros(len(cases)), np.full(len(cases), np.inf)):
             assert_picks_match(system, v, step, rnorm)
         with np.errstate(all="ignore"):
-            pick, _ = solver._line_search(system, v, step, np.full(len(cases), np.inf))
+            pick, _ = line_search(system, v, step, np.full(len(cases), np.inf))
         assert list(pick[:6]) == [3, -1, -1, -1, 59, 0]  # the subnormal case: brute force above
 
     def test_one_residual_call_unless_a_start_is_rejected(self, monkeypatch):
@@ -376,11 +390,11 @@ class TestLineSearch:
         step = np.full((4, 3), 0.5)
         step[:, 0] = [3.0, -4.0, -(2.0**59 - 2.0**7), -2.0**59]  # first positive halving 0, 3, 59, none
         with np.errstate(all="ignore"):
-            pick, _ = solver._line_search(system, v, step, np.full(4, np.inf))
+            pick, _ = line_search(system, v, step, np.full(4, np.inf))
             assert list(pick) == [0, 3, 59, -1] and calls == [3]
             calls.clear()
             # rnorm 0 rejects the first positive halving unless its step fraction is <= 1e-8
-            pick, _ = solver._line_search(system, v, step, np.zeros(4))
+            pick, _ = line_search(system, v, step, np.zeros(4))
         assert list(pick) == [27, 27, 59, -1]
         assert calls == [3, 59 + 56]  # then halvings 1..59 and 4..59 of the rejected two
 
@@ -391,7 +405,7 @@ class TestLineSearch:
         tol = solver.NEWTON_TOL
         rnorm = np.array([1e-6, 2 * tol, tol, tol / 2, 0.0])
         v, step = np.ones((len(rnorm), 3)), np.full((len(rnorm), 3), 0.5)
-        pick, _ = solver._line_search(system, v, step, rnorm)
+        pick, _ = line_search(system, v, step, rnorm)
         assert list(pick) == [-1, -1, -1, 27, 27]
 
     def test_start_off_the_root_ends_instead_of_crawling(self, monkeypatch):
@@ -554,6 +568,21 @@ class TestClosedFormScheme2:
             assert ra.I1 == pytest.approx(rb.I1, rel=1e-8)
 
 
+# catalog-sweep's four searches at 400 starts: (scheme, n, p, seed), the
+# residual and jacobian calls, the Newton outcomes other than 0,
+# boundary_discarded and duplicates
+CATALOG_SWEEP_WORK = [
+    ((1, 4, None, 0), 77, 56,
+     {"converged": 156, "stalled_off_root": 243, "line_search_failed": 1}, 45, 111),
+    ((2, 4, 2, 2), 401, 200,
+     {"converged": 174, "stalled_off_root": 191, "max_iter": 35}, 52, 122),
+    ((1, 5, None, 0), 88, 54,
+     {"converged": 159, "stalled_off_root": 239, "line_search_failed": 2}, 41, 118),
+    ((2, 5, 2, 2), 221, 200,
+     {"converged": 167, "stalled_off_root": 187, "max_iter": 46}, 26, 141),
+]
+
+
 class TestMultistart:
     def test_scheme1_n3_exactly_two(self):
         ms = se.multistart_search(se.EinsteinSystem(1, 3), n_starts=200, seed=11)
@@ -591,6 +620,25 @@ class TestMultistart:
         assert counts["converged"] == a.diagnostics["converged"]
         assert a.diagnostics["failed"] == 150 - counts["converged"]
         assert counts == b.diagnostics["newton_outcomes"]
+
+    @pytest.mark.parametrize("config,residuals,jacobians,outcomes,boundary,duplicates",
+                             CATALOG_SWEEP_WORK,
+                             ids=[f"{scheme}-{n}-{p}-seed{seed}"
+                                  for (scheme, n, p, seed), *_ in CATALOG_SWEEP_WORK])
+    def test_catalog_sweep_newton_work(self, config, residuals, jacobians, outcomes,
+                                       boundary, duplicates, monkeypatch):
+        # one jacobian call per iteration: an iteration with no live start would add one
+        calls = {"residual": 0, "jacobian": 0}
+        for name in calls:
+            def counted(system, v, _method=getattr(se.EinsteinSystem, name), _name=name):
+                calls[_name] += 1
+                return _method(system, v)
+            monkeypatch.setattr(se.EinsteinSystem, name, counted)
+        scheme, n, p, seed = config
+        diag = solve_configuration(scheme, n, p, n_starts=400, seed=seed).diagnostics
+        assert calls == {"residual": residuals, "jacobian": jacobians}
+        assert diag["newton_outcomes"] == {name: outcomes.get(name, 0) for name in NEWTON_OUTCOMES}
+        assert (diag["boundary_discarded"], diag["duplicates"]) == (boundary, duplicates)
 
     def test_zero_and_negative_starts(self):
         ms = se.multistart_search(se.EinsteinSystem(1, 3), n_starts=0)
