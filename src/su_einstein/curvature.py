@@ -20,17 +20,20 @@ and the curvature operator R(e_a, e_b) e_c = (grad_a grad_b - grad_b grad_a
 
 The engine works on nonzero entries (``sparse.Nonzeros``): Gamma lives on the
 nonzeros of f, and Ricci and |Riem|^2 are sums of products of Gamma and f
-entries joined on their shared indices, so no d^4 array is built.  Both are
-formed in one row per metric class, that of the class's first generator
-(``StructureConstants.class_rows``): the Einstein fit of ``curvature_bundle``
-reads lambda and the residual off the Ricci rows, and ``riemann_norm_sq``
-weights each Riemann row by its class size.  Their docstrings prove that the
-reductions are exact.  ``riemann_norm_sq`` reads the Riemann entries straight
-off ``sparse.sum_by_key`` of the row terms, with no ``Nonzeros`` in between,
-and forms the rows in blocks under a budget of products, so its memory stays
-bounded at large n while its value is the same to the bit.  The full d x d
-``ricci_fast(gamma, sc)`` serves the tests; the dense ``riemann``, ``ricci``,
-``lower_riemann`` and ``riem_norm_sq`` remain as test oracles.
+entries, so no d^4 array is built.  Both are formed only at the first
+generator of each metric class (``StructureConstants.class_rows``): the
+Einstein fit of ``curvature_bundle`` reads lambda and the residual off the
+Ricci diagonal there, formed term for term from the nonzeros of f
+(``_ricci_diagonal``), and ``riemann_norm_sq`` weights each Riemann row by its
+class size.  Their docstrings prove that the reductions are exact.  Gamma over
+all of f is built only for |Riem|^2, i.e. for an Einstein verdict.
+``riemann_norm_sq`` reads the Riemann entries straight off
+``sparse.sum_by_key`` of the row terms, with no ``Nonzeros`` in between, and
+forms the rows in blocks under a budget of products, so its memory stays
+bounded at large n while its value is the same to the bit.  The Ricci rows
+by joins, ``ricci_fast(gamma, sc)``, are the tests' oracle of the diagonal;
+the dense ``riemann``, ``ricci``, ``lower_riemann`` and ``riem_norm_sq``
+remain as test oracles.
 
 ``einstein_verdict(sc, x, tol)`` is the one Einstein evaluation; ``check``
 and the solver's records both use it.  It fits the metric at x * 2^-k, which
@@ -50,6 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,7 +145,8 @@ def ricci_fast(gamma: Nonzeros, sc: StructureConstants,
     Gamma entries (., ., c) with c in ``rows`` take part on that side; the
     result is a (len(rows), d) array, and each of its entries sums the same
     terms in the same order as the full matrix.  ``rows`` defaults to every
-    row, which gives the full d x d matrix.
+    row, which gives the full d x d matrix.  No verdict calls it: it is the
+    tests' oracle of ``_ricci_diagonal``, and perfbench's probes time it.
     """
     d = sc.d
     gc, ga, gb = gamma.index
@@ -164,6 +169,64 @@ def ricci_fast(gamma: Nonzeros, sc: StructureConstants,
     keys = np.concatenate([out[j] * d + ga[i], out[m] * d + fb[k]])
     terms = np.concatenate([-gv[i] * rv[j], -fv[k] * rv[m]])
     return np.bincount(keys, weights=terms, minlength=nrows * d).reshape(nrows, d)
+
+
+def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
+    """Ric_cc for each c in ``sc.class_rows[0]``, in class order, straight from
+    the nonzeros of f: the same floats as the diagonal entries of the rows
+    ``ricci_fast(levi_civita(sc, metric), sc, first)``, with no join and no
+    Gamma over all of f.
+
+    On the diagonal the two terms of ``ricci_fast`` are
+
+        Ric_cc = -sum Gamma^a_ce Gamma^e_ac - sum f^e_ac Gamma^a_ec,
+
+    and ``ricci_fast`` adds them in this order: first the products over the
+    Gamma entries (a, c, e) in f's order, each with its partner (e, a, c), then
+    those over the f entries (e, a, c) in f's order, each with the Gamma entry
+    (a, e, c).  Here the sums run over the f entries at the same indices, in
+    the same order, and each Gamma value is formed as ``levi_civita`` forms
+    it, so every term ``ricci_fast`` adds is the same float.  The partners are
+    f entries too: f_abc = f^c_ab G_cc is totally antisymmetric, so (a, c, e)
+    is an entry of f iff (e, a, c) and (a, e, c) are.  Every partner ends in
+    the row c, so its position comes from ``np.searchsorted`` on the sorted
+    linear keys of the f entries that end in a formed row.
+
+    The only terms added here that ``ricci_fast`` does not add are those whose
+    Gamma factor ``levi_civita`` drops, as y_c - y_a + y_b is 0 there; such a
+    term is a product with a +-0 factor, +-0 when its other factor is
+    finite.  ``np.bincount`` adds each row's terms in input order to a sum
+    that starts at +0.  In round to nearest, s + (+-0) = s for s != 0, and
+    +0 + (+-0) = +0, while a sum of nonzero floats that cancels is +0, never
+    -0.  So the sum is +0 or nonzero at every step, a +-0 term changes no
+    bit, and wherever the terms are finite the rows are the same floats as
+    those of ``ricci_fast``.  (A non-finite term makes lambda non-finite, and
+    ``_unit_fit`` raises.)
+    """
+    d = sc.d
+    fc, fa, fb = sc.nonzeros.index
+    fv = sc.nonzeros.values
+    first, _ = sc.class_rows
+    y = metric.g / sc.gram_diag
+    position = np.full(d, -1)
+    position[first] = np.arange(first.size)
+    formed = position >= 0
+    # the entries (e, a, c) with c a formed row: the f entries of the second
+    # term and every partner; their keys ascend, as f is sorted by them
+    last = np.flatnonzero(formed[fb])
+    e, a, c = fc[last], fa[last], fb[last]
+    key = (e * d + a) * d + c
+    gamma = fv[last] * (y[e] - y[a] + y[c]) / (2.0 * y[e])
+    # Gamma^a_ce Gamma^e_ac: entries (a, c, e) and (e, a, c)
+    mid = np.flatnonzero(formed[fa])
+    a1, c1, e1 = fc[mid], fa[mid], fb[mid]
+    left = fv[mid] * (y[a1] - y[c1] + y[e1]) / (2.0 * y[a1])
+    right = gamma[np.searchsorted(key, (e1 * d + a1) * d + c1)]
+    # f^e_ac Gamma^a_ec: entries (e, a, c) and (a, e, c)
+    partner = gamma[np.searchsorted(key, (a * d + e) * d + c)]
+    rows = np.concatenate([position[c1], position[c]])
+    terms = np.concatenate([-left * right, -fv[last] * partner])
+    return np.bincount(rows, weights=terms, minlength=first.size)
 
 
 def _riemann_rows(gamma: Nonzeros, sc: StructureConstants,
@@ -311,30 +374,35 @@ def riem_norm_sq(riem: np.ndarray, metric: MetricSpec) -> float:
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """All curvature data of one metric.
+    """The Einstein fit of one metric.
 
-    ``class_ric`` holds the Ricci rows Ric[c, :] of the first generator of each
-    nonempty class (``sc.class_rows``), one row per class in class order.
-    |Riem|^2 is ``riemann_norm_sq(gamma, sc, metric)``.
+    ``ricci_diag`` holds Ric_cc at the first generator c of each nonempty
+    class (``sc.class_rows``), in class order.  ``gamma`` is
+    ``levi_civita(sc, metric)``, built on first read; |Riem|^2 is
+    ``riemann_norm_sq(gamma, sc, metric)``.
     """
 
+    sc: StructureConstants
     metric: MetricSpec
-    gamma: Nonzeros
-    class_ric: np.ndarray
+    ricci_diag: np.ndarray
     lambda_best: float
     residual: float
 
+    @cached_property
+    def gamma(self) -> Nonzeros:
+        return levi_civita(self.sc, self.metric)
+
 
 def curvature_bundle(sc: StructureConstants, metric: MetricSpec) -> CurvatureBundle:
-    """Compute connection, Ricci and the Einstein fit for a metric.
+    """The Einstein fit of a metric, from the Ricci diagonal alone.
 
-    Ricci is formed only in the row of the first generator of each class
-    (3 rows for scheme 1, at most 4 for scheme 2).  With Ric_cc = r_k g_c on
-    class k of size |k|, the scalar curvature is s = sum_k |k| r_k,
-    lambda = s / d, and the residual is the largest entry of those rows minus
-    lambda g on their diagonal.  These are the g-trace mean and the max-norm of
-    Ric - lambda g over the full matrix, because Ric is diagonal in the frame
-    with Ric = r_k g on each class k:
+    Ric_cc is formed only at the first generator of each class
+    (``_ricci_diagonal``; 3 entries for scheme 1, at most 4 for scheme 2).
+    With Ric_cc = r_k g_c on class k of size |k|, the scalar curvature is
+    s = sum_k |k| r_k, lambda = s / d, and the residual is the largest
+    |Ric_cc - lambda g_c| over those entries.  These are the g-trace mean and
+    the max-norm of Ric - lambda g over the full matrix, because Ric is
+    diagonal in the frame with Ric = r_k g on each class k:
 
     - An automorphism of su(n) that maps each class to itself and preserves
       the trace form is an isometry of every class-diagonal metric, so it
@@ -360,20 +428,18 @@ def curvature_bundle(sc: StructureConstants, metric: MetricSpec) -> CurvatureBun
       between two classes, an equivariant map, is 0.
 
     The full residual max_k |r_k - lambda| max_{a in k} g_a is then attained
-    in the formed rows: g is x_k G_aa up to a factor fixed per class, and the
-    first generator of a class is a pair (G_aa = 2) wherever the class has
-    one, since the pairs come before the diagonal mixes (G_aa = 1).
+    at the formed entries: g is x_k G_aa up to a factor fixed per class, and
+    the first generator of a class is a pair (G_aa = 2) wherever the class has
+    one, since the pairs come before the diagonal mixes (G_aa = 1).  lambda
+    reads only the diagonal, so it has the bits of the fit on the full Ricci
+    rows of ``ricci_fast``.
     """
-    gamma = levi_civita(sc, metric)
     first, size = sc.class_rows
-    ric = ricci_fast(gamma, sc, first)
-    at = np.arange(first.size)
+    ric = _ricci_diagonal(sc, metric)
     g = metric.g[first]
-    lam = float(np.sum(size * (ric[at, first] / g))) / sc.d
-    dev = ric.copy()
-    dev[at, first] -= lam * g
-    return CurvatureBundle(metric=metric, gamma=gamma, class_ric=ric, lambda_best=lam,
-                           residual=float(np.abs(dev).max()))
+    lam = float(np.sum(size * (ric / g))) / sc.d
+    return CurvatureBundle(sc=sc, metric=metric, ricci_diag=ric, lambda_best=lam,
+                           residual=float(np.abs(ric - lam * g).max()))
 
 
 def _unit_fit(sc: StructureConstants, x) -> tuple[CurvatureBundle, float]:
@@ -470,6 +536,5 @@ def class_ricci_eigenvalues(sc: StructureConstants, x) -> np.ndarray:
     fit, _ = _unit_fit(sc, x)
     first, _ = sc.class_rows
     out = np.full(sc.num_classes, np.nan)
-    out[sc.class_of[first]] = (fit.class_ric[np.arange(first.size), first]
-                               / frame_weights(sc)[first])
+    out[sc.class_of[first]] = fit.ricci_diag / frame_weights(sc)[first]
     return out

@@ -118,7 +118,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("x", ["7,1,7", "1,2,1"])
     def test_one_ricci_per_check(self, capsys, monkeypatch, x):
-        calls = {"ricci_fast": 0, "riemann_norm_sq": 0}
+        # the Ricci diagonal once per verdict; Gamma over all of f and |Riem|^2
+        # only for an Einstein verdict
+        calls = {"_ricci_diagonal": 0, "levi_civita": 0, "riemann_norm_sq": 0}
         for name in calls:
             original = getattr(curvature, name)
 
@@ -128,7 +130,9 @@ class TestCheck:
 
             monkeypatch.setattr(curvature, name, counted)
         code, _, _ = run(capsys, "check", "--scheme", "1", "--n", "4", "--x", x)
-        assert calls == {"ricci_fast": 1, "riemann_norm_sq": int(code == 0)}
+        assert code == (0 if x == "7,1,7" else 1)
+        assert calls == {"_ricci_diagonal": 1, "levi_civita": int(code == 0),
+                         "riemann_norm_sq": int(code == 0)}
 
     def test_every_check_builds_structure_constants(self, capsys, monkeypatch):
         traced = counted_structure_constants(monkeypatch)

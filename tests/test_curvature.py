@@ -5,6 +5,7 @@ metric constants, the per-class Ricci eigenvalues computed by the engine
 coincide with the closed-form equation systems of both ansatz families.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -245,6 +246,49 @@ class TestNonzeroEngine:
             fit = se.curvature_bundle(sc, m)
             assert abs(fit.lambda_best - lam) <= 1e-12 * np.abs(r).max()
             assert abs(fit.residual - np.abs(full - lam * np.diag(m.g)).max()) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
+    def test_ricci_diagonal_is_that_of_the_rows(self, scheme, n, p, rng):
+        # the fit's diagonal, term for term, has the bits of ricci_fast's rows
+        sc = sc_for(scheme, n, p)
+        first, _ = sc.class_rows
+        at = np.arange(first.size)
+        for _ in range(2):
+            m = metric(scheme, n, p, random_x(rng, sc.num_classes))
+            rows = ricci_fast(se.levi_civita(sc, m), sc, first)
+            assert curvature._ricci_diagonal(sc, m).tobytes() == rows[at, first].tobytes()
+
+    @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
+    def test_ricci_diagonal_where_gamma_drops_entries(self, scheme, n, p):
+        # x in {1, 2, 3}: y = g / G is x times an integer power of two on
+        # every class but the balance line, so y_c - y_a + y_b is 0 exactly
+        # at some entries of f; levi_civita drops those and ricci_fast never
+        # sees them, while _ricci_diagonal adds their +-0 terms
+        sc = sc_for(scheme, n, p)
+        first, _ = sc.class_rows
+        at = np.arange(first.size)
+        dropped = 0
+        for x in itertools.product((1.0, 2.0, 3.0), repeat=sc.num_classes):
+            m = se.MetricSpec.from_x(sc, x)
+            gamma = se.levi_civita(sc, m)
+            if gamma.nnz == sc.nonzeros.nnz:
+                continue
+            rows = ricci_fast(gamma, sc, first)
+            assert curvature._ricci_diagonal(sc, m).tobytes() == rows[at, first].tobytes()
+            dropped += 1
+            if dropped == 2:
+                break
+        assert dropped == 2 or first.size == 1  # one class: y_c - y_a + y_b = y
+
+    @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
+    def test_f_pattern_is_closed_under_the_ricci_partners(self, scheme, n, p):
+        # _ricci_diagonal looks up (e, a, c) and (a, e, c) of each entry (a, c, e)
+        # in f's keys: both must be entries of f
+        sc = sc_for(scheme, n, p)
+        c, a, b = sc.nonzeros.index
+        keys = {tuple(t) for t in zip(c.tolist(), a.tolist(), b.tolist())}
+        assert {(e, x, y) for x, y, e in keys} == keys
+        assert {(y, x, e) for x, y, e in keys} == keys
 
     @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS)
     def test_row_shares_are_equal_on_each_orbit(self, scheme, n, p, rng):

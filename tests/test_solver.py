@@ -197,6 +197,42 @@ class TestBatchedNewton:
         alone_roots, alone = se.newton_solve(system, SINGULAR_5_3[None])
         assert list(alone) == ["singular_jacobian"] and np.isnan(alone_roots).all()
 
+    def test_singular_member_bisects_the_batch(self, monkeypatch):
+        # one singular member among 400 starts: the halves without it solve
+        # batched, and every step, root and outcome is that of solving each
+        # member on its own
+        def per_member_steps(J, rhs):
+            singular = np.zeros(len(rhs), dtype=bool)
+            step = np.full_like(rhs, np.nan)
+            for i in range(len(rhs)):
+                try:
+                    step[i] = np.linalg.solve(J[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    singular[i] = True
+            return step, singular
+
+        system = se.EinsteinSystem(2, 5, 3)
+        starts = np.insert(log_uniform_starts(system, 399, seed=4), 137, SINGULAR_5_3, axis=0)
+        J, rhs = system.jacobian(starts), -system.residual(starts)
+        solves = []
+        original = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: solves.append(1) or original(*args))
+        step, singular = solver._newton_steps(J, rhs)
+        assert len(solves) <= 2 * math.ceil(math.log2(400)) + 1
+        assert list(np.flatnonzero(singular)) == [137]
+        loop_step, loop_singular = per_member_steps(J, rhs)
+        assert step.tobytes() == loop_step.tobytes()
+        assert singular.tobytes() == loop_singular.tobytes()
+        monkeypatch.setattr(np.linalg, "solve", original)
+
+        roots, outcomes = se.newton_solve(system, starts)
+        monkeypatch.setattr(solver, "_newton_steps", per_member_steps)
+        loop_roots, loop_outcomes = se.newton_solve(system, starts)
+        assert outcomes[137] == "singular_jacobian"
+        assert roots.tobytes() == loop_roots.tobytes()
+        assert list(outcomes) == list(loop_outcomes)
+
     def test_rejects_bad_shapes(self):
         system = se.EinsteinSystem(1, 3)
         for bad in (np.ones(3), np.ones(4), np.ones((2, 4)), np.ones((2, 2, 3))):
@@ -440,13 +476,18 @@ class TestLineSearch:
 
 def test_record_computes_ricci_once(monkeypatch):
     calls = []
-    original = se.curvature.ricci_fast
-    monkeypatch.setattr(se.curvature, "ricci_fast",
-                        lambda *args: calls.append(1) or original(*args))
+    for name in ("_ricci_diagonal", "levi_civita"):
+        original = getattr(se.curvature, name)
+        monkeypatch.setattr(se.curvature, name,
+                            lambda *args, _name=name, _original=original:
+                            calls.append(_name) or _original(*args))
     system = se.EinsteinSystem(1, 4)
     rec = system.record((7.0, 1.0, 7.0), 13 / 98)
     assert rec.valid and rec.I1 == pytest.approx(276 / 13, rel=1e-10)
-    assert len(calls) == 1
+    assert calls == ["_ricci_diagonal", "levi_civita"]
+    calls.clear()  # not Einstein: no Gamma over all of f
+    assert not system.record((1.0, 2.0, 1.0), 0.5).valid
+    assert calls == ["_ricci_diagonal"]
 
 
 class TestClosedFormScheme1:
