@@ -6,9 +6,9 @@ Commands
   solve    closed forms + multistart for one (scheme, n, p) configuration
   catalog  enumerate all configurations for n and classify by I1
 
-Exit codes: 0 success, 1 validation or verdict failure, 2 usage error.  Every
-usage error, the argument parser's included, is one ``error: ...`` line on
-stderr.
+Exit codes: 0 success, 1 validation or verdict failure, 2 usage error or a
+run that ran out of memory.  Every usage error, the argument parser's
+included, and every ``MemoryError`` is one ``error: ...`` line on stderr.
 ``main`` builds its argument parser on the first call and reuses it for every
 later call in the process; ``build_parser`` returns a new parser each time.
 JSON output is canonical: sorted keys, floats with 17 significant digits, so
@@ -347,6 +347,10 @@ def main(argv: list[str] | None = None) -> int:
         return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a run too large for the host is not a verdict
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return 2
 
 

@@ -72,11 +72,10 @@ _RIEMANN_TERM_BUDGET = 2**18
 def frame_weights(sc: StructureConstants) -> np.ndarray:
     """Per-generator metric weights w_a (frame metric is g_aa = x_class * w_a)."""
     w = _BIINVARIANT_WEIGHT * sc.gram_diag
-    if sc.scheme == 2:
-        mask = sc.class_of == 3
-        if np.any(mask):
-            p, n = sc.p, sc.n
-            w[mask] = 2.0 * float(p * (n - p) * n) ** 2
+    p, n = sc.p, sc.n
+    if sc.scheme == 2 and p * (n - p):
+        # the balance class is nonempty iff p, q >= 1, and it is the last class
+        w[sc.class_rows[0][-1]] = 2.0 * float(p * (n - p) * n) ** 2
     return w
 
 
@@ -189,7 +188,7 @@ def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     it, so every term ``ricci_fast`` adds is the same float.  The partners are
     f entries too: f_abc = f^c_ab G_cc is totally antisymmetric, so (a, c, e)
     is an entry of f iff (e, a, c) and (a, e, c) are.  Every partner ends in
-    the row c, so its position comes from ``np.searchsorted`` on the sorted
+    the row c, so its position comes from ``searchsorted`` on the sorted
     linear keys of the f entries that end in a formed row.
 
     The only terms added here that ``ricci_fast`` does not add are those whose
@@ -213,17 +212,17 @@ def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     formed = position >= 0
     # the entries (e, a, c) with c a formed row: the f entries of the second
     # term and every partner; their keys ascend, as f is sorted by them
-    last = np.flatnonzero(formed[fb])
+    last = formed[fb].nonzero()[0]
     e, a, c = fc[last], fa[last], fb[last]
     key = (e * d + a) * d + c
     gamma = fv[last] * (y[e] - y[a] + y[c]) / (2.0 * y[e])
     # Gamma^a_ce Gamma^e_ac: entries (a, c, e) and (e, a, c)
-    mid = np.flatnonzero(formed[fa])
+    mid = formed[fa].nonzero()[0]
     a1, c1, e1 = fc[mid], fa[mid], fb[mid]
     left = fv[mid] * (y[a1] - y[c1] + y[e1]) / (2.0 * y[a1])
-    right = gamma[np.searchsorted(key, (e1 * d + a1) * d + c1)]
+    right = gamma[key.searchsorted((e1 * d + a1) * d + c1)]
     # f^e_ac Gamma^a_ec: entries (e, a, c) and (a, e, c)
-    partner = gamma[np.searchsorted(key, (a * d + e) * d + c)]
+    partner = gamma[key.searchsorted((a * d + e) * d + c)]
     rows = np.concatenate([position[c1], position[c]])
     terms = np.concatenate([-left * right, -fv[last] * partner])
     return np.bincount(rows, weights=terms, minlength=first.size)
@@ -249,10 +248,10 @@ def _riemann_rows(gamma: Nonzeros, sc: StructureConstants,
     gv = gamma.values
     fc, fa, fb = sc.nonzeros.index
     fv = sc.nonzeros.values
-    upper = np.flatnonzero(fa < fb)
+    upper = (fa < fb).nonzero()[0]
     position = np.full(D, -1)
     position[rows] = np.arange(len(rows))
-    sel = np.flatnonzero(position[gc] >= 0)
+    sel = (position[gc] >= 0).nonzero()[0]
     # rd, ra, rb, rv: the Gamma entries (d, a, b) with d in rows, rd as r D
     rd, ra, rb, rv = position[gc[sel]] * D, ga[sel], gb[sel], gv[sel]
     # P: entries (d, a, e) and (e, b, c)
@@ -324,7 +323,7 @@ def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec)
         r, c = np.divmod(rest, D)
         d = rows[lo + r]
         shares.append(weight[d] * total[keep]**2 * g[d] / (g[c] * g[a] * g[b]))
-    return 2.0 * float(np.sum(np.concatenate(shares)))
+    return 2.0 * float(np.concatenate(shares).sum())
 
 
 def _riemann_row_terms(gamma: Nonzeros, sc: StructureConstants) -> np.ndarray:
@@ -437,7 +436,7 @@ def curvature_bundle(sc: StructureConstants, metric: MetricSpec) -> CurvatureBun
     first, size = sc.class_rows
     ric = _ricci_diagonal(sc, metric)
     g = metric.g[first]
-    lam = float(np.sum(size * (ric / g))) / sc.d
+    lam = float((size * (ric / g)).sum()) / sc.d
     return CurvatureBundle(sc=sc, metric=metric, ricci_diag=ric, lambda_best=lam,
                            residual=float(np.abs(ric - lam * g).max()))
 

@@ -139,8 +139,16 @@ class StructureConstants:
     def class_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, size): the first generator of each nonempty class and the
         size of that class, in class order.  The engine forms curvature rows
-        only at these generators."""
-        _, first, size = np.unique(self.class_of, return_index=True, return_counts=True)
+        only at these generators.  They are the running sums of
+        ``class_sizes(scheme, n, p)``; raises ValueError unless ``class_of``
+        holds each class in one run, in class order, with those sizes."""
+        sizes = class_sizes(self.scheme, self.n, self.p)
+        layout = np.arange(len(sizes)).repeat(sizes)
+        if layout.shape != self.class_of.shape or (layout != self.class_of).any():
+            raise ValueError(f"class_of is not the class layout {sizes} of "
+                             f"scheme={self.scheme} n={self.n} p={self.p}")
+        starts = itertools.accumulate(sizes, initial=0)
+        first, size = np.array([(start, k) for start, k in zip(starts, sizes) if k]).T
         first.flags.writeable = False
         size.flags.writeable = False
         return first, size
@@ -356,36 +364,43 @@ def structure_constants_of(scheme: int, n: int, p: int | None = None) -> Structu
     a, kind, A, B = pairs.T
     pair_of[kind, A, B] = a
     gram = np.full(d, 2.0)  # |1|^2 + |1|^2 = |i|^2 + |-i|^2 for a pair generator
-    gram[diag] = np.cumsum(h * h, axis=1)[:, -1]
+    gram[diag] = (h * h).cumsum(axis=1)[:, -1]
 
     # the lowered triples (x, y, z), with Im(T_x T_y T_z) of each one's one or
     # two cycles: the triangles, then (H, S_AB, A_AB) for each H and pair.  The
     # four triangle patterns (S, S, A), (S, A, S), (A, S, S) and (A, A, A) on
     # the pairs (ab, bc, ac) of each triangle are one gather into pair_of.
     idx = np.arange(n)
-    lo, hi = np.nonzero(idx[:, None] < idx)  # the pairs
-    ta, tb, tc = np.nonzero((idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx))
+    lo, hi = (idx[:, None] < idx).nonzero()  # the pairs
+    ta, tb, tc = ((idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx)).nonzero()
     kinds = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1]])[:, :, None]
-    triangles = pair_of[kinds, np.stack([ta, tb, ta])[:, None], np.stack([tb, tc, tc])[:, None]]
-    xyz = np.concatenate([triangles.reshape(3, -1),
-                          [np.repeat(diag, lo.size), np.tile(pair_of[0, lo, hi], diag.size),
-                           np.tile(pair_of[1, lo, hi], diag.size)]], axis=1)
-    im1 = np.concatenate([np.repeat([-1.0, 1.0, 1.0, 1.0], ta.size), h[:, hi].ravel()])
+    triangles = pair_of[kinds, np.array([ta, tb, ta])[:, None], np.array([tb, tc, tc])[:, None]]
+    with_diag = np.empty((3, diag.size, lo.size), dtype=np.intp)
+    with_diag[0] = diag[:, None]
+    with_diag[1:] = pair_of[:, lo, hi][:, None]
+    xyz = np.concatenate([triangles.reshape(3, -1), with_diag.reshape(3, -1)], axis=1)
+    im1 = np.concatenate([np.array([-1.0, 1.0, 1.0, 1.0]).repeat(ta.size), h[:, hi].ravel()])
     im2 = np.concatenate([np.zeros(4 * ta.size), -h[:, lo].ravel()])
 
     # f^c_ab with c each of x, y and z, in one pass over the three rotations:
     # (a, b) in cyclic order has the lowered triple's sign and the swapped order
     # the opposite one
-    c, a, b = xyz[[[2, 0, 1], [0, 1, 2], [1, 2, 0]]].reshape(3, -1)
-    gram_c = gram[c]
-    t1, t2 = np.tile(2.0 * im1, 3) / gram_c, np.tile(2.0 * im2, 3) / gram_c
+    cab = xyz[[[2, 0, 1], [0, 1, 2], [1, 2, 0]]].reshape(3, -1)
+    gram_c = gram[cab[0]].reshape(3, -1)  # one row per rotation
+    t1, t2 = ((2.0 * im1) / gram_c).ravel(), ((2.0 * im2) / gram_c).ravel()
     total = t1 + t2
-    live = np.abs(total) > CANCEL_RTOL * (np.abs(t1) + np.abs(t2))
-    c, a, b, total = c[live], a[live], b[live], total[live]
-    index = np.stack([np.concatenate([c, c]), np.concatenate([a, b]), np.concatenate([b, a])])
-    order = np.argsort((index[0] * d + index[1]) * d + index[2])
-    nonzeros = Nonzeros((d, d, d), tuple(np.take(index, order, axis=1)),
-                        np.take(np.concatenate([total, -total]), order))
+    live = (np.abs(total) > CANCEL_RTOL * (np.abs(t1) + np.abs(t2))).nonzero()[0]
+    c, a, b = cab.take(live, axis=1)
+    # the six permutations: (c, a, b) with f, then (c, b, a) with -f
+    index = np.empty((3, 2, live.size), dtype=np.intp)
+    index[0] = c
+    index[1] = a, b
+    index[2] = b, a
+    index = index.reshape(3, -1)
+    order = ((index[0] * d + index[1]) * d + index[2]).argsort()
+    total = total[live]
+    nonzeros = Nonzeros((d, d, d), tuple(index.take(order, axis=1)),
+                        np.concatenate([total, -total])[order])
     return StructureConstants(d=d, nonzeros=nonzeros, gram_diag=gram, scheme=scheme,
                               n=n, p=p, class_of=class_of)
 

@@ -7,16 +7,16 @@ computed elementwise, and products that land on the same output index are
 summed (``sum_by_key``).  Cost and memory scale with the number of pairs, not
 with the dense size of the operands or of the result.
 
-``sum_by_key`` groups the keys with one stable sort: run boundaries of the
-sorted keys and their ``cumsum`` number the groups, and two ``np.bincount``s
-add the terms of each key in input order.  The sort is a plain ``np.sort`` of
-key * size + position where that fits in int64, and a stable ``argsort``
-beyond.  A sum therefore does not depend on the sort, and summing a subset of
-the keys whose terms keep their relative order gives the same floats.  That
-lets a caller split a large sum into blocks of keys (``blocks``) to bound its
-memory.  Output indices become keys by row-major arithmetic;
-``check_key_range`` rejects a key range that int64 cannot hold, where the
-arithmetic would wrap silently.
+``sum_by_key`` groups the keys with one stable sort: the runs of equal
+sorted keys, from their starts and lengths, number the groups, and two
+``np.bincount``s add the terms of each key in input order.  The sort is a
+plain sort of key * size + position where that fits in int64, and a stable
+``argsort`` beyond.  A sum therefore does not depend on the sort, and summing
+a subset of the keys whose terms keep their relative order gives the same
+floats.  That lets a caller split a large sum into blocks of keys
+(``blocks``) to bound its memory.  Output indices become keys by row-major
+arithmetic; ``check_key_range`` rejects a key range that int64 cannot hold,
+where the arithmetic would wrap silently.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 # Relative size below which a summed entry is an exact zero: the sum cancelled
 # to within the rounding error of adding up its terms.
 CANCEL_RTOL = 64 * np.finfo(float).eps
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,14 @@ def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     key value up to the largest key on either side.  Pairs come in ascending
     order of i, and the pairs of one i in ascending order of j.
     """
-    order = np.argsort(right, kind="stable")
+    order = right.argsort(kind="stable")
     end = np.bincount(right, minlength=int(left.max(initial=-1)) + 1)
     counts = end[left]
-    np.cumsum(end, out=end)  # end[k]: where the run of key k ends in right[order]
+    end.cumsum(out=end)  # end[k]: where the run of key k ends in right[order]
     lo = end[left] - counts
-    li = np.repeat(np.arange(left.size), counts)
+    li = np.arange(left.size).repeat(counts)
     # position within the matching run of the right side
-    start = np.repeat(np.cumsum(counts) - counts - lo, counts)
+    start = (counts.cumsum() - counts - lo).repeat(counts)
     ri = order[np.arange(li.size) - start]
     return li, ri
 
@@ -93,19 +94,25 @@ def sum_by_key(key: np.ndarray, values: np.ndarray):
     Keys are non-negative int64.  Each sum adds its values in input order.
     """
     n = key.size
-    if n and int(key.max()) < np.iinfo(np.int64).max // n:
-        # key * n + position: one np.sort orders by key, then by position
-        packed = np.sort(key * n + np.arange(n))
+    if n and int(key.max()) < _INT64_MAX // n:
+        # key * n + position: one sort orders by key, then by position
+        packed = key * n + np.arange(n)
+        packed.sort()
         ordered = packed // n
         order = packed - ordered * n
     else:
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         ordered = key[order]
     start = np.empty(n, dtype=bool)  # where a run of equal keys starts
     start[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
-    uniq = ordered[start]
-    group = np.cumsum(start) - 1
+    first = start.nonzero()[0]
+    uniq = ordered[first]
+    # the group of each sorted position: group k repeated over its run
+    length = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=length[:-1])
+    length[-1:] = n - first[-1:]
+    group = np.arange(first.size).repeat(length)
     values = values[order]  # each key's values stay in input order
     total = np.bincount(group, weights=values, minlength=uniq.size)
     scale = np.bincount(group, weights=np.abs(values), minlength=uniq.size)
@@ -115,7 +122,7 @@ def sum_by_key(key: np.ndarray, values: np.ndarray):
 def check_key_range(*dims: int) -> None:
     """Raise ValueError unless the row-major linear keys of an array of shape
     ``dims`` fit in int64."""
-    if math.prod(int(k) for k in dims) - 1 > np.iinfo(np.int64).max:
+    if math.prod(int(k) for k in dims) - 1 > _INT64_MAX:
         raise ValueError(f"keys of shape {dims} overflow int64")
 
 
@@ -123,12 +130,12 @@ def blocks(cost: np.ndarray, budget: float) -> list[tuple[int, int]]:
     """Split the items 0 .. len(cost)-1, in order, into runs [lo, hi) whose
     total cost stays within ``budget``; an item that alone exceeds it is a run
     of its own."""
-    total = np.cumsum(cost)
+    total = cost.cumsum()
     out = []
     lo = 0
     while lo < total.size:
         spent = total[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(total, spent + budget, side="right")), lo + 1)
+        hi = max(int(total.searchsorted(spent + budget, side="right")), lo + 1)
         out.append((lo, hi))
         lo = hi
     return out

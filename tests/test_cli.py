@@ -538,6 +538,19 @@ def test_parser_usage_error_is_one_line(capsys, argv):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 715. MiB")])
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, error):
+    # a run too large for the host is not the NOT-EINSTEIN code 1
+    def too_large(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(liealg, "structure_constants_of", too_large)
+    code, out, err = run(capsys, "check", "--scheme", "1", "--n", "300", "--x", "1,1,1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["basis", "--help"])

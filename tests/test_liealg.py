@@ -1,5 +1,6 @@
 """Generator bases: construction, Gram data, structure-constant identities."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from su_einstein import (
     build_scheme1_basis,
     build_scheme2_basis,
     exact_validate,
+    frame_weights,
     liealg,
     structure_constants,
     validate_basis,
@@ -497,6 +499,49 @@ class TestBracketRule:
         assert rule.nonzeros.values.tobytes() == trace.nonzeros.values.tobytes()
         assert rule.gram_diag.tobytes() == trace.gram_diag.tobytes()
         assert np.array_equal(rule.class_of, trace.class_of)
+
+
+def masked_frame_weights(sc):
+    """The frame weights by a mask over class_of: 4 G_aa, and 2 (p q n)^2 on
+    the balance class of scheme 2."""
+    w = 4.0 * sc.gram_diag
+    if sc.scheme == 2:
+        mask = sc.class_of == 3
+        if np.any(mask):
+            w[mask] = 2.0 * float(sc.p * (sc.n - sc.p) * sc.n) ** 2
+    return w
+
+
+class TestClassLayout:
+    """``class_rows`` is read off ``class_sizes``, so it is pinned here against
+    ``class_of`` itself, and a ``class_of`` in another layout is an error: the
+    engine forms curvature only at these rows."""
+
+    @pytest.mark.parametrize("scheme,n,p", RULE_CONFIGS)
+    def test_class_rows_and_weights_of_both_builders(self, scheme, n, p):
+        for sc in (liealg.structure_constants_of(scheme, n, p),
+                   structure_constants(build_basis(scheme, n, p))):
+            want = np.unique(sc.class_of, return_index=True, return_counts=True)[1:]
+            for got, expected in zip(sc.class_rows, want):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                assert not got.flags.writeable
+            assert frame_weights(sc).tobytes() == masked_frame_weights(sc).tobytes()
+
+    @pytest.mark.parametrize("scheme,n,p", [(1, 4, None), (2, 5, 2), (2, 4, 1)])
+    @pytest.mark.parametrize("relabel", [
+        lambda c: np.roll(c, 1),        # the same class sizes, out of order
+        lambda c: c[::-1].copy(),       # the classes in reverse order
+        lambda c: c[:-1].copy(),        # one generator short
+        lambda c: np.zeros_like(c),     # one class
+    ], ids=["rolled", "reversed", "short", "one-class"])
+    def test_class_rows_raise_off_the_layout(self, scheme, n, p, relabel):
+        sc = liealg.structure_constants_of(scheme, n, p)
+        bad = dataclasses.replace(sc, class_of=relabel(sc.class_of))
+        with pytest.raises(ValueError, match="not the class layout"):
+            bad.class_rows
+        if scheme == 2:  # the balance weight goes at the balance class's row
+            with pytest.raises(ValueError, match="not the class layout"):
+                frame_weights(bad)
 
 
 class TestExactValidation:
