@@ -7,12 +7,13 @@ Commands
   catalog  enumerate all configurations for n and classify by I1
 
 Exit codes: 0 success, 1 validation or verdict failure, 2 usage error or a
-run that ran out of memory.  Every usage error, the argument parser's
-included, and every ``MemoryError`` is one ``error: ...`` line on stderr.
-``main`` builds its argument parser on the first call and reuses it for every
-later call in the process; ``build_parser`` returns a new parser each time.
-JSON output is canonical: sorted keys, floats with 17 significant digits, so
-parse -> re-serialize is byte-identical.
+run that ran out of memory, 3 any other exception (an internal error).  Each
+of these errors, the argument parser's included, is one ``error: ...`` line
+on stderr.  ``main`` builds its argument parser on the first call and reuses
+it for every later call in the process; ``build_parser`` returns a new parser
+each time.  When the first argument names a command, only that command's
+parser reads the rest.  JSON output is canonical: sorted keys, floats with 17
+significant digits, so parse -> re-serialize is byte-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ SCHEMA_VERSION = 1
 
 # -- canonical JSON ----------------------------------------------------------
 
+# every C0 control character as \u00XX, except the short forms of \n, \r and \t
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {
+    ord("\\"): "\\\\", ord('"'): '\\"', ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
+
+
 def _json_scalar(v) -> str:
     if v is None:
         return "null"
@@ -44,30 +50,45 @@ def _json_scalar(v) -> str:
             return '"%s"' % v  # JSON has no NaN/Inf; stringify
         return format(v, ".17g")
     if isinstance(v, str):
-        out = v.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return f'"{v.translate(_ESCAPES)}"'
     raise TypeError(f"cannot serialize {type(v)}")
 
 
-def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, fixed float formatting."""
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad_in}{_json_scalar(str(k))}: {canonical_json(v, indent + 1)}'
-            for k, v in sorted(obj.items())
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad_in}{canonical_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _json_scalar(obj)
+def _write(obj, pad: str, out: list) -> None:
+    """Append the JSON of a dict, list or tuple to ``out``: str, int and finite
+    float items here, containers by recursion, any other item by ``_json_scalar``."""
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = pad + "  "
+    items = ([(f'{inner}"{str(k).translate(_ESCAPES)}": ', v) for k, v in sorted(obj.items())]
+             if is_dict else [(inner, v) for v in obj])
+    sep = "{\n" if is_dict else "[\n"
+    for prefix, v in items:
+        out.append(sep + prefix)
+        sep = ",\n"
+        t = type(v)
+        if t is str:
+            out.append(f'"{v.translate(_ESCAPES)}"')
+        elif t is float and v - v == 0:  # finite
+            out.append(format(v, ".17g"))
+        elif t is int:
+            out.append(str(v))
+        elif isinstance(v, (dict, list, tuple)):
+            _write(v, inner, out)
+        else:
+            out.append(_json_scalar(v))
+    out.append("\n" + pad + ("}" if is_dict else "]"))
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, fixed float formatting, in one pass."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return _json_scalar(obj)
+    out = []
+    _write(obj, "", out)
+    return "".join(out)
 
 
 def emit_json(command: str, params: dict, results, diagnostics: dict) -> str:
@@ -280,7 +301,7 @@ def _params(args: argparse.Namespace) -> dict:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors print the one ``error: ...`` line
     of every other usage error, without the usage block, and exit 2.  Its
-    subcommand parsers are of this class too."""
+    subcommand parsers are of this class too; ``commands`` maps each command to its parser."""
 
     def error(self, message: str):
         self.exit(2, f"error: {message}\n")
@@ -323,15 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--seed", type=int, default=0)
     p_cat.add_argument("--tol", type=float, default=curvature.DEFAULT_EINSTEIN_TOL)
 
+    parser.commands = {"basis": p_basis, "check": p_check, "solve": p_solve, "catalog": p_cat}
     return parser
 
 
-_DISPATCH = {
-    "basis": cmd_basis,
-    "check": cmd_check,
-    "solve": cmd_solve,
-    "catalog": cmd_catalog,
-}
+_DISPATCH = {"basis": cmd_basis, "check": cmd_check, "solve": cmd_solve, "catalog": cmd_catalog}
 
 
 _parser: argparse.ArgumentParser | None = None
@@ -341,17 +358,24 @@ def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's own parser reads its options, as the full parser would have it
+    # do; any other argv gets the full parser's help and errors
+    command = _parser.commands.get(argv[0]) if argv else None
+    args = (_parser.parse_args(argv) if command is None
+            else command.parse_args(argv[1:], argparse.Namespace(command=argv[0])))
     try:
         _validate(args)
         return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a run too large for the host is not a verdict
+    except Exception as exc:  # a run too large for the host, or a defect: not a verdict
+        oom = isinstance(exc, MemoryError)
         detail = " ".join(str(exc).split())
-        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
-        return 2
+        what = "out of memory" if oom else f"internal error: {type(exc).__name__}"
+        print(f"error: {what}{': ' + detail if detail else ''}", file=sys.stderr)
+        return 2 if oom else 3
 
 
 if __name__ == "__main__":

@@ -397,7 +397,8 @@ def structure_constants_of(scheme: int, n: int, p: int | None = None) -> Structu
     index[1] = a, b
     index[2] = b, a
     index = index.reshape(3, -1)
-    order = ((index[0] * d + index[1]) * d + index[2]).argsort()
+    # the keys are distinct: sorted in the narrowest type that holds d^3 - 1, faster, same order
+    order = ((index[0] * d + index[1]) * d + index[2]).astype(np.min_scalar_type(d**3 - 1)).argsort()
     total = total[live]
     nonzeros = Nonzeros((d, d, d), tuple(index.take(order, axis=1)),
                         np.concatenate([total, -total])[order])

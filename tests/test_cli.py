@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, JSON canonicality, CSV."""
 
+import argparse
 import csv
 import io
 import json
@@ -482,6 +483,14 @@ class TestParserReuse:
             assert run(capsys, *self.CHECK)[0] == 0
         assert len(built) == 1
         assert original() is not original()
+        # the command table belongs to the parser: resetting one rebuilds both
+        table = cli._parser.commands
+        assert list(table) == list(cli._DISPATCH)
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run(capsys, *self.CHECK)[0] == 0
+        assert len(built) == 2
+        assert cli._parser.commands is not table
+        assert all(cli._parser.commands[name] is not table[name] for name in table)
 
     def test_option_does_not_carry_over(self, capsys):
         code, out, _ = run(capsys, *self.CHECK, "--tol", "1e-3")
@@ -528,7 +537,10 @@ def test_no_engine_path_builds_the_dense_generators(capsys, monkeypatch):
     ["basis", "--scheme", "2", "--n", "5", "--p", "x"],
     ["check", "--scheme", "1", "--n", "4"],
     [],
-], ids=["bad-choice", "missing-n", "non-integer-p", "missing-x", "no-command"])
+    ["check", "--scheme", "1", "--n", "4", "--x", "7,1,7", "--bogus", "1"],
+    ["chek", "--scheme", "1", "--n", "4", "--x", "7,1,7"],
+], ids=["bad-choice", "missing-n", "non-integer-p", "missing-x", "no-command", "unknown-option",
+        "unknown-command"])
 def test_parser_usage_error_is_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
@@ -536,6 +548,11 @@ def test_parser_usage_error_is_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    # the line is the full parser's, whichever parser read the argv
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == captured.err
 
 
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 715. MiB")])
@@ -551,8 +568,99 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, error):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("error", [RuntimeError("a defect\non two lines"), RuntimeError()])
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, error):
+    # an unexpected exception is neither a verdict (1) nor a usage error (2)
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(liealg, "structure_constants_of", broken)
+    code, out, err = run(capsys, "check", "--scheme", "1", "--n", "4", "--x", "7,1,7")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: internal error: RuntimeError: a defect on two lines\n" if str(error)
+                   else "error: internal error: RuntimeError\n")
+    # an argparse SystemExit is not an internal error: it still exits 2
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["check", "--scheme", "1", "--n", "4", "--x", "7,1,7", "--bogus"])
+    assert exit_info.value.code == 2
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["basis", "--help"])
     assert exit_info.value.code == 0
     assert "--scheme" in capsys.readouterr().out
+
+
+# every command, long and abbreviated options, the --opt=value form and option order
+DISPATCH_ARGV = [
+    ["basis", "--scheme", "1", "--n", "3"],
+    ["basis", "--scheme", "2", "--n", "4", "--p", "2", "--exact", "--format", "json"],
+    ["basis", "--n", "5", "--ex", "--sch", "1"],
+    ["check", "--scheme", "1", "--n", "4", "--x", "7,1,7"],
+    ["check", "--sch", "1", "--n", "4", "--x=7,1,7", "--form", "json"],
+    ["check", "--scheme=2", "--n=4", "--p=2", "--x", "1,1,1,0.125", "--tol", "1e-6"],
+    ["check", "--tol=1e-3", "--x", "2,1,1", "--n", "3", "--scheme", "1", "--f", "table"],
+    ["solve", "--scheme", "1", "--n", "3", "--starts", "10", "--seed", "3", "--format", "csv"],
+    ["solve", "--sc", "2", "--n", "5", "--p", "3", "--st", "0"],
+    ["catalog", "--n", "3", "--starts", "0", "--tol", "1e-7"],
+    ["catalog", "--format", "csv", "--n", "4", "--se", "5"],
+]
+
+
+class TestParseDispatch:
+    """``main`` hands a command's argv to that command's parser; the namespace
+    must be the one the full parser gives, attribute for attribute."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        seen = []
+
+        def record(args):
+            seen.append(argparse.Namespace(**vars(args)))
+
+        monkeypatch.setattr(cli, "_validate", record)
+        monkeypatch.setattr(cli, "_DISPATCH", {name: lambda args: 0 for name in cli._DISPATCH})
+        return seen
+
+    def test_namespace_equals_the_full_parser(self, parsed):
+        # twice through the table: no option of one call carries over to the next
+        # (the second pass parses check without --tol after two checks with one)
+        for argv in DISPATCH_ARGV * 2:
+            assert cli.main(list(argv)) == 0
+            expected = cli.build_parser().parse_args(argv)
+            assert parsed[-1] == expected
+            assert list(vars(parsed[-1])) == list(vars(expected))
+        assert len(parsed) == 2 * len(DISPATCH_ARGV)
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV[3:6], ids=lambda argv: " ".join(argv))
+    def test_main_without_argv_reads_sys_argv(self, parsed, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["su-einstein", *argv])
+        assert cli.main() == 0
+        assert parsed == [cli.build_parser().parse_args(argv)]
+
+    def test_command_argv_skips_the_full_parser(self, parsed, monkeypatch):
+        cli.main(["basis", "--scheme", "1", "--n", "3"])  # builds the parser
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser read a command's argv")
+
+        monkeypatch.setattr(cli._parser, "parse_args", refuse)
+        for argv in DISPATCH_ARGV:
+            assert cli.main(list(argv)) == 0
+        with pytest.raises(AssertionError, match="full parser"):
+            cli.main(["--help"])
+
+    @pytest.mark.parametrize("argv", [["check", "-h"], ["solve", "--help"], ["catalog", "--he"],
+                                      ["-h"], ["--help"]], ids=" ".join)
+    def test_help_is_the_full_parsers(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == captured
+        assert captured.out.startswith("usage: su-einstein")
