@@ -14,10 +14,9 @@ import importlib
 
 # Every public name, once, under the module that defines it.
 _EXPORTS = {
-    "curvature": ("CurvatureBundle", "MetricSpec", "class_ricci_eigenvalues",
-                  "curvature_bundle", "einstein_residual", "einstein_verdict",
-                  "frame_weights", "invariant_I1", "levi_civita", "lower_riemann",
-                  "ricci", "riem_norm_sq", "riemann"),
+    "curvature": ("MetricSpec", "class_ricci_eigenvalues", "einstein_residual",
+                  "einstein_verdict", "frame_weights", "invariant_I1", "levi_civita",
+                  "lower_riemann", "ricci", "riem_norm_sq", "riemann"),
     "liealg": ("GeneratorBasis", "StructureConstants", "build_basis",
                "build_scheme1_basis", "build_scheme2_basis", "exact_validate",
                "structure_constants", "structure_constants_of", "validate_basis"),

@@ -21,19 +21,19 @@ and the curvature operator R(e_a, e_b) e_c = (grad_a grad_b - grad_b grad_a
 The engine works on nonzero entries (``sparse.Nonzeros``): Gamma lives on the
 nonzeros of f, and Ricci and |Riem|^2 are sums of products of Gamma and f
 entries, so no d^4 array is built.  Both are formed only at the first
-generator of each metric class (``StructureConstants.class_rows``): the
-Einstein fit of ``curvature_bundle`` reads lambda and the residual off the
-Ricci diagonal there, formed term for term from the nonzeros of f
-(``_ricci_diagonal``), and ``riemann_norm_sq`` weights each Riemann row by its
-class size.  Their docstrings prove that the reductions are exact.  Gamma over
-all of f is built only for |Riem|^2, i.e. for an Einstein verdict.
-``riemann_norm_sq`` reads the Riemann entries straight off
-``sparse.sum_by_key`` of the row terms, with no ``Nonzeros`` in between, and
-forms the rows in blocks under a budget of products, so its memory stays
-bounded at large n while its value is the same to the bit.  The Ricci rows
-by joins, ``ricci_fast(gamma, sc)``, are the tests' oracle of the diagonal;
-the dense ``riemann``, ``ricci``, ``lower_riemann`` and ``riem_norm_sq``
-remain as test oracles.
+generator of each metric class (``StructureConstants.class_rows``): the one
+Einstein fit, ``_unit_fit``, reads lambda and the residual off the Ricci
+diagonal there, formed term for term from the nonzeros of f
+(``_ricci_diagonal``), and ``riemann_norm_sq(sc, metric)`` weights each
+Riemann row by its class size.  Their docstrings prove that the reductions
+are exact.  Gamma over all of f is built only inside ``riemann_norm_sq``,
+i.e. for an Einstein verdict.  ``riemann_norm_sq`` reads the Riemann entries
+straight off ``sparse.sum_by_key`` of the row terms, with no ``Nonzeros`` in
+between, and forms the rows in blocks under a budget of products, so its
+memory stays bounded at large n while its value is the same to the bit.  The
+Ricci rows by joins, ``ricci_fast(gamma, sc)``, are the tests' oracle of the
+diagonal; the dense ``riemann``, ``ricci``, ``lower_riemann`` and
+``riem_norm_sq`` remain as test oracles.
 
 ``einstein_verdict(sc, x, tol)`` is the one Einstein evaluation; ``check``
 and the solver's records both use it.  It fits the metric at x * 2^-k, which
@@ -42,8 +42,8 @@ so its residual, lambda and I1 are scale-free.  ``einstein_residual(sc, x)``,
 ``invariant_I1(sc, x, tol)`` and ``class_ricci_eigenvalues(sc, x)`` are views
 of that same fit: they take the same class constants x, give its bits and
 raise where it raises.  ``MetricSpec`` carries the frame metric g of x to the
-engine primitives (``levi_civita``, ``riemann_norm_sq``, ``curvature_bundle``
-and the dense oracles) only.
+engine primitives (``levi_civita``, ``riemann_norm_sq`` and the dense
+oracles) only.
 Everything here is a pure function of (f, g); results are deterministic and
 safe to share.
 """
@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -269,10 +268,11 @@ def _riemann_rows(gamma: Nonzeros, sc: StructureConstants,
     return np.concatenate([p_key, f_key]), np.concatenate([p_term, f_term])
 
 
-def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec) -> float:
+def riemann_norm_sq(sc: StructureConstants, metric: MetricSpec) -> float:
     """|Riem|^2 from one Riemann row per metric class.
 
-    Same value as riem_norm_sq(riemann(gamma, sc), metric).  With a diagonal
+    Same value as riem_norm_sq(riemann(gamma, sc), metric), with gamma =
+    ``levi_civita(sc, metric)``, the one Gamma over all of f that it builds.  With a diagonal
     metric, |Riem|^2 is the sum over d of the row shares
 
         C_d = sum_{c,a,b} Riem_dcab^2 g_d / (g_c g_a g_b)
@@ -310,6 +310,7 @@ def riemann_norm_sq(gamma: Nonzeros, sc: StructureConstants, metric: MetricSpec)
     blocks, to the bit.
     """
     D, g = sc.d, metric.g
+    gamma = levi_civita(sc, metric)
     first, size = sc.class_rows
     weight = np.zeros(D)
     weight[first] = size
@@ -371,29 +372,13 @@ def riem_norm_sq(riem: np.ndarray, metric: MetricSpec) -> float:
     return float(np.sum(low * up))
 
 
-@dataclass(frozen=True)
-class CurvatureBundle:
-    """The Einstein fit of one metric.
+def _unit_fit(sc: StructureConstants, x) -> tuple[MetricSpec, np.ndarray, float, float, float]:
+    """(metric, ricci_diag, lambda_unit, residual, lambda): the Einstein fit of
+    the metric at x * 2^-k, where k puts max(x * 2^-k) in [1/2, 1) exactly.
 
-    ``ricci_diag`` holds Ric_cc at the first generator c of each nonempty
-    class (``sc.class_rows``), in class order.  ``gamma`` is
-    ``levi_civita(sc, metric)``, built on first read; |Riem|^2 is
-    ``riemann_norm_sq(gamma, sc, metric)``.
-    """
-
-    sc: StructureConstants
-    metric: MetricSpec
-    ricci_diag: np.ndarray
-    lambda_best: float
-    residual: float
-
-    @cached_property
-    def gamma(self) -> Nonzeros:
-        return levi_civita(self.sc, self.metric)
-
-
-def curvature_bundle(sc: StructureConstants, metric: MetricSpec) -> CurvatureBundle:
-    """The Einstein fit of a metric, from the Ricci diagonal alone.
+    ``metric`` is the frame metric at x * 2^-k, ``ricci_diag`` holds Ric_cc at
+    the first generator c of each nonempty class (``sc.class_rows``), in class
+    order, and ``lambda_unit`` is lambda there; ``lambda`` is lambda at x.
 
     Ric_cc is formed only at the first generator of each class
     (``_ricci_diagonal``; 3 entries for scheme 1, at most 4 for scheme 2).
@@ -432,41 +417,34 @@ def curvature_bundle(sc: StructureConstants, metric: MetricSpec) -> CurvatureBun
     one, since the pairs come before the diagonal mixes (G_aa = 1).  lambda
     reads only the diagonal, so it has the bits of the fit on the full Ricci
     rows of ``ricci_fast``.
-    """
-    first, size = sc.class_rows
-    ric = _ricci_diagonal(sc, metric)
-    g = metric.g[first]
-    lam = float((size * (ric / g)).sum()) / sc.d
-    return CurvatureBundle(sc=sc, metric=metric, ricci_diag=ric, lambda_best=lam,
-                           residual=float(np.abs(ric - lam * g).max()))
-
-
-def _unit_fit(sc: StructureConstants, x) -> tuple[CurvatureBundle, float]:
-    """(bundle, lambda): the curvature bundle of the metric at x * 2^-k, where k
-    puts max(x * 2^-k) in [1/2, 1) exactly, and lambda at x.
 
     Ric and the residual are the same at every scale of the metric and lambda
     scales as 1/c, so a power of two changes no bit of them: lambda at x is
-    the bundle's lambda * 2^-k wherever that is representable.  Raises
-    ValueError when x is not one finite positive entry per class (quoting x
-    as given), when an entry of x * 2^-k is below the smallest normal float,
-    or when the residual or lambda at x is not finite.
+    lambda_unit * 2^-k wherever that is representable.  Raises ValueError
+    when x is not one finite positive entry per class (quoting x as given),
+    when an entry of x * 2^-k is below the smallest normal float, or when the
+    residual or lambda at x is not finite.
     """
     x = _checked_x(sc, x)
     k = math.frexp(max(x))[1]
-    x = tuple(math.ldexp(t, -k) for t in x)
+    x = [math.ldexp(t, -k) for t in x]
     if min(x) < sys.float_info.min:
         raise ValueError("the metric constants span too many orders of magnitude to evaluate")
+    first, size = sc.class_rows
     with np.errstate(all="ignore"):  # a non-finite result raises below
-        fit = curvature_bundle(sc, MetricSpec.from_x(sc, x))
+        metric = MetricSpec(g=np.asarray(x)[sc.class_of] * frame_weights(sc))
+        ric = _ricci_diagonal(sc, metric)
+        g = metric.g[first]
+        lam_unit = float((size * (ric / g)).sum()) / sc.d
+        residual = float(np.abs(ric - lam_unit * g).max())
     try:
-        lam = math.ldexp(fit.lambda_best, -k)
+        lam = math.ldexp(lam_unit, -k)
     except OverflowError:  # raises below
         lam = math.inf
-    if not (math.isfinite(fit.residual) and math.isfinite(lam)):
+    if not (math.isfinite(residual) and math.isfinite(lam)):
         raise ValueError(f"the curvature is not representable "
-                         f"(residual {fit.residual}, lambda {lam})")
-    return fit, lam
+                         f"(residual {residual}, lambda {lam})")
+    return metric, ric, lam_unit, residual, lam
 
 
 def einstein_verdict(sc: StructureConstants, x,
@@ -483,14 +461,13 @@ def einstein_verdict(sc: StructureConstants, x,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and strictly positive (got {tol})")
-    fit, lam = _unit_fit(sc, x)
-    residual = fit.residual
+    metric, _, lam_unit, residual, lam = _unit_fit(sc, x)
     if not (residual <= tol and lam > 0):
         return residual, lam, None
     with np.errstate(all="ignore"):  # a non-finite I1 raises below
-        rnorm = riemann_norm_sq(fit.gamma, sc, fit.metric)
+        rnorm = riemann_norm_sq(sc, metric)
     try:
-        I1 = rnorm / fit.lambda_best**2
+        I1 = rnorm / lam_unit**2
     except (OverflowError, ZeroDivisionError):  # lambda^2 out of the float range
         I1 = math.nan
     if not 0.0 < I1 < math.inf:  # Ric = lambda g with lambda != 0 has Riem != 0
@@ -505,8 +482,8 @@ def einstein_residual(sc: StructureConstants, x) -> tuple[float, float]:
     Ric - lambda_best * g in the frame.  Zero residual iff the metric is
     Einstein.
     """
-    fit, lam = _unit_fit(sc, x)
-    return fit.residual, lam
+    _, _, _, residual, lam = _unit_fit(sc, x)
+    return residual, lam
 
 
 def invariant_I1(sc: StructureConstants, x, tol: float = DEFAULT_EINSTEIN_TOL) -> float:
@@ -527,13 +504,13 @@ def class_ricci_eigenvalues(sc: StructureConstants, x) -> np.ndarray:
     for an empty class), from the fit of ``einstein_verdict``.
 
     For a class-diagonal metric the Ricci matrix is diagonal in the frame and
-    r_k g on each class k (``curvature_bundle``), so R_aa / w_a is that of the
+    r_k g on each class k (``_unit_fit``), so R_aa / w_a is that of the
     class's first generator; it equals lambda * x_c exactly when the metric is
     Einstein.  Ric does not change with the scale of the metric, so this is
     its value at x.
     """
-    fit, _ = _unit_fit(sc, x)
+    _, ric, _, _, _ = _unit_fit(sc, x)
     first, _ = sc.class_rows
     out = np.full(sc.num_classes, np.nan)
-    out[sc.class_of[first]] = fit.ricci_diag / frame_weights(sc)[first]
+    out[sc.class_of[first]] = ric / frame_weights(sc)[first]
     return out

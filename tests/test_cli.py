@@ -254,10 +254,10 @@ def test_basis_and_check_do_not_import_solver_or_catalog():
 
 
 PUBLIC_NAMES = [
-    "CatalogEntry", "CurvatureBundle", "EinsteinRecord", "EinsteinSystem", "GeneratorBasis",
+    "CatalogEntry", "EinsteinRecord", "EinsteinSystem", "GeneratorBasis",
     "MetricSpec", "StructureConstants", "build_basis", "build_scheme1_basis",
     "build_scheme2_basis", "class_ricci_eigenvalues", "closed_form_scheme1",
-    "closed_form_scheme2", "curvature_bundle", "einstein_residual", "einstein_verdict",
+    "closed_form_scheme2", "einstein_residual", "einstein_verdict",
     "enumerate_metrics", "exact_validate", "frame_weights", "invariant_I1", "levi_civita",
     "lower_riemann", "multistart_search", "newton_solve", "paper_count", "ricci",
     "riem_norm_sq", "riemann", "scheme1_system", "scheme2_system", "solve_configuration",

@@ -133,13 +133,12 @@ class TestRiemann:
     def test_su2_biinvariant_sectional_positive_scalar(self):
         sc = sc_for(1, 2)
         m = metric(1, 2, None, (1, 1, 1))
-        bundle = se.curvature_bundle(sc, m)
-        low = lower_riemann(se.riemann(bundle.gamma, sc), m)
+        low = lower_riemann(se.riemann(se.levi_civita(sc, m), sc), m)
         for a in range(3):
             for b in range(a + 1, 3):
                 K = low[a, b, a, b] / (m.g[a] * m.g[b])
                 assert K > 0
-        assert bundle.lambda_best == pytest.approx(0.25, rel=1e-12)
+        assert se.einstein_residual(sc, (1, 1, 1))[1] == pytest.approx(0.25, rel=1e-12)
 
     def test_balance_block_self_curvature_vanishes(self):
         # the 1-dimensional trace-balance block is abelian; curvature with
@@ -218,12 +217,11 @@ class TestNonzeroEngine:
             first, _ = sc.class_rows
             npt.assert_allclose(ricci_fast(gamma, sc, first), ric[first],
                                 rtol=0, atol=1e-12 * np.abs(ric).max())
-            assert riemann_norm_sq(gamma, sc, m) == pytest.approx(
-                se.riem_norm_sq(riem, m), rel=1e-12)
+            assert riemann_norm_sq(sc, m) == pytest.approx(se.riem_norm_sq(riem, m), rel=1e-12)
 
     @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
     def test_ricci_rows_give_the_full_fit(self, scheme, n, p, rng):
-        # curvature_bundle forms one Ricci row per class; its docstring proves
+        # _unit_fit forms one Ricci row per class; its docstring proves
         # that the full matrix is diagonal and r_k g on each class k
         sc = sc_for(scheme, n, p)
         first, _ = sc.class_rows
@@ -233,7 +231,8 @@ class TestNonzeroEngine:
             assert sc.gram_diag[a] == pytest.approx(
                 sc.gram_diag[sc.class_of == sc.class_of[a]].max(), rel=1e-15)
         for _ in range(2):
-            m = metric(scheme, n, p, random_x(rng, sc.num_classes))
+            x = random_x(rng, sc.num_classes)
+            m = metric(scheme, n, p, x)
             gamma = se.levi_civita(sc, m)
             full = ricci_fast(gamma, sc)
             assert ricci_fast(gamma, sc, first).tobytes() == full[first].tobytes()
@@ -243,9 +242,9 @@ class TestNonzeroEngine:
             for c in np.unique(sc.class_of):
                 assert np.ptp(r[sc.class_of == c]) <= 1e-12 * np.abs(r).max()
             lam = float(np.mean(r))
-            fit = se.curvature_bundle(sc, m)
-            assert abs(fit.lambda_best - lam) <= 1e-12 * np.abs(r).max()
-            assert abs(fit.residual - np.abs(full - lam * np.diag(m.g)).max()) <= 1e-12 * scale
+            residual, fit_lam = se.einstein_residual(sc, x)
+            assert abs(fit_lam - lam) <= 1e-12 * np.abs(r).max()
+            assert abs(residual - np.abs(full - lam * np.diag(m.g)).max()) <= 1e-12 * scale
 
     @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
     def test_ricci_diagonal_is_that_of_the_rows(self, scheme, n, p, rng):
@@ -306,7 +305,6 @@ class TestNonzeroEngine:
     def test_one_riemann_row_per_class(self, scheme, n, p, rng, monkeypatch):
         sc = sc_for(scheme, n, p)
         m = metric(scheme, n, p, random_x(rng, sc.num_classes))
-        gamma = se.levi_civita(sc, m)
         formed = []
         riemann_rows = curvature._riemann_rows
 
@@ -315,7 +313,7 @@ class TestNonzeroEngine:
             return riemann_rows(gamma, sc, rows)
 
         monkeypatch.setattr(curvature, "_riemann_rows", recording)
-        riemann_norm_sq(gamma, sc, m)
+        riemann_norm_sq(sc, m)
         rows = np.concatenate(formed)
         npt.assert_array_equal(sc.class_of[rows], np.unique(sc.class_of))
 
@@ -336,12 +334,12 @@ class TestNonzeroEngine:
             gamma = se.levi_civita(sc, m)
             expected = one_block_norm_sq(gamma, sc, m)
             formed.clear()
-            assert riemann_norm_sq(gamma, sc, m) == expected
+            assert riemann_norm_sq(sc, m) == expected
             assert formed == [first.size]
             with monkeypatch.context() as tiny:
                 tiny.setattr(curvature, "_RIEMANN_TERM_BUDGET", 1)  # one block per row
                 formed.clear()
-                assert riemann_norm_sq(gamma, sc, m) == expected
+                assert riemann_norm_sq(sc, m) == expected
                 assert formed == [1] * first.size
 
     def test_riemann_keys_beyond_int64_raise(self):
@@ -494,18 +492,29 @@ def verdict_points():
     return points
 
 
+def fit_at_the_metric(sc, x):
+    """(residual, lambda, I1) of the Einstein fit at the frame metric of x
+    itself, with no rescaling: lambda is the g-trace mean of the Ricci
+    diagonal, and the residual is max |Ric_cc - lambda g_c| over its rows."""
+    m = se.MetricSpec.from_x(sc, x)
+    first, size = sc.class_rows
+    ric = curvature._ricci_diagonal(sc, m)
+    g = m.g[first]
+    lam = float((size * (ric / g)).sum()) / sc.d
+    residual = float(np.abs(ric - lam * g).max())
+    return residual, lam, riemann_norm_sq(sc, m) / lam**2
+
+
 class TestEinsteinVerdict:
     @pytest.mark.parametrize("scheme,n,p,x", verdict_points())
     def test_same_bits_at_every_scale(self, scheme, n, p, x):
         # the verdict against the fit at the metric itself, not at x * 2^-k
         sc = sc_for(scheme, n, p)
-        fit = se.curvature_bundle(sc, se.MetricSpec.from_x(sc, x))
-        I1 = riemann_norm_sq(fit.gamma, sc, fit.metric) / fit.lambda_best**2
-        assert se.einstein_verdict(sc, x) == (fit.residual, fit.lambda_best, I1)
+        residual, lam, I1 = fit_at_the_metric(sc, x)
+        assert se.einstein_verdict(sc, x) == (residual, lam, I1)
         for e in (500, -500, 1000, -1000):  # lambda^2 leaves the float range at 2^+-1000
             scaled = tuple(np.ldexp(t, e) for t in x)
-            assert se.einstein_verdict(sc, scaled) == (
-                fit.residual, np.ldexp(fit.lambda_best, -e), I1)
+            assert se.einstein_verdict(sc, scaled) == (residual, np.ldexp(lam, -e), I1)
 
     @pytest.mark.parametrize("scheme,n,p,x", verdict_points())
     def test_views_give_the_verdict_bits(self, scheme, n, p, x):
