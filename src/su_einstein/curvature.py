@@ -383,10 +383,15 @@ def _unit_fit(sc: StructureConstants, x) -> tuple[MetricSpec, np.ndarray, float,
     Ric_cc is formed only at the first generator of each class
     (``_ricci_diagonal``; 3 entries for scheme 1, at most 4 for scheme 2).
     With Ric_cc = r_k g_c on class k of size |k|, the scalar curvature is
-    s = sum_k |k| r_k, lambda = s / d, and the residual is the largest
-    |Ric_cc - lambda g_c| over those entries.  These are the g-trace mean and
-    the max-norm of Ric - lambda g over the full matrix, because Ric is
-    diagonal in the frame with Ric = r_k g on each class k:
+    s = sum_k |k| r_k, lambda = s / d, and the residual is
+
+        max_k |r_k - lambda| / lambda              (lambda > 0),
+        max_k |r_k - lambda| / max_k |r_k|         (lambda <= 0).
+
+    These are the g-trace mean of Ric and the max-norm of the traceless Ricci
+    endomorphism Ric - lambda Id in a g-orthonormal frame, relative to
+    |lambda| (Besse, Einstein Manifolds, ch. 4), over the full matrix,
+    because Ric is diagonal in the frame with Ric = r_k g on each class k:
 
     - An automorphism of su(n) that maps each class to itself and preserves
       the trace form is an isometry of every class-diagonal metric, so it
@@ -411,16 +416,21 @@ def _unit_fit(sc: StructureConstants, x) -> tuple[MetricSpec, np.ndarray, float,
       trivially on su(p) but not on su(q).  By Schur, the block of Ric
       between two classes, an equivariant map, is 0.
 
-    The full residual max_k |r_k - lambda| max_{a in k} g_a is then attained
-    at the formed entries: g is x_k G_aa up to a factor fixed per class, and
-    the first generator of a class is a pair (G_aa = 2) wherever the class has
-    one, since the pairs come before the diagonal mixes (G_aa = 1).  lambda
-    reads only the diagonal, so it has the bits of the fit on the full Ricci
-    rows of ``ricci_fast``.
+    So the eigenvalues of the Ricci endomorphism are the r_k, and the formed
+    entries give them all.  lambda reads only the diagonal, so it has the bits
+    of the fit on the full Ricci rows of ``ricci_fast``.
 
-    Ric and the residual are the same at every scale of the metric and lambda
-    scales as 1/c, so a power of two changes no bit of them: lambda at x is
-    lambda_unit * 2^-k wherever that is representable.  Raises ValueError
+    The residual is relative, so the threshold it is compared with does not
+    depend on n or on the scale of x: the balance constant of scheme 2 grows
+    with n, and an absolute |Ric_cc - lambda g_c| grows with it by rounding
+    alone, until it rejected exact closed forms at n = 40.  lambda <= 0 is
+    never Einstein on compact non-abelian SU(n); there the residual is taken
+    relative to the largest |r_k| instead, so that it stays finite and
+    scale-free.
+
+    Ric is the same at every scale of the metric, while r_k and lambda scale
+    as 1/c, so a power of two changes no bit of Ric or the residual: lambda
+    at x is lambda_unit * 2^-k wherever that is representable.  Raises ValueError
     when x is not one finite positive entry per class (quoting x as given),
     when an entry of x * 2^-k is below the smallest normal float, or when the
     residual or lambda at x is not finite.
@@ -434,9 +444,10 @@ def _unit_fit(sc: StructureConstants, x) -> tuple[MetricSpec, np.ndarray, float,
     with np.errstate(all="ignore"):  # a non-finite result raises below
         metric = MetricSpec(g=np.asarray(x)[sc.class_of] * frame_weights(sc))
         ric = _ricci_diagonal(sc, metric)
-        g = metric.g[first]
-        lam_unit = float((size * (ric / g)).sum()) / sc.d
-        residual = float(np.abs(ric - lam_unit * g).max())
+        r = ric / metric.g[first]
+        lam_unit = float((size * r).sum()) / sc.d
+        scale = lam_unit if lam_unit > 0 else np.abs(r).max()
+        residual = float(np.abs(r - lam_unit).max() / scale)
     try:
         lam = math.ldexp(lam_unit, -k)
     except OverflowError:  # raises below
@@ -479,8 +490,9 @@ def einstein_residual(sc: StructureConstants, x) -> tuple[float, float]:
     """(residual, lambda_best) of ``einstein_verdict`` for the Einstein condition Ric = lambda g.
 
     lambda_best is the g-trace mean of Ricci; the residual is the max-norm of
-    Ric - lambda_best * g in the frame.  Zero residual iff the metric is
-    Einstein.
+    the traceless Ricci endomorphism Ric - lambda_best * Id in a g-orthonormal
+    frame, relative to lambda_best (``_unit_fit``).  Zero residual iff the
+    metric is Einstein.
     """
     _, _, _, residual, lam = _unit_fit(sc, x)
     return residual, lam

@@ -4,7 +4,7 @@ Each test prints a single PASS line on success (run with -s to see them all;
 a failure raises with the offending numbers).  Tolerances are pinned here and
 nowhere looser:
 
-  residual threshold for accepting a solution   1e-8
+  residual threshold for accepting a solution   1e-8 (the residual is relative to lambda)
   lambda / I1 closed-form reproduction          1e-10 / 1e-8 relative
   engine vs printed equation systems            1e-9
   structure-constant identities                 1e-12

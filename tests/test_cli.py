@@ -338,16 +338,18 @@ class TestSolve:
         assert "WARNING" not in out
 
     def test_table_warns_about_closed_forms_the_engine_rejects(self, capsys):
+        # the bi-invariant closed form has residual 0 exactly, so it passes
         code, out, _ = run(capsys, "solve", "--scheme", "1", "--n", "3", "--tol", "1e-300")
         assert code == 0
-        assert "0 distinct Einstein metric(s)" in out
+        assert "1 distinct Einstein metric(s)" in out
         assert out.splitlines()[-1] == (
-            "WARNING: closed forms failed the engine: closed_form_1, closed_form_2")
+            "WARNING: closed forms failed the engine: closed_form_2")
         code, out, _ = run(capsys, "solve", "--scheme", "1", "--n", "3", "--tol", "1e-300",
                            "--format", "json")
         assert code == 0 and "WARNING" not in out
-        assert json.loads(out)["diagnostics"]["invalid_closed_forms"] == [
-            "closed_form_1", "closed_form_2"]
+        doc = json.loads(out)
+        assert [r["provenance"] for r in doc["results"]] == ["closed_form_1"]
+        assert doc["diagnostics"]["invalid_closed_forms"] == ["closed_form_2"]
 
 
 class TestCatalog:

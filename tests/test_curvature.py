@@ -242,9 +242,15 @@ class TestNonzeroEngine:
             for c in np.unique(sc.class_of):
                 assert np.ptp(r[sc.class_of == c]) <= 1e-12 * np.abs(r).max()
             lam = float(np.mean(r))
+            # the full matrix's max-norm of Ric - lambda g in a g-orthonormal
+            # frame, relative to lambda (to the largest |r| where lambda <= 0)
+            unit = np.sqrt(m.g)
+            deviation = np.abs(full - lam * np.diag(m.g)) / np.outer(unit, unit)
+            relative_to = lam if lam > 0 else np.abs(r).max()
             residual, fit_lam = se.einstein_residual(sc, x)
             assert abs(fit_lam - lam) <= 1e-12 * np.abs(r).max()
-            assert abs(residual - np.abs(full - lam * np.diag(m.g)).max()) <= 1e-12 * scale
+            assert abs(residual - deviation.max() / relative_to) \
+                <= 1e-12 * np.abs(r).max() / relative_to
 
     @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
     def test_ricci_diagonal_is_that_of_the_rows(self, scheme, n, p, rng):
@@ -492,21 +498,49 @@ def verdict_points():
     return points
 
 
+def off_shell_points():
+    """Points that are not Einstein: a generic one per scheme, and scheme 1 at
+    n = 3, x = (1, 100, 1), where lambda < 0."""
+    return [(1, 3, None, (1.0, 2.0, 1.0)), (1, 3, None, (1.0, 100.0, 1.0)),
+            (2, 5, 2, (1.3, 0.7, 1.0, 0.2))]
+
+
 def fit_at_the_metric(sc, x):
     """(residual, lambda, I1) of the Einstein fit at the frame metric of x
-    itself, with no rescaling: lambda is the g-trace mean of the Ricci
-    diagonal, and the residual is max |Ric_cc - lambda g_c| over its rows."""
+    itself, with no rescaling: with r = Ric_cc / g_c on the Ricci diagonal,
+    lambda is the g-trace mean of r, and the residual is max |r - lambda| /
+    lambda (over the largest |r| where lambda <= 0).  I1 is None unless the
+    residual is within the default tol and lambda > 0."""
     m = se.MetricSpec.from_x(sc, x)
     first, size = sc.class_rows
-    ric = curvature._ricci_diagonal(sc, m)
-    g = m.g[first]
-    lam = float((size * (ric / g)).sum()) / sc.d
-    residual = float(np.abs(ric - lam * g).max())
+    r = curvature._ricci_diagonal(sc, m) / m.g[first]
+    lam = float((size * r).sum()) / sc.d
+    residual = float(np.abs(r - lam).max() / (lam if lam > 0 else np.abs(r).max()))
+    if not (residual <= curvature.DEFAULT_EINSTEIN_TOL and lam > 0):
+        return residual, lam, None
     return residual, lam, riemann_norm_sq(sc, m) / lam**2
 
 
+def closed_form_points(n):
+    """(scheme, p, x) of every closed-form family at n: scheme 1's bi-invariant
+    metric and second family, and at four splits (p = 1, where the su(p)
+    class is empty, two middle ones and p = n - 1, where the su(q) class is)
+    scheme 2's bi-invariant metric and both branches."""
+    from su_einstein.solver import branch_x1, branch_x4_lambda
+
+    X = (3 * n + 2) / (n - 2)
+    points = [(1, None, (1.0, 1.0, 1.0)), (1, None, (X, 1.0, X))]
+    for p in (1, n // 2 - 1, n // 2, n - 1):
+        q = n - p
+        points.append((2, p, (1.0, 1.0, 1.0, 2.0 / (p * q * n))))
+        for sign in (1, -1):
+            x1 = branch_x1(n, p, sign)
+            points.append((2, p, (x1, q / p * x1, 1.0, branch_x4_lambda(n, p, x1)[0])))
+    return points
+
+
 class TestEinsteinVerdict:
-    @pytest.mark.parametrize("scheme,n,p,x", verdict_points())
+    @pytest.mark.parametrize("scheme,n,p,x", verdict_points() + off_shell_points())
     def test_same_bits_at_every_scale(self, scheme, n, p, x):
         # the verdict against the fit at the metric itself, not at x * 2^-k
         sc = sc_for(scheme, n, p)
@@ -515,6 +549,23 @@ class TestEinsteinVerdict:
         for e in (500, -500, 1000, -1000):  # lambda^2 leaves the float range at 2^+-1000
             scaled = tuple(np.ldexp(t, e) for t in x)
             assert se.einstein_verdict(sc, scaled) == (residual, np.ldexp(lam, -e), I1)
+
+    @pytest.mark.parametrize("n", [8, 24, 40])
+    def test_a_perturbed_closed_form_is_not_einstein(self, n):
+        # every closed form is Einstein, and moving the constant of any nonempty
+        # class but the gauge one (x2 = 1 in scheme 1, x3 = 1 in scheme 2) by
+        # 1e-6 makes it not Einstein, at every n: the margin does not shrink
+        # with n.  At p = 1 the su(p) class is empty and x1 multiplies nothing
+        for scheme, p, x in closed_form_points(n):
+            sc = sc_for(scheme, n, p)
+            assert se.einstein_verdict(sc, x)[2] is not None, (scheme, p, x)
+            first, _ = sc.class_rows
+            gauge = 1 if scheme == 1 else 2
+            for k in sorted(set(sc.class_of[first].tolist()) - {gauge}):
+                moved = list(x)
+                moved[k] *= 1 + 1e-6
+                residual, _, I1 = se.einstein_verdict(sc, moved)
+                assert I1 is None and residual > 1e-8, (scheme, p, k, residual)
 
     @pytest.mark.parametrize("scheme,n,p,x", verdict_points())
     def test_views_give_the_verdict_bits(self, scheme, n, p, x):

@@ -557,12 +557,17 @@ class TestClosedFormScheme2:
             assert rec.x[empty] == 1.0, rec
         assert len(solve_configuration(2, n, p, n_starts=0).records) == 1
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the absolute engine residual "
-                       "rejects the exact - branch at n = 40 (1.04e-8 at p = 17, 1.50e-8 at p = 19)")
     @pytest.mark.parametrize("p", [17, 19])
     def test_every_closed_form_valid_at_n40(self, p):
+        # an absolute residual rejected these exact - branches, at 1.04e-8 and 1.50e-8
         records = se.closed_form_scheme2(40, p)
         assert all(rec.valid for rec in records), [rec.notes for rec in records]
+
+    @pytest.mark.parametrize("p", [19, 24, 31])
+    def test_closed_forms_at_n48_have_a_scale_free_residual(self, p):
+        # the balance constant grows with n, and the relative residual does not
+        for rec in se.closed_form_scheme2(48, p):
+            assert rec.valid and rec.residual <= 1e-12, (rec.provenance, rec.residual)
 
     def test_sol1_values(self):
         rec = se.closed_form_scheme2(5, 3)[0]
