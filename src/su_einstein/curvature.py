@@ -272,8 +272,8 @@ def riemann_norm_sq(sc: StructureConstants, metric: MetricSpec) -> float:
     """|Riem|^2 from one Riemann row per metric class.
 
     Same value as riem_norm_sq(riemann(gamma, sc), metric), with gamma =
-    ``levi_civita(sc, metric)``, the one Gamma over all of f that it builds.  With a diagonal
-    metric, |Riem|^2 is the sum over d of the row shares
+    ``levi_civita(sc, metric)``, the one Gamma over all of f that it builds.
+    With a diagonal metric, |Riem|^2 is the sum over d of the row shares
 
         C_d = sum_{c,a,b} Riem_dcab^2 g_d / (g_c g_a g_b)
             = 2 sum_{c, a<b} Riem_dcab^2 g_d / (g_c g_a g_b),
@@ -389,9 +389,9 @@ def _unit_fit(sc: StructureConstants, x) -> tuple[MetricSpec, np.ndarray, float,
         max_k |r_k - lambda| / max_k |r_k|         (lambda <= 0).
 
     These are the g-trace mean of Ric and the max-norm of the traceless Ricci
-    endomorphism Ric - lambda Id in a g-orthonormal frame, relative to
-    |lambda| (Besse, Einstein Manifolds, ch. 4), over the full matrix,
-    because Ric is diagonal in the frame with Ric = r_k g on each class k:
+    endomorphism Ric - lambda Id in a g-orthonormal frame (Besse, Einstein
+    Manifolds, ch. 4), relative to lambda, over the full matrix, because Ric
+    is diagonal in the frame with Ric = r_k g on each class k:
 
     - An automorphism of su(n) that maps each class to itself and preserves
       the trace form is an isometry of every class-diagonal metric, so it
@@ -420,20 +420,18 @@ def _unit_fit(sc: StructureConstants, x) -> tuple[MetricSpec, np.ndarray, float,
     entries give them all.  lambda reads only the diagonal, so it has the bits
     of the fit on the full Ricci rows of ``ricci_fast``.
 
-    The residual is relative, so the threshold it is compared with does not
-    depend on n or on the scale of x: the balance constant of scheme 2 grows
-    with n, and an absolute |Ric_cc - lambda g_c| grows with it by rounding
-    alone, until it rejected exact closed forms at n = 40.  lambda <= 0 is
-    never Einstein on compact non-abelian SU(n); there the residual is taken
-    relative to the largest |r_k| instead, so that it stays finite and
-    scale-free.
+    The residual is relative so that one tol holds at every n: an absolute
+    |Ric_cc - lambda g_c| grows by rounding alone with the scheme-2 balance
+    constant, and rejected exact closed forms at n = 40.  lambda <= 0 is never
+    Einstein on compact non-abelian SU(n); the largest |r_k| keeps the
+    residual finite and scale-free there.
 
     Ric is the same at every scale of the metric, while r_k and lambda scale
     as 1/c, so a power of two changes no bit of Ric or the residual: lambda
-    at x is lambda_unit * 2^-k wherever that is representable.  Raises ValueError
-    when x is not one finite positive entry per class (quoting x as given),
-    when an entry of x * 2^-k is below the smallest normal float, or when the
-    residual or lambda at x is not finite.
+    at x is lambda_unit * 2^-k wherever that is representable.  Raises
+    ValueError when x is not one finite positive entry per class (quoting x
+    as given), when an entry of x * 2^-k is below the smallest normal float,
+    or when the residual or lambda at x is not finite.
     """
     x = _checked_x(sc, x)
     k = math.frexp(max(x))[1]
