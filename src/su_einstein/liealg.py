@@ -48,7 +48,7 @@ import math
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -404,15 +404,6 @@ def structure_constants_of(scheme: int, n: int, p: int | None = None) -> Structu
                         np.concatenate([total, -total])[order])
     return StructureConstants(d=d, nonzeros=nonzeros, gram_diag=gram, scheme=scheme,
                               n=n, p=p, class_of=class_of)
-
-
-@lru_cache(maxsize=64)
-def shared_structure_constants(scheme: int, n: int, p: int | None = None) -> StructureConstants:
-    """``structure_constants_of(scheme, n, p)``, built once per process.
-
-    Every caller gets the same object, so none may modify it.
-    """
-    return structure_constants_of(scheme, n, p)
 
 
 def _gram_diagonal(d: int, n: int, gen, row, col, val) -> np.ndarray:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -115,7 +116,8 @@ class EinsteinSystem:
     equal to 1 has no generators of its own, so its constant multiplies
     nothing and is neither an unknown nor an equation.  Raises ValueError on
     a bad configuration (``liealg.class_sizes``) and, the one solving rule,
-    on a four-class split whose balance class is empty (p = 0 or p = n).
+    on a four-class split whose balance class is empty (p = 0 or p = n).  The
+    system owns its configuration's f (``structure_constants``).
     """
 
     def __init__(self, scheme: int, n: int, p: int | None = None):
@@ -140,6 +142,11 @@ class EinsteinSystem:
     @property
     def size(self) -> int:
         return len(self.unknowns)
+
+    @cached_property
+    def structure_constants(self) -> liealg.StructureConstants:
+        """``liealg.structure_constants_of(scheme, n, p)``, built on first use."""
+        return liealg.structure_constants_of(self.scheme, self.n, self.p)
 
     def full_x(self, v: np.ndarray) -> np.ndarray:
         """The full gauge-fixed x of unknowns of shape (k,) or (B, k), as an
@@ -205,13 +212,13 @@ class EinsteinSystem:
     def record(self, x, lam: float, provenance: str = "numeric",
                engine_tol: float = DEFAULT_EINSTEIN_TOL) -> EinsteinRecord:
         """Cross-validate a root, the full gauge-fixed x and lambda, against the
-        curvature engine and build a record.
+        curvature engine on the system's own f and build a record.
 
         The constant of an empty class multiplies nothing; the record reports
         it as 1.
         """
         x = tuple(float(t) if c in self._rows else 1.0 for c, t in enumerate(x))
-        sc = liealg.shared_structure_constants(self.scheme, self.n, self.p)
+        sc = self.structure_constants
         residual, lam_best, I1 = curvature.einstein_verdict(sc, x, tol=engine_tol)
         valid = I1 is not None
         notes = None if valid else f"engine residual {residual:.3e} exceeds {engine_tol:.1e}"

@@ -1,11 +1,14 @@
 """Enumeration and I1 equivalence classes."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
 import su_einstein as se
+from su_einstein import liealg, solver
 from su_einstein.catalog import assign_classes, paper_count
 
 # catalog --n 9..16 --starts 0: the I1 of each class, in order.  The closest
@@ -140,6 +143,40 @@ class TestEnumerate:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             se.enumerate_metrics(1)
+
+
+class TestStructureConstantOwnership:
+    """Each configuration's f is built by its own solver systems, once, and is
+    freed with them: nothing keeps it for the rest of the process."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        built, alive = [], []
+        original = liealg.structure_constants_of
+
+        def structure_constants_of(scheme, n, p=None):
+            sc = original(scheme, n, p)
+            built.append((scheme, n, p))
+            alive.append(weakref.ref(sc))
+            return sc
+
+        monkeypatch.setattr(liealg, "structure_constants_of", structure_constants_of)
+        return built, alive
+
+    def test_catalog_frees_each_configurations_f(self, monkeypatch):
+        built, alive = self.spy(monkeypatch)
+        entry = se.enumerate_metrics(8, n_starts=0)
+        assert built == [(1, 8, None), (2, 8, 2), (2, 8, 3), (2, 8, 4)]
+        gc.collect()
+        # the records, still held here, do not hold f either
+        assert entry.records and [ref() for ref in alive] == [None] * 4
+
+    def test_solve_at_the_default_starts_builds_f_once(self, monkeypatch):
+        built, alive = self.spy(monkeypatch)
+        solver.solve_configuration(2, 5, 2)
+        assert built == [(2, 5, 2)]
+        gc.collect()
+        assert alive[0]() is None
 
 
 class TestAsDict:

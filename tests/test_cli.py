@@ -527,7 +527,6 @@ def test_no_engine_path_builds_the_dense_generators(capsys, monkeypatch):
         raise AssertionError("an engine path built the dense generators")
 
     monkeypatch.setattr(liealg, "_generators", refuse)
-    liealg.shared_structure_constants.cache_clear()
     for argv, (code, out) in zip(ENGINE_RUNS, expected):
         assert code == 0
         assert run(capsys, *argv)[:2] == (0, out)

@@ -439,21 +439,23 @@ class TestOneDescription:
         with pytest.raises(ValueError, match="unknown scheme"):
             build_basis(3, 4, 2)
 
-    def test_solver_and_tests_share_one_structure_constant_memo(self, monkeypatch):
+    def test_one_configuration_builds_its_structure_constants_once(self, monkeypatch):
         from su_einstein import solver
 
-        built = []
+        built, made = [], []
         original = liealg.structure_constants_of
-        monkeypatch.setattr(liealg, "structure_constants_of",
-                            lambda scheme, n, p=None: built.append(n) or original(scheme, n, p))
-        liealg.shared_structure_constants.cache_clear()
-        sc = sc_for(2, 5, 2)
+
+        def spy(scheme, n, p=None):
+            built.append(n)
+            made.append(original(scheme, n, p))
+            return made[-1]
+
+        monkeypatch.setattr(liealg, "structure_constants_of", spy)
         records = solver.solve_configuration(2, 5, 2, n_starts=0).records
         assert records and all(r.I1 is not None for r in records)
-        assert sc_for(2, 5, 2) is sc
         assert built == [5]
         fresh = structure_constants(build_basis(2, 5, 2)).nonzeros
-        assert sc.nonzeros.values.tobytes() == fresh.values.tobytes()
+        assert made[0].nonzeros.values.tobytes() == fresh.values.tobytes()
 
 
 # scheme 1 at n = 2..16, every split with n <= 12, and three larger bases
