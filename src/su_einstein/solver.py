@@ -72,7 +72,8 @@ class EinsteinRecord:
 
 
 def scheme1_system(n: int, x1: float, x2: float, x3: float, lam: float) -> np.ndarray:
-    """Residuals (LHS_i - lambda * x_i) of the three-class Einstein system."""
+    """Residuals (LHS_i - lambda * x_i) of the three-class Einstein system at
+    any x; ``EinsteinSystem.residual`` evaluates it at x2 = 1."""
     e1 = (n / 4
           - (n - 2) / 8 * x2 / x1
           + 0.25 * x1 * x1 / (x2 * x3)
@@ -92,7 +93,8 @@ def scheme2_system(n: int, p: int, x1: float, x2: float, x3: float, x4: float,
     """Residuals of the four-class Einstein system for SU(p) x SU(q) in SU(n).
 
     Rejects p in {0, n}: those splits are the three-class family in disguise
-    (and the equations divide by p and q).
+    (and the equations divide by p and q).  At any x;
+    ``EinsteinSystem.residual`` evaluates it at x3 = 1.
     """
     if p <= 0 or p >= n:
         raise ValueError(f"need 1 <= p <= n-1 (got p={p}, n={n}); use the scheme-1 system instead")
@@ -154,6 +156,11 @@ class EinsteinSystem:
         constants of empty classes are 1."""
         return np.stack(np.broadcast_arrays(*self._columns(v)[0]), axis=-1)
 
+    def _reported_x(self, x) -> tuple[float, ...]:
+        """The full gauge-fixed x as a record reports it: floats, with the
+        constant of each empty class 1."""
+        return tuple(float(t) if c in self._rows else 1.0 for c, t in enumerate(x))
+
     def _columns(self, v: np.ndarray):
         """The full gauge-fixed x and lambda for unknowns of shape (k,) or (B, k).
 
@@ -170,35 +177,75 @@ class EinsteinSystem:
         return x, columns[-1]
 
     def residual(self, v: np.ndarray) -> np.ndarray:
-        """Residuals at unknowns of shape (k,) or (B, k); same shape out."""
+        """Residuals at unknowns of shape (k,) or (B, k); same shape out.
+
+        The gauge constant (x2 in the three-class family, x3 in the
+        four-class one) is read as exactly 1: every product or quotient with
+        it is dropped or folded into its scalar coefficient, and every other
+        operation runs in the order of ``scheme1_system`` and
+        ``scheme2_system``, so the rows are theirs at the gauge value 1.0,
+        bit for bit.  Those transcriptions for general x are what this is
+        tested against.
+        """
         x, lam = self._columns(v)
+        n = self.n
         if self.scheme == 1:
-            full = scheme1_system(self.n, *x, lam)
-        else:
-            full = scheme2_system(self.n, self.p, *x, lam)
+            x1, _, x3 = x
+            e1 = (n / 4
+                  - (n - 2) / 8 / x1
+                  + 0.25 * x1 * x1 / x3
+                  - 0.25 * x3
+                  - 0.25 / x3) - lam * x1
+            e2 = ((n + 6) / 16
+                  + (n - 2) / 16 / (x1 * x1)
+                  + 0.25 / (x1 * x3)
+                  - 0.25 * x3 / x1
+                  - 0.25 * x1 / x3) - lam
+            e3 = n / 8 * (2 - 1.0 / x1 - x1 + x3 * x3 / x1) - lam * x3
+            return np.array([e1, e2, e3]).T
+        p = self.p
+        q = n - p
+        x1, x2, _, x4 = x
+        e1 = p / 8 + q / 8 * x1 * x1 - lam * x1
+        e2 = q / 8 + p / 8 * x2 * x2 - lam * x2
+        e3 = ((p + q) / 4
+              - (p - 1) * (p + 1) / (8 * p) * x1
+              - (q - 1) * (q + 1) / (8 * q) * x2
+              - (p + q) ** 2 / 16 * x4) - lam
+        e4 = p * q * (p + q) ** 2 / 16 * x4 * x4 - lam * x4
+        full = np.array([e1, e2, e3, e4])
         return (full if self._block is None else full[self._rows]).T
 
     def jacobian(self, v: np.ndarray) -> np.ndarray:
-        """Analytic Jacobian of ``residual``: (k, k) for v of shape (k,), (B, k, k) for (B, k)."""
+        """Analytic Jacobian of ``residual``: (k, k) for v of shape (k,), (B, k, k) for (B, k).
+
+        Like ``residual``, it reads the gauge constant as exactly 1 and keeps
+        the order of every other operation; each power of x is formed once.
+        So every entry has the bits of the hand-typed Jacobian of
+        ``scheme1_system`` and ``scheme2_system`` for general x at the gauge
+        value 1.0, which the tests keep as its oracle.
+        """
         x, lam = self._columns(v)
-        J = np.zeros(np.shape(lam) + (len(x), len(x)))
         if self.scheme == 1:
             n = self.n
-            x1, x2, x3 = x
-            J[..., 0, 0] = (n - 2) / 8 * x2 / x1**2 + 0.5 * x1 / (x2 * x3) - lam
-            J[..., 0, 1] = -0.25 * x1**2 / (x2 * x3**2) - 0.25 / x2 + 0.25 * x2 / x3**2
+            x1, _, x3 = x
+            x1_2, x3_2 = x1**2, x3**2
+            J = np.empty(np.shape(lam) + (3, 3))
+            J[..., 0, 0] = (n - 2) / 8 / x1_2 + 0.5 * x1 / x3 - lam
+            J[..., 0, 1] = -0.25 * x1_2 / x3_2 - 0.25 + 0.25 / x3_2
             J[..., 0, 2] = -x1
-            J[..., 1, 0] = (-(n - 2) / 8 * x2**2 / x1**3 - 0.25 * x2**2 / (x1**2 * x3)
-                            + 0.25 * x3 / x1**2 - 0.25 / x3)
-            J[..., 1, 1] = -0.25 * x2**2 / (x1 * x3**2) - 0.25 / x1 + 0.25 * x1 / x3**2
-            J[..., 1, 2] = -x2
-            J[..., 2, 0] = n / 8 * (x2 / x1**2 - 1.0 / x2 - x3**2 / (x1**2 * x2))
-            J[..., 2, 1] = n / 8 * 2 * x3 / (x1 * x2) - lam
+            J[..., 1, 0] = (-(n - 2) / 8 / x1**3 - 0.25 / (x1_2 * x3)
+                            + 0.25 * x3 / x1_2 - 0.25 / x3)
+            J[..., 1, 1] = -0.25 / (x1 * x3_2) - 0.25 / x1 + 0.25 * x1 / x3_2
+            J[..., 1, 2] = -1.0
+            J[..., 2, 0] = n / 8 * (1.0 / x1_2 - 1.0 - x3_2 / x1_2)
+            J[..., 2, 1] = n / 8 * 2 * x3 / x1 - lam
             J[..., 2, 2] = -x3
             return J
         n, p = self.n, self.p
         q = n - p
-        x1, x2, x3, x4 = x
+        x1, x2, _, x4 = x
+        J = np.zeros(np.shape(lam) + (4, 4))
         J[..., 0, 0] = q / 4 * x1 - lam
         J[..., 0, 3] = -x1
         J[..., 1, 1] = p / 4 * x2 - lam
@@ -217,7 +264,7 @@ class EinsteinSystem:
         The constant of an empty class multiplies nothing; the record reports
         it as 1.
         """
-        x = tuple(float(t) if c in self._rows else 1.0 for c, t in enumerate(x))
+        x = self._reported_x(x)
         sc = self.structure_constants
         residual, lam_best, I1 = curvature.einstein_verdict(sc, x, tol=engine_tol)
         valid = I1 is not None
@@ -582,19 +629,28 @@ def closed_form_scheme2(n: int, p: int,
 
     At q = 1 (or p = 1) both branches collapse onto the bi-invariant solution;
     at p = q the + branch does.  Constants of empty blocks are reported as 1.
+    A branch whose reported x and input lambda are bit-equal to those of an
+    earlier record takes that record's verdict with its own provenance, so
+    the engine validates each distinct closed form once.
     """
     system = EinsteinSystem(2, n, p)
     q = n - p
-    records = [system.record((1.0, 1.0, 1.0, 2.0 / (p * q * n)), n / 8.0,
-                             provenance="closed_form_1", engine_tol=engine_tol)]
+    verdicts = {}  # the bytes of a reported x and input lambda -> their record
 
+    def record(x, lam, provenance):
+        key = np.array(system._reported_x(x) + (lam,)).tobytes()
+        if key in verdicts:
+            return replace(verdicts[key], provenance=provenance)
+        verdicts[key] = system.record(x, lam, provenance=provenance, engine_tol=engine_tol)
+        return verdicts[key]
+
+    records = [record((1.0, 1.0, 1.0, 2.0 / (p * q * n)), n / 8.0, "closed_form_1")]
     for sign, provenance in ((+1, "closed_form_2_plus"), (-1, "closed_form_2_minus")):
         x1 = branch_x1(n, p, sign)
         x2 = q / p * x1
         x4, lam = branch_x4_lambda(n, p, x1)
         x4_printed, lam_printed = printed_branch_x4_lambda(n, p, x1)
-        rec = system.record((x1, x2, 1.0, x4), lam, provenance=provenance,
-                            engine_tol=engine_tol)
+        rec = record((x1, x2, 1.0, x4), lam, provenance)
         if not (math.isclose(x4, x4_printed, rel_tol=1e-9)
                 and math.isclose(lam, lam_printed, rel_tol=1e-9)):
             note = (f"transcribed closed form gives x4={x4_printed:.9g}, "

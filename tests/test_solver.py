@@ -1,6 +1,7 @@
 """Equation systems, closed forms, Newton iteration and multistart search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -115,6 +116,111 @@ class TestClassLayout:
         x = (1.0, 1.0, 1.0, 2.0 / (p * (n - p) * n))
         v = [x[c] for c in nonempty_classes(n, p) if c != 2] + [n / 8.0]
         assert np.abs(system.residual(v)).max() <= 1e-15
+
+
+def hand_typed_jacobian(scheme, n, p, x, lam):
+    """The Jacobian as typed by hand for general x, the oracle of
+    ``EinsteinSystem.jacobian``: x is the full x, with 1.0 at the gauge and
+    empty classes, and lam a scalar or a column.  The three-class matrix has
+    the columns x1, x3, lambda; the four-class one x1, x2, x4, lambda, with a
+    row for every class."""
+    J = np.zeros(np.shape(lam) + (len(x), len(x)))
+    if scheme == 1:
+        x1, x2, x3 = x
+        J[..., 0, 0] = (n - 2) / 8 * x2 / x1**2 + 0.5 * x1 / (x2 * x3) - lam
+        J[..., 0, 1] = -0.25 * x1**2 / (x2 * x3**2) - 0.25 / x2 + 0.25 * x2 / x3**2
+        J[..., 0, 2] = -x1
+        J[..., 1, 0] = (-(n - 2) / 8 * x2**2 / x1**3 - 0.25 * x2**2 / (x1**2 * x3)
+                        + 0.25 * x3 / x1**2 - 0.25 / x3)
+        J[..., 1, 1] = -0.25 * x2**2 / (x1 * x3**2) - 0.25 / x1 + 0.25 * x1 / x3**2
+        J[..., 1, 2] = -x2
+        J[..., 2, 0] = n / 8 * (x2 / x1**2 - 1.0 / x2 - x3**2 / (x1**2 * x2))
+        J[..., 2, 1] = n / 8 * 2 * x3 / (x1 * x2) - lam
+        J[..., 2, 2] = -x3
+        return J
+    q = n - p
+    x1, x2, x3, x4 = x
+    J[..., 0, 0] = q / 4 * x1 - lam
+    J[..., 0, 3] = -x1
+    J[..., 1, 1] = p / 4 * x2 - lam
+    J[..., 1, 3] = -x2
+    J[..., 2, :] = (-(p - 1) * (p + 1) / (8 * p), -(q - 1) * (q + 1) / (8 * q),
+                    -n**2 / 16, -1.0)
+    J[..., 3, 2] = p * q * n**2 / 8 * x4 - lam
+    J[..., 3, 3] = -x4
+    return J
+
+
+def transcribed_residual_and_jacobian(scheme, n, p, v):
+    """``se.scheme1_system`` or ``se.scheme2_system``, and
+    ``hand_typed_jacobian``, at the unknowns v of shape (k,) or (B, k), with
+    the gauge constant 1.0 and the rows and columns of the nonempty classes."""
+    rows = [0, 1, 2] if scheme == 1 else nonempty_classes(n, p)
+    gauge = 1 if scheme == 1 else 2
+    free = [c for c in rows if c != gauge]
+    x = [1.0] * (3 if scheme == 1 else 4)
+    for i, c in enumerate(free):
+        x[c] = v[..., i]
+    lam = v[..., -1]
+    if scheme == 1:
+        return se.scheme1_system(n, *x, lam).T, hand_typed_jacobian(1, n, None, x, lam)
+    keep = [c - (c > gauge) for c in free] + [3]
+    J = hand_typed_jacobian(2, n, p, x, lam)[(Ellipsis, *np.ix_(rows, keep))]
+    return se.scheme2_system(n, p, *x, lam)[rows].T, J
+
+
+def assert_same_bits(a, b):
+    """a and b are equal bit for bit where finite, with nan and inf (of the
+    same sign) in the same places."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert (np.isnan(a) == np.isnan(b)).all()
+    assert (np.isinf(a) == np.isinf(b)).all() and (a[np.isinf(a)] == b[np.isinf(b)]).all()
+    finite = np.isfinite(a)
+    assert a[finite].tobytes() == b[finite].tobytes()
+
+
+FOLD_CONFIGS = ([(1, n, None) for n in range(2, 10)]
+                + [(2, n, p) for n in range(2, 10) for p in range(1, n)])
+
+
+class TestGaugeFold:
+    """``residual`` and ``jacobian`` read the gauge constant as exactly 1, and
+    keep every bit of the transcriptions for general x at the value 1.0."""
+
+    @staticmethod
+    def unknowns(size, rng):
+        """Rows at magnitudes 1e-150 to 1e150 of either sign; moderate rows;
+        rows near the square roots of the overflow and underflow thresholds,
+        where the order of a product decides whether it overflows or goes
+        subnormal (a multiplication by 0.25 is exact everywhere else); and
+        rows with subnormal and near-overflow entries."""
+        def signed(magnitudes):
+            return magnitudes * rng.choice([-1.0, 1.0], magnitudes.shape)
+        wide = signed(10.0 ** rng.uniform(-150, 150, (300, size)))
+        moderate = np.exp(rng.uniform(-1, 1, (200, size)))
+        roots = signed(10.0 ** (rng.choice([-154.0, 154.0], (100, size))
+                                + rng.uniform(-0.5, 0.5, (100, size))))
+        edge = rng.choice([5e-324, 1e-310, 1e-160, 1e160, 1e308, -1e308], (60, size))
+        return np.concatenate([wide, moderate, roots, edge])
+
+    @pytest.mark.parametrize("scheme,n,p", FOLD_CONFIGS)
+    def test_residual_and_jacobian_keep_the_transcriptions_bits(self, scheme, n, p, rng):
+        system = se.EinsteinSystem(scheme, n, p)
+        V = self.unknowns(system.size, rng)
+        with np.errstate(all="ignore"):
+            R, J = system.residual(V), system.jacobian(V)
+            R_ref, J_ref = transcribed_residual_and_jacobian(scheme, n, p, V)
+            assert_same_bits(R, R_ref)
+            assert_same_bits(J, J_ref)
+            for v in V[::7]:
+                r_ref, j_ref = transcribed_residual_and_jacobian(scheme, n, p, v)
+                assert_same_bits(system.residual(v), r_ref)
+                assert_same_bits(system.jacobian(v), j_ref)
+        # the inputs reach subnormal, overflowing and undefined values
+        tiny = np.finfo(float).tiny
+        assert ((np.abs(J) > 0) & (np.abs(J) < tiny)).any()
+        assert np.isinf(R).any() and np.isnan(R).any()
 
 
 class TestNewton:
@@ -519,6 +625,28 @@ class TestClosedFormScheme1:
             assert all(t > 0 for t in rec.x)
 
 
+def closed_forms_one_record_each(n, p):
+    """``closed_form_scheme2``'s records, each from a ``system.record`` call of
+    its own, with the same audit notes."""
+    system = se.EinsteinSystem(2, n, p)
+    q = n - p
+    records = [system.record((1.0, 1.0, 1.0, 2.0 / (p * q * n)), n / 8.0,
+                             provenance="closed_form_1")]
+    for sign, provenance in ((+1, "closed_form_2_plus"), (-1, "closed_form_2_minus")):
+        x1 = branch_x1(n, p, sign)
+        x4, lam = branch_x4_lambda(n, p, x1)
+        rec = system.record((x1, q / p * x1, 1.0, x4), lam, provenance=provenance)
+        x4_printed, lam_printed = printed_branch_x4_lambda(n, p, x1)
+        if not (math.isclose(x4, x4_printed, rel_tol=1e-9)
+                and math.isclose(lam, lam_printed, rel_tol=1e-9)):
+            note = (f"transcribed closed form gives x4={x4_printed:.9g}, "
+                    f"lambda={lam_printed:.9g}; system-consistent values "
+                    f"x4={x4:.9g}, lambda={lam:.9g} verified by the engine")
+            rec = replace(rec, notes=note if rec.notes is None else rec.notes + "; " + note)
+        records.append(rec)
+    return records
+
+
 class TestClosedFormScheme2:
     def test_branch_roots_n5_p3(self):
         # (30 +- 12) / 36
@@ -604,6 +732,26 @@ class TestClosedFormScheme2:
         recs = se.closed_form_scheme2(n, p)
         for rec in recs[1:]:
             assert rec.notes is not None and "transcribed" in rec.notes
+
+    @pytest.mark.parametrize("n,p,verdicts", [
+        (4, 2, 2), (6, 3, 2), (8, 4, 2),  # the + branch is the bi-invariant metric
+        (6, 1, 2), (7, 1, 2), (10, 1, 2), (12, 1, 2),  # both branches, 1 ulp off it
+        (5, 1, 1), (4, 3, 1),  # every closed form is the bi-invariant metric
+        (5, 2, 3), (7, 3, 3)])
+    def test_coincident_closed_forms_share_one_verdict(self, n, p, verdicts, monkeypatch):
+        calls = []
+        verdict = se.curvature.einstein_verdict
+        monkeypatch.setattr(se.curvature, "einstein_verdict",
+                            lambda *args, **kwargs: calls.append(args) or verdict(*args, **kwargs))
+        assert len(se.closed_form_scheme2(n, p)) == 3
+        assert len(calls) == verdicts
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_a_shared_verdict_is_the_records_own(self, n):
+        for p in range(1, n):
+            records = se.closed_form_scheme2(n, p)
+            assert [r.as_dict() for r in records] == [
+                r.as_dict() for r in closed_forms_one_record_each(n, p)], (n, p)
 
     def test_p_symmetry_of_invariants(self):
         # (p, q) and (q, p) describe the same geometries: same lambda and I1
