@@ -19,21 +19,20 @@ and the curvature operator R(e_a, e_b) e_c = (grad_a grad_b - grad_b grad_a
 - grad_[a,b]) e_c yields the frame Riemann tensor.
 
 The engine works on nonzero entries (``sparse.Nonzeros``): Gamma lives on the
-nonzeros of f, and Ricci and |Riem|^2 are sums of products of Gamma and f
-entries, so no d^4 array is built.  Both are formed only at the first
-generator of each metric class (``StructureConstants.class_rows``): the one
-Einstein fit, ``_unit_fit``, reads lambda and the residual off the Ricci
-diagonal there, formed term for term from the nonzeros of f
-(``_ricci_diagonal``), and ``riemann_norm_sq(sc, metric)`` weights each
-Riemann row by its class size.  Their docstrings prove that the reductions
-are exact.  Gamma over all of f is built only inside ``riemann_norm_sq``,
-i.e. for an Einstein verdict.  ``riemann_norm_sq`` reads the Riemann entries
-straight off ``sparse.sum_by_key`` of the row terms, with no ``Nonzeros`` in
-between, and forms the rows in blocks under a budget of products, so its
-memory stays bounded at large n while its value is the same to the bit.  The
-Ricci rows by joins, ``ricci_fast(gamma, sc)``, are the tests' oracle of the
-diagonal; the dense ``riemann``, ``ricci``, ``lower_riemann`` and
-``riem_norm_sq`` remain as test oracles.
+nonzeros of f, and Ricci is a sum of products of Gamma and f entries, so no
+d^4 array is built.  The one Einstein fit, ``_unit_fit``, reads lambda and the
+residual off the Ricci diagonal at the first generator of each metric class
+(``StructureConstants.class_rows``), formed term for term from the nonzeros
+of f (``_ricci_diagonal``); its docstring proves that the reduction is exact.
+|Riem|^2, for an Einstein verdict's I1, reads no f at all:
+``riemann_norm_sq(sc, metric)`` evaluates one exact table of its class-level
+form, whose integers hold at every n and split (its docstring has the proof).
+So the verdict's cross-check of a record, the fit on f, stays independent of
+the table.  ``levi_civita`` and the Ricci rows by joins, ``ricci_fast(gamma,
+sc)``, are the tests' oracles of the diagonal; the dense ``riemann``,
+``ricci``, ``lower_riemann`` and ``riem_norm_sq`` remain as test oracles, and
+tests/test_riemann_table.py holds the row-based |Riem|^2 that the table
+replaced.
 
 ``einstein_verdict(sc, x, tol)`` is the one Einstein evaluation; ``check``
 and the solver's records both use it.  It fits the metric at x * 2^-k, which
@@ -42,7 +41,7 @@ so its residual, lambda and I1 are scale-free.  ``einstein_residual(sc, x)``,
 ``invariant_I1(sc, x, tol)`` and ``class_ricci_eigenvalues(sc, x)`` are views
 of that same fit: they take the same class constants x, give its bits and
 raise where it raises.  ``MetricSpec`` carries the frame metric g of x to the
-engine primitives (``levi_civita``, ``riemann_norm_sq`` and the dense
+engine primitives (``riemann_norm_sq``, ``levi_civita`` and the dense
 oracles) only.
 Everything here is a pure function of (f, g); results are deterministic and
 safe to share.
@@ -57,15 +56,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liealg import StructureConstants
-from .sparse import CANCEL_RTOL, Nonzeros, blocks, check_key_range, join, sum_by_key
+from .sparse import Nonzeros, join
 
 DEFAULT_EINSTEIN_TOL = 1e-8
 
 _BIINVARIANT_WEIGHT = 4.0  # fixes lambda = n/8 at x = (1,...,1)
-# Products per block of Riemann rows in ``riemann_norm_sq``: one block up to
-# n = 26 on scheme 1, and a bound on memory beyond (a row of more products is
-# a block of its own)
-_RIEMANN_TERM_BUDGET = 2**18
 
 
 def frame_weights(sc: StructureConstants) -> np.ndarray:
@@ -227,115 +222,105 @@ def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     return np.bincount(rows, weights=terms, minlength=first.size)
 
 
-def _riemann_rows(gamma: Nonzeros, sc: StructureConstants,
-                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(key, term): the terms of Riem[d, c, a, b] with a < b, for every c and
-    every d in ``rows``, each at the key ((r D + c) D + a) D + b of its entry,
-    where r is the position of d in ``rows``.
-
-    Each entry is the sum of its terms, key-joined products
-
-        Riem_dcab = P_dcab - P_dcba - f^e_ab Gamma^d_ec,   P_dcab = Gamma^d_ae Gamma^e_bc,
-
-    where a P term with a > b is moved to (d, c, b, a) with its sign flipped.
-    The terms of a row d come in the same relative order for any ``rows``
-    that holds d.
-    """
-    D = sc.d
-    check_key_range(len(rows), D, D, D)
-    gc, ga, gb = gamma.index
-    gv = gamma.values
-    fc, fa, fb = sc.nonzeros.index
-    fv = sc.nonzeros.values
-    upper = (fa < fb).nonzero()[0]
-    position = np.full(D, -1)
-    position[rows] = np.arange(len(rows))
-    sel = (position[gc] >= 0).nonzero()[0]
-    # rd, ra, rb, rv: the Gamma entries (d, a, b) with d in rows, rd as r D
-    rd, ra, rb, rv = position[gc[sel]] * D, ga[sel], gb[sel], gv[sel]
-    # P: entries (d, a, e) and (e, b, c)
-    i, j = join(rb, gc)
-    keep = ra[i] != ga[j]
-    i, j = i[keep], j[keep]
-    a, b = ra[i], ga[j]
-    p_key = ((rd[i] + gb[j]) * D + np.minimum(a, b)) * D + np.maximum(a, b)
-    p_term = np.sign(b - a) * rv[i] * gv[j]
-    # f^e_ab Gamma^d_ec: entries (e, a, b) with a < b and (d, e, c)
-    k, m = join(fc[upper], ra)
-    k = upper[k]
-    f_key = ((rd[m] + rb[m]) * D + fa[k]) * D + fb[k]
-    f_term = -fv[k] * rv[m]
-    return np.concatenate([p_key, f_key]), np.concatenate([p_term, f_term])
-
-
 def riemann_norm_sq(sc: StructureConstants, metric: MetricSpec) -> float:
-    """|Riem|^2 from one Riemann row per metric class.
+    """|Riem|^2 of the metric, from the exact class-level table of ``_riemann_table``.
 
-    Same value as riem_norm_sq(riemann(gamma, sc), metric), with gamma =
-    ``levi_civita(sc, metric)``, the one Gamma over all of f that it builds.
-    With a diagonal metric, |Riem|^2 is the sum over d of the row shares
+    The value of riem_norm_sq(riemann(levi_civita(sc, metric), sc), metric),
+    correctly rounded from the exact |Riem|^2 at the class constants
+    Y_k = g_aa / G_aa (a in class k) of ``metric``; no step builds Gamma, a
+    Riemann row or a key, and the cost does not grow with n.
 
-        C_d = sum_{c,a,b} Riem_dcab^2 g_d / (g_c g_a g_b)
-            = 2 sum_{c, a<b} Riem_dcab^2 g_d / (g_c g_a g_b),
+    **The form.**  ``levi_civita`` gives Gamma^c_ab = f^c_ab phi(k_c, k_a, k_b),
+    phi(c, a, b) = (Y_c - Y_a + Y_b) / (2 Y_c), so
 
-    and C_d = Q(e_d / sqrt(g_d)) for the quadratic form
-    Q(u) = sum |R(u, u_c, u_a, u_b)|^2 over a g-orthonormal frame u_i.  Only
-    the row of the first generator of each class is formed, weighted by the
-    size of its class (3 rows for scheme 1, at most 4 for scheme 2).  The
-    reduction is exact because every unit generator of a class has the same
-    share:
+        Riem_dcab = sum_e  f^d_ae f^e_bc phi(d, a, e) phi(e, b, c)
+                         - f^d_be f^e_ac phi(d, b, e) phi(e, a, c)
+                         - f^e_ab f^d_ec phi(d, e, c).
 
-    - A Lie-algebra automorphism that maps each class to itself and preserves
-      the trace form is an isometry of every class-diagonal metric, so it
-      preserves R, and Q(Ad u) = Q(u) for unit u.
-    - Scheme 1: conjugation by a permutation matrix (S_n) is such an
-      automorphism.  It maps any off-diagonal generator to +-1 times any
-      other of its class, so those rows share one C_d.  On the diagonal
-      generators it acts by the standard representation of S_n, which is
-      irreducible.  By Schur, Q restricted to that span is a multiple of g,
-      so every unit diagonal generator has the same share too.
-    - Scheme 2: conjugation by S(U(p) x U(q)) is such an automorphism.  Each
-      nonempty class is an irreducible real representation of that group:
-      the adjoint of su(p) or su(q), the cross block C^p (x) conj(C^q)
-      (of complex type, whose only invariant symmetric forms are multiples
-      of g), or the one-dimensional balance line.  So Q restricted to a
-      class is a multiple of g, and every unit generator of the class has
-      the same share.
+    Group the terms by a label tau, the term type and the class of e: S_tau is
+    the sum of the f products of one label, and v_K[tau] its phi factor,
+    which depends only on the classes K = (k_d, k_c, k_a, k_b).  As
+    g_d / (g_c g_a g_b) = rho_K G_d / (G_c G_a G_b), rho_K = Y_d / (Y_c Y_a Y_b),
 
-    The rows are formed in ascending blocks of at most ``_RIEMANN_TERM_BUDGET``
-    products (a row with more is a block of its own).  An entry gets the same
-    terms in the same order in any block that holds its row, so it is the
-    same float, and the shares of all blocks are concatenated in ascending
-    key order before the one final sum: the result does not depend on the
-    blocks, to the bit.
+        |Riem|^2 = sum_dcab Riem_dcab^2 g_d / (g_c g_a g_b) = sum_K rho_K v_K^T M_K v_K,
+        M_K[tau, sigma] = sum_{d, c, a, b in K} S_tau[dcab] S_sigma[dcab] G_d / (G_c G_a G_b).
+
+    **Each M_K entry is a polynomial in n (scheme 1) or in (p, q) (scheme 2).**
+
+    - *Projectors.*  With the trace form B(X, Y) = tr(XY), G_ab = B(T_a, T_b)
+      and f^c_ab = -i B([T_a, T_b], T_c) / G_cc.  Each of the six sums in an
+      entry (over d, c, a, b, e in S_tau and e in S_sigma) runs over one class
+      with one factor 1/G, so it contracts with P_k = sum_{a in k} T_a (x) T_a
+      / G_aa.  The T_a of a class are B-orthogonal, so P_k is the tensor of the
+      B-orthogonal projection onto the span of the class: it does not depend
+      on the basis.  An entry is the full contraction of six projectors with
+      four trilinear forms t(X, Y, Z) = tr(X [Y, Z]), two from each S, times
+      (-i)^4 = 1.
+    - *Kronecker-delta patterns.*  Over an index range R, let U_R = sum_{A,B
+      in R} E_AB (x) E_BA, T_R = sum E_AB (x) E_AB, D_R = sum_A E_AA (x) E_AA
+      and I_R = sum_{A in R} E_AA; let P and Q hold the first p and the last q
+      indices.  Written in the matrix units, scheme 1 has
+      P_sym = (U + T) / 2 - D, P_anti = (U - T) / 2 and P_diag = D - I (x) I / n;
+      scheme 2 has P_0 = U_P - I_P (x) I_P / p, P_1 = U_Q - I_Q (x) I_Q / q,
+      the cross block U_PQ + U_QP (U over A in P, B in Q) and the balance line
+      I_P (x) I_P / p + I_Q (x) I_Q / q - I (x) I / n, for p, q >= 1.  At p = 1,
+      P_0 as written is 0, the projector of the empty su(1).
+    - *The contraction.*  t(X, Y, Z) = 0 when one argument is the central I, so
+      every term with an I (x) I factor vanishes and 1/n never appears.  t is
+      alternating, so it vanishes when two arguments commute: a form takes at
+      most one leg I_P or I_Q, and as every projector joins two different
+      forms, a term holds at most two factors 1/p or 1/q.  Each term is then
+      +-2^-s p^-alpha q^-beta, s <= 6, alpha + beta <= 2, times the number of
+      index assignments that its deltas allow: the product over its index
+      loops of |R|, each n, p, q or 0.  The terms with U, T and D only are
+      ribbon graphs (T a twisted band, D a band with its two lines merged,
+      which never adds a loop) of V = 4 trivalent vertices and E = 6 edges; a
+      connected closed surface has Euler characteristic <= 2, so the loops
+      number F <= 2 - V + E = 4.  An I_R (x) I_R factor deletes an edge, which
+      adds at most one loop.
+    - So 2^6 M_K is an integer polynomial in n of degree <= 4, and
+      2^6 p^2 q^2 M_K an integer polynomial in (p, q) of degree <= 8: a sum of
+      p^i q^j with i, j >= -2 and i + j <= 4.
+
+    **The table.**  Expanding the form in the Y_k gives |Riem|^2 as a Laurent
+    polynomial in Y whose coefficients are fixed rational combinations of M
+    entries, so polynomials of the same kind.  n = 2..6 fix those of scheme 1,
+    and the splits p, q >= 1, p + q <= 10 those of scheme 2 (the principal
+    lattice of degree 8).  ``_riemann_table`` stores them as integers over one
+    denominator: 19 monomials in Y for scheme 1 and 12 for scheme 2, with 4
+    and 11 coefficients each.  tests/test_riemann_table.py builds M_K from f,
+    regenerates every integer and checks the table at n <= 16 and at every
+    split with n <= 12.  So the table holds at every n >= 2 and p, q >= 1.
+
+    **Empty classes.**  A monomial with a nonzero power of Y_k comes only from
+    terms with an index in class k.  At p = 1 or q = 1 the projector of the
+    empty su(1) is 0 as written, so those terms vanish, and ``norm_sq`` leaves
+    out the rows of an empty class exactly.  At p = 0 or q = 0 the one class
+    is su(n) and the metric is bi-invariant: the one row left is
+    n^2 (n^2 - 1) / 4 / Y^2, the bi-invariant |Riem|^2 (the sum of the scheme-1
+    table at equal Y, as a test checks).  Its coefficient holds no 1/p or 1/q,
+    so no 1/p is evaluated at p = 0.
+
+    **Evaluation.**  In floating point the monomials cancel near the edges of
+    the domain: the 19 terms of scheme 1 give 16.0 instead of 17.25 at
+    x = (1, 1, 1e-8), and the quadratic forms lose every digit at a scheme-2
+    x4 near 1e-20 of the other constants.  So ``_riemann_table.norm_sq`` adds
+    them exactly in integers, and the result is correctly rounded.  Its domain
+    is the form's: where the class weight rho_K of a 4-tuple with a nonzero
+    term is not a finite float (one class constant below about 1e-155 of
+    the largest, or below 1e-103 where three lower indices share its class),
+    the result is inf, as the row sums of the engine before the table
+    overflowed there.
     """
-    D, g = sc.d, metric.g
-    gamma = levi_civita(sc, metric)
-    first, size = sc.class_rows
-    weight = np.zeros(D)
-    weight[first] = size
-    rows = np.sort(first)
-    shares = []
-    for lo, hi in blocks(_riemann_row_terms(gamma, sc)[rows], _RIEMANN_TERM_BUDGET):
-        key, total, scale = sum_by_key(*_riemann_rows(gamma, sc, rows[lo:hi]))
-        keep = np.abs(total) > CANCEL_RTOL * scale
-        rest, b = np.divmod(key[keep], D)
-        rest, a = np.divmod(rest, D)
-        r, c = np.divmod(rest, D)
-        d = rows[lo + r]
-        shares.append(weight[d] * total[keep]**2 * g[d] / (g[c] * g[a] * g[b]))
-    return 2.0 * float(np.concatenate(shares).sum())
+    from . import _riemann_table  # read on the first I1: basis and cli's import never load it
 
-
-def _riemann_row_terms(gamma: Nonzeros, sc: StructureConstants) -> np.ndarray:
-    """The number of products that ``_riemann_rows`` joins in each row d
-    (P products with a = b, which it drops, included)."""
-    D = sc.d
-    gc, ga, gb = gamma.index
-    fc, fa, fb = sc.nonzeros.index
-    right = np.bincount(gc, minlength=D)  # P: the entries (e, ., .) per e
-    upper = np.bincount(fc[fa < fb], minlength=D)  # f: the entries (e, a, b), a < b, per e
-    return np.bincount(gc, weights=right[gb] + upper[ga], minlength=D)
+    first, _ = sc.class_rows
+    Y = [1.0] * sc.num_classes
+    nonempty = [False] * sc.num_classes
+    for k, y in zip(sc.class_of[first].tolist(), (metric.g[first] / sc.gram_diag[first]).tolist()):
+        Y[k], nonempty[k] = y, True
+    z = (sc.n,) if sc.scheme == 1 else (sc.p, sc.n - sc.p)
+    return _riemann_table.norm_sq(sc.scheme, z, Y, nonempty)
 
 
 # -- dense oracles -----------------------------------------------------------
@@ -396,11 +381,14 @@ def _unit_fit(sc: StructureConstants, x) -> tuple[MetricSpec, np.ndarray, float,
     - An automorphism of su(n) that maps each class to itself and preserves
       the trace form is an isometry of every class-diagonal metric, so it
       preserves Ric: Ric(phi u, phi v) = Ric(u, v).
-    - Within a class, the argument of ``riemann_norm_sq`` for Q applies to the
-      symmetric form Ric as well: S_n permutes the generators of each
-      scheme-1 off-diagonal class up to sign, so their diagonal entries
-      Ric_aa / g_a agree; the scheme-1 diagonal class and each scheme-2 class
-      are irreducible, so Ric is a multiple of g there.
+    - Within a class.  Conjugation by a permutation matrix (S_n) maps any
+      scheme-1 off-diagonal generator to +-1 times any other of its class, so
+      their diagonal entries Ric_aa / g_a agree.  The scheme-1 diagonal class
+      is the standard representation of S_n, and each nonempty scheme-2 class
+      is an irreducible real representation of S(U(p) x U(q)): the adjoint of
+      su(p) or su(q), the cross block C^p (x) conj(C^q) (of complex type, whose
+      only invariant symmetric forms are multiples of g), or the balance
+      line.  By Schur, Ric is a multiple of g on each of them.
     - Scheme 1, the other entries.  Conjugation by diag(+-1) with index A
       flipped maps E_AB to -E_AB for B != A and fixes the diagonal.  Between two
       different pairs, or a pair and a diagonal generator, flip an index that

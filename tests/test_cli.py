@@ -119,8 +119,8 @@ class TestCheck:
 
     @pytest.mark.parametrize("x", ["7,1,7", "1,2,1"])
     def test_one_ricci_per_check(self, capsys, monkeypatch, x):
-        # the Ricci diagonal once per verdict; Gamma over all of f and |Riem|^2
-        # only for an Einstein verdict
+        # the Ricci diagonal once per verdict, |Riem|^2 only for an Einstein
+        # verdict, and Gamma over all of f never (|Riem|^2 reads its table)
         calls = {"_ricci_diagonal": 0, "levi_civita": 0, "riemann_norm_sq": 0}
         for name in calls:
             original = getattr(curvature, name)
@@ -132,7 +132,7 @@ class TestCheck:
             monkeypatch.setattr(curvature, name, counted)
         code, _, _ = run(capsys, "check", "--scheme", "1", "--n", "4", "--x", x)
         assert code == (0 if x == "7,1,7" else 1)
-        assert calls == {"_ricci_diagonal": 1, "levi_civita": int(code == 0),
+        assert calls == {"_ricci_diagonal": 1, "levi_civita": 0,
                          "riemann_norm_sq": int(code == 0)}
 
     def test_every_check_builds_structure_constants(self, capsys, monkeypatch):
@@ -248,9 +248,33 @@ def test_basis_and_check_do_not_import_solver_or_catalog():
     lines = proc.stdout.splitlines()
     bare, loaded, same = lines[0], lines[-2], lines[-1]
     assert bare == "[]"  # the package alone loads no submodule
-    assert loaded == str(["su_einstein", "su_einstein.cli", "su_einstein.curvature",
-                          "su_einstein.liealg", "su_einstein.sparse"])
+    # the EINSTEIN check reads the |Riem|^2 table
+    assert loaded == str(["su_einstein", "su_einstein._riemann_table", "su_einstein.cli",
+                          "su_einstein.curvature", "su_einstein.liealg", "su_einstein.sparse"])
     assert same == "True"
+
+
+def test_cli_and_basis_do_not_import_the_riemann_table():
+    # every fresh interpreter that imports cli and runs basis compiles what it
+    # imports when bytecode is not written, so the table loads with the first I1 only
+    code = (
+        "import sys\n"
+        "from su_einstein import cli\n"
+        "print('table loaded:', 'su_einstein._riemann_table' in sys.modules)\n"
+        "assert cli.main(['basis', '--scheme', '1', '--n', '3']) == 0\n"
+        "print('table loaded:', 'su_einstein._riemann_table' in sys.modules)\n"
+        "assert cli.main(['check', '--scheme', '1', '--n', '4', '--x', '1,2,1']) == 1\n"
+        "print('table loaded:', 'su_einstein._riemann_table' in sys.modules)\n"
+        "assert cli.main(['check', '--scheme', '1', '--n', '4', '--x', '7,1,7']) == 0\n"
+        "print('table loaded:', 'su_einstein._riemann_table' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(su_einstein.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded = [line.split()[-1] for line in proc.stdout.splitlines()
+              if line.startswith("table loaded:")]
+    assert loaded == ["False", "False", "False", "True"]
 
 
 PUBLIC_NAMES = [

@@ -25,6 +25,7 @@ from su_einstein.solver import scheme1_system, scheme2_system
 from su_einstein.liealg import StructureConstants
 from su_einstein.sparse import Nonzeros
 from conftest import sc_for
+import test_riemann_table as row_oracle
 
 SQ2 = np.sqrt(2.0)
 
@@ -190,12 +191,12 @@ def row_shares(riem, m):
 
 def one_block_norm_sq(gamma, sc, m):
     """|Riem|^2 = 2 sum w_d v^2 g_d / (g_c g_a g_b) over the Nonzeros of the
-    terms of every class row at once."""
+    terms of every class row at once (the row oracle's terms)."""
     D, g = sc.d, m.g
     first, size = sc.class_rows
     weight = np.zeros(D)
     weight[first] = size
-    riem = Nonzeros.from_sums((first.size, D, D, D), *curvature._riemann_rows(gamma, sc, first))
+    riem = Nonzeros.from_sums((first.size, D, D, D), *row_oracle._riemann_rows(gamma, sc, first))
     r, c, a, b = riem.index
     d = first[r]
     return 2.0 * float(np.sum(weight[d] * riem.values**2 * g[d] / (g[c] * g[a] * g[b])))
@@ -297,8 +298,9 @@ class TestNonzeroEngine:
 
     @pytest.mark.parametrize("scheme,n,p", ORACLE_CONFIGS)
     def test_row_shares_are_equal_on_each_orbit(self, scheme, n, p, rng):
-        # riemann_norm_sq forms one row per class and weights it by the class
-        # size; that is exact only if every row of a class has one share
+        # the row oracle and the table's generator form one row per class and
+        # weight it by the class size; that is exact only if every row of a
+        # class has one share
         sc = sc_for(scheme, n, p)
         for _ in range(3):
             m = metric(scheme, n, p, random_x(rng, sc.num_classes))
@@ -309,17 +311,18 @@ class TestNonzeroEngine:
 
     @pytest.mark.parametrize("scheme,n,p", [(1, 5, None), (2, 5, 2), (2, 4, 1), (2, 4, 4)])
     def test_one_riemann_row_per_class(self, scheme, n, p, rng, monkeypatch):
+        # the row oracle of tests/test_riemann_table.py, which the table replaced
         sc = sc_for(scheme, n, p)
         m = metric(scheme, n, p, random_x(rng, sc.num_classes))
         formed = []
-        riemann_rows = curvature._riemann_rows
+        riemann_rows = row_oracle._riemann_rows
 
         def recording(gamma, sc, rows):
             formed.append(np.array(rows))
             return riemann_rows(gamma, sc, rows)
 
-        monkeypatch.setattr(curvature, "_riemann_rows", recording)
-        riemann_norm_sq(sc, m)
+        monkeypatch.setattr(row_oracle, "_riemann_rows", recording)
+        row_oracle.rows_norm_sq(sc, m)
         rows = np.concatenate(formed)
         npt.assert_array_equal(sc.class_of[rows], np.unique(sc.class_of))
 
@@ -327,25 +330,25 @@ class TestNonzeroEngine:
     def test_riemann_norm_sq_is_the_one_block_sum(self, scheme, n, p, rng, monkeypatch):
         sc = sc_for(scheme, n, p)
         first, _ = sc.class_rows
-        riemann_rows = curvature._riemann_rows
+        riemann_rows = row_oracle._riemann_rows
         formed = []
 
         def recording(gamma, sc, rows):
             formed.append(len(rows))
             return riemann_rows(gamma, sc, rows)
 
-        monkeypatch.setattr(curvature, "_riemann_rows", recording)
+        monkeypatch.setattr(row_oracle, "_riemann_rows", recording)
         for _ in range(2):
             m = metric(scheme, n, p, random_x(rng, sc.num_classes))
             gamma = se.levi_civita(sc, m)
             expected = one_block_norm_sq(gamma, sc, m)
             formed.clear()
-            assert riemann_norm_sq(sc, m) == expected
+            assert row_oracle.rows_norm_sq(sc, m) == expected
             assert formed == [first.size]
             with monkeypatch.context() as tiny:
-                tiny.setattr(curvature, "_RIEMANN_TERM_BUDGET", 1)  # one block per row
+                tiny.setattr(row_oracle, "_RIEMANN_TERM_BUDGET", 1)  # one block per row
                 formed.clear()
-                assert riemann_norm_sq(sc, m) == expected
+                assert row_oracle.rows_norm_sq(sc, m) == expected
                 assert formed == [1] * first.size
 
     def test_riemann_keys_beyond_int64_raise(self):
@@ -355,7 +358,7 @@ class TestNonzeroEngine:
             nothing = Nonzeros((D, D, D), (empty,) * 3, np.zeros(0))
             sc = StructureConstants(d=D, nonzeros=nothing, gram_diag=np.ones(1), scheme=1,
                                     n=0, p=None, class_of=np.zeros(1, dtype=np.intp))
-            return curvature._riemann_rows(nothing, sc, np.array([0]))
+            return row_oracle._riemann_rows(nothing, sc, np.array([0]))
 
         assert one_row(2**21)[0].size == 0  # D^3 keys, the largest 2^63 - 1
         with pytest.raises(ValueError, match="overflow int64"):
@@ -370,7 +373,7 @@ class TestNonzeroEngine:
         i = np.arange(sc.d)
         upper = i[None, None, :, None] < i[None, None, None, :]
         # every row's terms, summed per entry: the entries with a < b
-        riem = Nonzeros.from_sums(dense.shape, *curvature._riemann_rows(gamma, sc, i))
+        riem = Nonzeros.from_sums(dense.shape, *row_oracle._riemann_rows(gamma, sc, i))
         npt.assert_allclose(np.asarray(riem), dense * upper,
                             rtol=0, atol=1e-12 * np.abs(dense).max())
 

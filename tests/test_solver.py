@@ -582,7 +582,7 @@ class TestLineSearch:
 
 def test_record_computes_ricci_once(monkeypatch):
     calls = []
-    for name in ("_ricci_diagonal", "levi_civita"):
+    for name in ("_ricci_diagonal", "levi_civita", "riemann_norm_sq"):
         original = getattr(se.curvature, name)
         monkeypatch.setattr(se.curvature, name,
                             lambda *args, _name=name, _original=original:
@@ -590,8 +590,8 @@ def test_record_computes_ricci_once(monkeypatch):
     system = se.EinsteinSystem(1, 4)
     rec = system.record((7.0, 1.0, 7.0), 13 / 98)
     assert rec.valid and rec.I1 == pytest.approx(276 / 13, rel=1e-10)
-    assert calls == ["_ricci_diagonal", "levi_civita"]
-    calls.clear()  # not Einstein: no Gamma over all of f
+    assert calls == ["_ricci_diagonal", "riemann_norm_sq"]  # never Gamma over all of f
+    calls.clear()  # not Einstein: no |Riem|^2
     assert not system.record((1.0, 2.0, 1.0), 0.5).valid
     assert calls == ["_ricci_diagonal"]
 
