@@ -218,16 +218,19 @@ class TestCheck:
         assert code == 0
         assert "EINSTEIN" in out
 
-    def test_second_family_n20(self, capsys):
-        n = 20
+    @pytest.mark.parametrize("n", [20, 32, 48])
+    def test_second_family(self, capsys, n):
+        # x1 = x3 = (3n+2)/(n-2): lambda and I1 from the Ricci diagonal and the
+        # |Riem|^2 table match their closed forms
         X = (3 * n + 2) / (n - 2)
+        lam = n * (n - 2) * (5 * n + 6) / (8 * (3 * n + 2) ** 2)
         I1 = (2 * n * n + 3 * n + 2) * (n - 1) * (3 * n + 4) / (n * (5 * n + 6))
         code, out, _ = run(capsys, "check", "--scheme", "1", "--n", str(n),
                            "--x", f"{X!r},1,{X!r}", "--format", "json")
         assert code == 0
         results = json.loads(out)["results"]
         assert results["verdict"] == "EINSTEIN"
-        assert results["I1"] == pytest.approx(I1, rel=1e-8)
+        assert abs(results["lambda"] - lam) <= 1e-10 and abs(results["I1"] - I1) <= 1e-8
 
 
 def test_basis_and_check_do_not_import_solver_or_catalog():
@@ -468,16 +471,16 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert out == ""
 
 
-@pytest.mark.parametrize("tol", [None, 1e-6])
+@pytest.mark.parametrize("n,tol", [(3, None), (3, 1e-6), (4, 1e-7)], ids=["None", "1e-06", "1e-07"])
 @pytest.mark.parametrize("command", ["solve", "catalog"])
-def test_params_record_the_tol(capsys, command, tol):
+def test_params_record_the_tol(capsys, command, n, tol):
     argv = (["solve", "--scheme", "1"] if command == "solve" else ["catalog"])
-    argv += ["--n", "3", "--starts", "0", "--format", "json"]
+    argv += ["--n", str(n), "--starts", "0", "--format", "json"]
     if tol is not None:
         argv += ["--tol", repr(tol)]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    expected = {"n": 3, "seed": 0, "starts": 0,
+    expected = {"n": n, "seed": 0, "starts": 0,
                 "tol": curvature.DEFAULT_EINSTEIN_TOL if tol is None else tol}
     if command == "solve":
         expected["scheme"] = 1
@@ -541,6 +544,9 @@ ENGINE_RUNS = [
     ["check", "--scheme", "1", "--n", "4", "--x", "7,1,7", "--format", "json"],
     ["solve", "--scheme", "2", "--n", "5", "--p", "2", "--starts", "20"],
     ["catalog", "--n", "4"],
+    ["catalog", "--n", "4", "--format", "json"],
+    # at (5, 1) the su(1) block is empty
+    ["solve", "--scheme", "2", "--n", "5", "--p", "1", "--starts", "50", "--format", "json"],
 ]
 
 
@@ -564,8 +570,9 @@ def test_no_engine_path_builds_the_dense_generators(capsys, monkeypatch):
     [],
     ["check", "--scheme", "1", "--n", "4", "--x", "7,1,7", "--bogus", "1"],
     ["chek", "--scheme", "1", "--n", "4", "--x", "7,1,7"],
+    ["check", "--scheme", "1", "--n", "4", "--x", "7,1,7", "--bogus"],
 ], ids=["bad-choice", "missing-n", "non-integer-p", "missing-x", "no-command", "unknown-option",
-        "unknown-command"])
+        "unknown-command", "unknown-flag"])
 def test_parser_usage_error_is_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)

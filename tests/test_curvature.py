@@ -457,8 +457,9 @@ class TestInvariantI1:
         # the verdict's exact rescaling gives the I1 of (11, 1, 11)
         sc = sc_for(1, 3)
         base = se.invariant_I1(sc, (11, 1, 11))
-        assert se.invariant_I1(sc, (11e300, 1e300, 11e300)) \
-            == pytest.approx(base, rel=1e-12)
+        I1 = se.invariant_I1(sc, (11e300, 1e300, 11e300))
+        assert I1 == pytest.approx(base, rel=1e-12)
+        assert I1 == pytest.approx(754 / 63, rel=1e-12)  # its closed form
 
     @pytest.mark.parametrize("scale", [1e-160, 1e150])
     def test_unrepresentable_scale_is_a_value_error(self, scale):

@@ -67,7 +67,7 @@ def _cli_cases() -> list[str]:
     return cases
 
 
-CLI_CASES = _cli_cases()
+CLI_CASES = _cli_cases() + ["solve --scheme 2 --n 5 --p 0"]  # and at the default --starts
 
 
 @pytest.mark.parametrize("command", CLI_CASES)

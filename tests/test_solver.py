@@ -833,6 +833,7 @@ class TestMultistart:
         assert calls == {"residual": residuals, "jacobian": jacobians}
         assert diag["newton_outcomes"] == {name: outcomes.get(name, 0) for name in NEWTON_OUTCOMES}
         assert (diag["boundary_discarded"], diag["duplicates"]) == (boundary, duplicates)
+        assert diag["search_missed"] == []
 
     def test_zero_and_negative_starts(self):
         ms = se.multistart_search(se.EinsteinSystem(1, 3), n_starts=0)
