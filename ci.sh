@@ -23,7 +23,7 @@ step() {
 }
 
 tier1() {
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors --durations=10
 }
 
 traced_smoke() {

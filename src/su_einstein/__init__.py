@@ -19,7 +19,8 @@ _EXPORTS = {
                   "lower_riemann", "ricci", "riem_norm_sq", "riemann"),
     "liealg": ("GeneratorBasis", "StructureConstants", "build_basis",
                "build_scheme1_basis", "build_scheme2_basis", "exact_validate",
-               "structure_constants", "structure_constants_of", "validate_basis"),
+               "formed_structure_constants", "structure_constants",
+               "structure_constants_of", "validate_basis"),
     "solver": ("EinsteinRecord", "EinsteinSystem", "closed_form_scheme1",
                "closed_form_scheme2", "multistart_search", "newton_solve",
                "scheme1_system", "scheme2_system", "solve_configuration"),

@@ -39,9 +39,10 @@ def cache_filename(scheme: int, n: int, p: int | None) -> str:
 
 def save_structure_constants(path: str | Path, sc: StructureConstants) -> Path:
     """Write the file next to its final name, then move it there in one step,
-    so a concurrent reader sees either no file or a complete one."""
+    so a concurrent reader sees either no file or a complete one.  Raises
+    ValueError on the f of ``formed_structure_constants``, which is not all of f."""
     path = Path(path)
-    f = sc.nonzeros
+    f = sc.all_of_f()
     lines = [f"{sc.scheme} {sc.n} {0 if sc.p is None else sc.p} {sc.d} {f.nnz}"]
     lines.append(" ".join(repr(float(v)) for v in sc.gram_diag))
     c, a, b = (idx.tolist() for idx in f.index)

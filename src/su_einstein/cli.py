@@ -110,7 +110,8 @@ class UsageError(Exception):
 def _validate(args: argparse.Namespace) -> None:
     """Check the parsed options; ``args.x`` becomes the tuple of parsed floats.
     The library checks (scheme, n, p), and its message gets the flags in front;
-    ``curvature.einstein_verdict`` checks x."""
+    ``curvature.checked_x`` checks x, last, with the message that
+    ``curvature.einstein_verdict`` would give."""
     opts = vars(args)
     try:
         if args.command == "solve":
@@ -136,6 +137,11 @@ def _validate(args: argparse.Namespace) -> None:
         raise UsageError(f"--tol must be finite and strictly positive (got {args.tol})")
     if args.format == "csv" and args.command in ("basis", "check"):
         raise UsageError(f"csv output is not defined for '{args.command}'")
+    if "x" in args:  # before f is built, so that a bad x of a large n allocates nothing
+        try:
+            curvature.checked_x(len(liealg.class_sizes(args.scheme, args.n, args.p)), args.x)
+        except ValueError as exc:
+            raise UsageError(f"--x: {exc}") from None
 
 
 # -- commands ----------------------------------------------------------------
@@ -179,7 +185,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    sc = liealg.structure_constants_of(args.scheme, args.n, args.p)
+    sc = liealg.formed_structure_constants(args.scheme, args.n, args.p)
     try:
         residual, lam, I1 = curvature.einstein_verdict(sc, args.x, tol=args.tol)
     except ValueError as exc:

@@ -89,14 +89,16 @@ class MetricSpec:
 
     @classmethod
     def from_x(cls, sc: StructureConstants, x) -> "MetricSpec":
-        return cls(g=np.asarray(_checked_x(sc, x))[sc.class_of] * frame_weights(sc))
+        return cls(g=np.asarray(checked_x(sc.num_classes, x))[sc.class_of] * frame_weights(sc))
 
 
-def _checked_x(sc: StructureConstants, x) -> tuple[float, ...]:
-    """x as floats; raises ValueError unless it is one finite positive entry per class."""
+def checked_x(num_classes: int, x) -> tuple[float, ...]:
+    """x as floats; raises ValueError unless it is one finite positive entry
+    for each of ``num_classes`` classes.  The one check of x: the command line
+    runs it before it builds f."""
     x = tuple(float(v) for v in x)
-    if len(x) != sc.num_classes:
-        raise ValueError(f"expected {sc.num_classes} metric constants, got {len(x)}")
+    if len(x) != num_classes:
+        raise ValueError(f"expected {num_classes} metric constants, got {len(x)}")
     if not all(math.isfinite(v) and v > 0 for v in x):
         raise ValueError(f"metric constants must be finite and strictly positive, got {x}")
     return x
@@ -112,9 +114,10 @@ def levi_civita(sc: StructureConstants, metric: MetricSpec) -> Nonzeros:
 
         Gamma^c_ab = f^c_ab (y_c - y_a + y_b) / (2 y_c),   y = g / G.
 
-    Gamma therefore lives on the nonzeros of f.
+    Gamma therefore lives on the nonzeros of f; raises ValueError on the f of
+    ``formed_structure_constants``, which holds only part of them.
     """
-    f = sc.nonzeros
+    f = sc.all_of_f()
     c, a, b = f.index
     y = metric.g / sc.gram_diag
     values = f.values * (y[c] - y[a] + y[b]) / (2.0 * y[c])
@@ -140,12 +143,14 @@ def ricci_fast(gamma: Nonzeros, sc: StructureConstants,
     terms in the same order as the full matrix.  ``rows`` defaults to every
     row, which gives the full d x d matrix.  No verdict calls it: it is the
     tests' oracle of ``_ricci_diagonal``, and perfbench's probes time it.
+    Raises ValueError on the f of ``formed_structure_constants``.
     """
     d = sc.d
     gc, ga, gb = gamma.index
     gv = gamma.values
-    fc, fa, fb = sc.nonzeros.index
-    fv = sc.nonzeros.values
+    f = sc.all_of_f()
+    fc, fa, fb = f.index
+    fv = f.values
     if rows is None:
         rows = np.arange(d)
     # rc, ra, rv: the Gamma entries whose last index is an output row;
@@ -168,7 +173,9 @@ def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     """Ric_cc for each c in ``sc.class_rows[0]``, in class order, straight from
     the nonzeros of f: the same floats as the diagonal entries of the rows
     ``ricci_fast(levi_civita(sc, metric), sc, first)``, with no join and no
-    Gamma over all of f.
+    Gamma over all of f.  Every entry it reads has the formed generator c in
+    some slot, and the other entries only drop out of its filters, so the f
+    of ``formed_structure_constants`` gives the same floats as all of f.
 
     On the diagonal the two terms of ``ricci_fast`` are
 
@@ -183,7 +190,7 @@ def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     f entries too: f_abc = f^c_ab G_cc is totally antisymmetric, so (a, c, e)
     is an entry of f iff (e, a, c) and (a, e, c) are.  Every partner ends in
     the row c, so its position comes from ``searchsorted`` on the sorted
-    linear keys of the f entries that end in a formed row.
+    keys (e, a, position of c) of the f entries that end in a formed row.
 
     The only terms added here that ``ricci_fast`` does not add are those whose
     Gamma factor ``levi_civita`` drops, as y_c - y_a + y_b is 0 there; such a
@@ -205,18 +212,19 @@ def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     position[first] = np.arange(first.size)
     formed = position >= 0
     # the entries (e, a, c) with c a formed row: the f entries of the second
-    # term and every partner; their keys ascend, as f is sorted by them
+    # term and every partner; their keys ascend, as f is sorted by (e, a, c),
+    # and position[c] ascends with c.  The keys stay below first.size * d^2.
     last = formed[fb].nonzero()[0]
     e, a, c = fc[last], fa[last], fb[last]
-    key = (e * d + a) * d + c
+    key = (e * d + a) * first.size + position[c]
     gamma = fv[last] * (y[e] - y[a] + y[c]) / (2.0 * y[e])
     # Gamma^a_ce Gamma^e_ac: entries (a, c, e) and (e, a, c)
     mid = formed[fa].nonzero()[0]
     a1, c1, e1 = fc[mid], fa[mid], fb[mid]
     left = fv[mid] * (y[a1] - y[c1] + y[e1]) / (2.0 * y[a1])
-    right = gamma[key.searchsorted((e1 * d + a1) * d + c1)]
+    right = gamma[key.searchsorted((e1 * d + a1) * first.size + position[c1])]
     # f^e_ac Gamma^a_ec: entries (e, a, c) and (a, e, c)
-    partner = gamma[key.searchsorted((a * d + e) * d + c)]
+    partner = gamma[key.searchsorted((a * d + e) * first.size + position[c])]
     rows = np.concatenate([position[c1], position[c]])
     terms = np.concatenate([-left * right, -fv[last] * partner])
     return np.bincount(rows, weights=terms, minlength=first.size)
@@ -330,11 +338,13 @@ def riemann_norm_sq(sc: StructureConstants, metric: MetricSpec) -> float:
 
 
 def riemann(gamma, sc: StructureConstants) -> np.ndarray:
-    """Dense frame Riemann tensor Riem[d, c, a, b], i.e. R(e_a, e_b) e_c = Riem[d,c,a,b] e_d."""
+    """Dense frame Riemann tensor Riem[d, c, a, b], i.e. R(e_a, e_b) e_c = Riem[d,c,a,b] e_d.
+    Raises ValueError on the f of ``formed_structure_constants`` (``sc.f``)."""
+    f = sc.f
     gamma = np.asarray(gamma)
     t1 = np.einsum("dae,ebc->dcab", gamma, gamma, optimize=True)
     t2 = np.einsum("dcab->dcba", t1)
-    t3 = np.einsum("eab,dec->dcab", sc.f, gamma, optimize=True)
+    t3 = np.einsum("eab,dec->dcab", f, gamma, optimize=True)
     return t1 - t2 - t3
 
 
@@ -421,7 +431,7 @@ def _unit_fit(sc: StructureConstants, x) -> tuple[MetricSpec, np.ndarray, float,
     as given), when an entry of x * 2^-k is below the smallest normal float,
     or when the residual or lambda at x is not finite.
     """
-    x = _checked_x(sc, x)
+    x = checked_x(sc.num_classes, x)
     k = math.frexp(max(x))[1]
     x = [math.ldexp(t, -k) for t in x]
     if min(x) < sys.float_info.min:

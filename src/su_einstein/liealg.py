@@ -17,11 +17,11 @@ the same for the lower su(q) block, class 3 holds the 2pq off-block
 combinations, and class 4 is the single trace-balance generator
 q*sum(E_aa, a<=p) - p*sum(E_bb, b>p), kept unnormalized.
 
-Both schemes are written once (``_description``), as the class and the kind
-of each generator: a pair generator E_AB + E_BA or i(E_AB - E_BA) on its pair
-A < B, or a diagonal generator sum_A h_A E_AA with its row h.  numpy
-materializes these records for ``build_basis`` and sympy for
-``exact_validate``, and ``structure_constants_of`` reads f off them.
+Both schemes are written once (``_layout``), by index arithmetic: the class
+of each generator, the pair generator E_AB + E_BA or i(E_AB - E_BA) of each
+pair A < B, and the diagonal generators sum_A h_A E_AA with their rows h.
+numpy materializes this layout for ``build_basis`` and sympy for
+``exact_validate``, and the bracket rules read f off it.
 
 Generators T_a are Hermitian, so the real structure constants are defined
 through [T_a, T_b] = i f^c_ab T_c.  The basis is trace-orthogonal with Gram
@@ -30,15 +30,18 @@ dual frame then obeys d sigma^c = -1/2 f^c_ab sigma^a ^ sigma^b.
 
 f is built in one of two ways, which agree bit for bit:
 
-* ``structure_constants_of(scheme, n, p)``, used by every engine path, reads
-  f off the class structure with the bracket rule of the matrix units,
+* ``structure_constants_of(scheme, n, p)`` reads f off the class structure
+  with the bracket rule of the matrix units,
   [E_AB, E_CD] = delta_BC E_AD - delta_DA E_CB.  Only two kinds of bracket
   survive: the pair generators of one triangle A < B < C, and a diagonal
   generator with the two generators of one pair (the proof is in its
-  docstring).  No matrix is formed.
+  docstring).  No matrix is formed.  ``formed_structure_constants``, the f
+  of every Einstein verdict, runs the same two rules on the lowered triples
+  that hold a formed generator (the first of a class) only: O(n^2) entries,
+  not O(n^3), and exactly those entries of all of f.
 * ``structure_constants(basis)`` evaluates the trace on the given matrices'
   nonzero entries.  ``validate_basis`` uses it, since a basis handed in may
-  differ from its description, and the tests use it as the oracle of the rule.
+  differ from its layout, and the tests use it as the oracle of the rules.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import CANCEL_RTOL, Nonzeros, blocks, check_key_range, join, sum_by_key
+from .sparse import (CANCEL_RTOL, Nonzeros, blocks, check_key_range, join, row_major_order,
+                     sum_by_key)
 
 # Products per block of the Jacobi sum of ``_identity_deviations``.  A block
 # peaks at about 280 bytes per product, 150 MB at this budget.
@@ -105,6 +109,12 @@ class GeneratorBasis:
         return self.generators.shape[0]
 
 
+def _first_rows(sizes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(first, size) of each nonempty class of the given sizes, in class order:
+    its first generator, a running sum of ``sizes``, and its size."""
+    return [(start, k) for start, k in zip(itertools.accumulate(sizes, initial=0), sizes) if k]
+
+
 @dataclass(frozen=True)
 class StructureConstants:
     """Real structure constants f^c_ab and Gram data of a generator basis.
@@ -113,6 +123,10 @@ class StructureConstants:
     -i [T_a, T_b], at index (c, a, b); entries that vanish are exact zeros
     and are not stored.  The context fields (scheme, n, p, class_of) are
     carried along so curvature code can be driven from this object alone.
+    With ``formed_only`` (``formed_structure_constants``), ``nonzeros`` holds
+    only the entries with a formed generator (``class_rows``) in some slot:
+    what the Einstein fit reads, and not f.  A reader of all of f takes it
+    through ``all_of_f``, which refuses such an object.
     """
 
     d: int
@@ -122,33 +136,41 @@ class StructureConstants:
     n: int
     p: int | None
     class_of: np.ndarray
+    formed_only: bool = False
 
     def __post_init__(self):
         self.gram_diag.flags.writeable = False
         self.class_of.flags.writeable = False
 
+    def all_of_f(self) -> Nonzeros:
+        """``nonzeros``, for a reader of all of f; raises ValueError when they
+        hold only the entries of the formed rows (``formed_only``)."""
+        if self.formed_only:
+            raise ValueError("this f holds only the entries of the formed rows "
+                             "(formed_structure_constants); all of f is structure_constants_of")
+        return self.nonzeros
+
     @cached_property
     def f(self) -> np.ndarray:
         """Dense f[c, a, b], materialized from the nonzeros (d^3 floats: for
         tests, not for the engine)."""
-        f = np.asarray(self.nonzeros)
+        f = np.asarray(self.all_of_f())
         f.flags.writeable = False
         return f
 
     @cached_property
     def class_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, size): the first generator of each nonempty class and the
-        size of that class, in class order.  The engine forms curvature rows
-        only at these generators.  They are the running sums of
-        ``class_sizes(scheme, n, p)``; raises ValueError unless ``class_of``
-        holds each class in one run, in class order, with those sizes."""
+        size of that class, in class order (``_first_rows``).  The engine forms
+        curvature rows only at these generators.  Raises ValueError unless
+        ``class_of`` holds each class in one run, in class order, with the
+        sizes ``class_sizes(scheme, n, p)``."""
         sizes = class_sizes(self.scheme, self.n, self.p)
         layout = np.arange(len(sizes)).repeat(sizes)
         if layout.shape != self.class_of.shape or (layout != self.class_of).any():
             raise ValueError(f"class_of is not the class layout {sizes} of "
                              f"scheme={self.scheme} n={self.n} p={self.p}")
-        starts = itertools.accumulate(sizes, initial=0)
-        first, size = np.array([(start, k) for start, k in zip(starts, sizes) if k]).T
+        first, size = np.array(_first_rows(sizes)).T
         first.flags.writeable = False
         size.flags.writeable = False
         return first, size
@@ -160,7 +182,7 @@ class StructureConstants:
 
 @dataclass(frozen=True)
 class _Numbers:
-    """The arithmetic a basis description is written in."""
+    """The arithmetic a basis layout is written in."""
 
     dtype: type        # of the diagonal-mix arrays
     sqrt: Callable
@@ -183,71 +205,78 @@ def _diag_mix_rows(k: int, num: _Numbers) -> np.ndarray:
         Q[j - 1, j] = -j / norm
     Q[k - 1, :] = 1 / num.sqrt(k)
     P = np.eye(k, dtype=num.dtype)
-    P[: k - 1, : k - 1] = num.ratio(2, k - 1) - np.eye(k - 1, dtype=num.dtype)
+    P[: k - 1, : k - 1] = num.ratio(2, k - 1) - P[: k - 1, : k - 1]
     return (P @ Q)[: k - 1]
 
 
-def _description(scheme: int, n: int, p: int | None, num: _Numbers) -> tuple:
-    """The generators of a basis in basis order, in three parts: ``class_of``,
-    the class of each generator; ``pairs``, a row (a, kind, A, B) for each pair
-    generator a, which is S_AB = E_AB + E_BA for kind 0 and
-    A_AB = i(E_AB - E_BA) for kind 1; and ``(diag, h)``, the diagonal
-    generators a = sum_A h_A E_AA with their rows h of n coefficients.  numpy
-    and sympy both materialize this one description, and
-    ``structure_constants_of`` reads f off it.  Raises ValueError on a bad
-    configuration (``class_sizes``)."""
+def _layout(scheme: int, n: int, p: int | None, num: _Numbers) -> tuple:
+    """The generators of a basis in basis order, by index arithmetic, in four
+    parts: ``class_of``, the class of each generator; ``(lo, hi)``, every pair
+    A < B of indices in lexicographic order; ``pair_of``, where
+    pair_of[kind, A, B] for A < B is the pair generator S_AB = E_AB + E_BA
+    (kind 0) or A_AB = i(E_AB - E_BA) (kind 1), and d, past every generator,
+    for A >= B; and ``(diag, h)``, the n - 1 diagonal generators
+    sum_A h_A E_AA with their rows h of n coefficients.  Each block (scheme 1:
+    all n indices; scheme 2: the first p, the last q, then the cross pairs of
+    the two) holds S_AB for its pairs in lexicographic order, then A_AB for
+    the same pairs, then the diagonal mixes of its indices; the balance
+    generator of scheme 2 comes last.  Every array has O(n^2) entries.  numpy
+    and sympy both materialize this one layout, and the bracket rules read f
+    off it.  Raises ValueError on a bad configuration (``class_sizes``)."""
     sizes = class_sizes(scheme, n, p)
-    class_of, pairs, diag, h = [], [], [], []
-
-    def offdiag(pair_list: list, sym: int, anti: int):
-        # S_AB for every pair (A, B), then A_AB for every pair
-        for kind, cls in ((0, sym), (1, anti)):
-            pairs.extend((len(class_of) + i, kind, A, B) for i, (A, B) in enumerate(pair_list))
-            class_of.extend([cls] * len(pair_list))
-
-    def diagonal(rows: np.ndarray, cls: int):
-        diag.extend(range(len(class_of), len(class_of) + len(rows)))
-        h.extend(rows)
-        class_of.extend([cls] * len(rows))
-
-    def block(lo: int, hi: int, sym: int, anti: int, mix: int):
-        # the pairs A < B in lexicographic order, then the diagonal mixes
-        offdiag(list(itertools.combinations(range(lo, hi), 2)), sym, anti)
-        if hi - lo >= 2:
-            rows = np.zeros((hi - lo - 1, n), dtype=num.dtype)
-            rows[:, lo:hi] = _diag_mix_rows(hi - lo, num)
-            diagonal(rows, mix)
-
-    if scheme == 1:
-        block(0, n, 0, 1, 2)
-    else:
-        block(0, p, 0, 0, 0)
-        block(p, n, 1, 1, 1)
-        offdiag(list(itertools.product(range(p), range(p, n))), 2, 2)
-        if sizes[3]:
-            diagonal(np.array([[n - p] * p + [-p] * (n - p)], dtype=num.dtype), 3)
-    return (np.array(class_of, dtype=int), np.array(pairs, dtype=np.intp),
-            (np.array(diag, dtype=np.intp), np.array(h, dtype=num.dtype)))
+    d = sum(sizes)
+    idx = np.arange(n)
+    lo, hi = (idx[:, None] < idx).nonzero()
+    # (the pairs of the block, a mask over every pair; the indices a..b it mixes)
+    blocks = ([(None, 0, n)] if scheme == 1 else
+              [(hi < p, 0, p), (lo >= p, p, n), ((lo < p) & (hi >= p), 0, 0)])
+    pair_of = np.full((2, n, n), d)
+    h = np.zeros((n - 1, n), dtype=num.dtype)
+    diag = []
+    start = 0
+    for pairs, a, b in blocks:
+        A, B = (lo, hi) if pairs is None else (lo[pairs], hi[pairs])
+        pair_of[0, A, B] = np.arange(start, start + A.size)
+        pair_of[1, A, B] = np.arange(start + A.size, start + 2 * A.size)
+        start += 2 * A.size
+        if b - a >= 2:
+            h[len(diag):len(diag) + b - a - 1, a:b] = _diag_mix_rows(b - a, num)
+            diag += range(start, start + b - a - 1)
+            start += b - a - 1
+    if scheme == 2 and sizes[3]:  # the balance generator
+        h[-1, :p] = n - p
+        h[-1, p:] = -p
+        diag.append(start)
+    class_of = np.arange(len(sizes)).repeat(sizes)
+    return class_of, (lo, hi), pair_of, (np.array(diag, dtype=np.intp), h)
 
 
 _FLOATS = _Numbers(float, math.sqrt, operator.truediv, 1j)
+# The kinds (0: S, 1: A) of the sides (ab, bc, ac) of a triangle in its four
+# patterns (S, S, A), (S, A, S), (A, S, S) and (A, A, A), and the imaginary
+# part of each pattern's product
+_KINDS = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1]])[:, :, None]
+_TRIANGLE_IM = np.array([-1.0, 1.0, 1.0, 1.0])
+# The three rotations (z, x, y), (x, y, z) and (y, z, x) of a lowered triple
+_ROTATIONS = np.array([[2, 0, 1], [0, 1, 2], [1, 2, 0]])
 
 
 def _generators(scheme: int, n: int, p: int | None,
                 exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The description materialized: the (d, n, n) generators, in complex
-    floats or (``exact``) in sympy numbers in an object array, and their classes."""
+    """The layout materialized: the (d, n, n) generators, in complex floats or
+    (``exact``) in sympy numbers in an object array, and their classes."""
     if exact:
         import sympy as sp
 
         num, dtype = _Numbers(object, sp.sqrt, sp.Rational, sp.I), object
     else:
         num, dtype = _FLOATS, complex
-    class_of, pairs, (diag, h) = _description(scheme, n, p, num)
+    class_of, (A, B), pair_of, (diag, h) = _layout(scheme, n, p, num)
     T = np.zeros((class_of.size, n, n), dtype=dtype)
-    a, kind, A, B = pairs.T
-    T[a, A, B] = np.array([1, num.i], dtype=dtype)[kind]
-    T[a, B, A] = np.array([1, -num.i], dtype=dtype)[kind]
+    for kind, (up, down) in enumerate(((1, 1), (num.i, -num.i))):
+        a = pair_of[kind, A, B]
+        T[a, A, B] = up
+        T[a, B, A] = down
     # every (i, i) entry of a diagonal generator, zeros included: a -0.0 of a
     # mix row is kept, and outside its block h holds the 0 that T starts with
     idx = np.arange(n)
@@ -355,55 +384,107 @@ def structure_constants_of(scheme: int, n: int, p: int | None = None) -> Structu
     the trace formula's ``bincount`` does; ``cumsum`` adds in that order.  The
     three generators of a lowered triple are distinct and no two triples share
     their set, so the keys (c, a, b) of all six permutations of all triples are
-    distinct, and one sort puts them in the order of ``Nonzeros``.
+    distinct, and one sort puts them in the order of ``Nonzeros``.  The two
+    rules run in ``_bracket_rules``, here with every generator in its set.
     """
-    class_of, pairs, (diag, h) = _description(scheme, n, p, _FLOATS)
+    return _bracket_rules(scheme, n, p, formed_only=False)
+
+
+def formed_structure_constants(scheme: int, n: int, p: int | None = None) -> StructureConstants:
+    """The entries of ``structure_constants_of(scheme, n, p)`` that have a
+    formed generator (``StructureConstants.class_rows``: the first generator of
+    each class) in some slot, bit for bit and in the same order: every entry
+    that the Einstein fit reads (``curvature._ricci_diagonal``).
+
+    That is about 3.4 n^2 entries, against about 7 n^3 for all of f, and the
+    build holds no array larger than O(n^2): the bracket rules of
+    ``structure_constants_of`` expand only the lowered triples that hold a
+    formed generator (``_bracket_rules``).  ``formed_only`` is set, so every
+    reader of all of f refuses the result (``StructureConstants.all_of_f``).
+    """
+    return _bracket_rules(scheme, n, p, formed_only=True)
+
+
+def _bracket_rules(scheme: int, n: int, p: int | None, formed_only: bool) -> StructureConstants:
+    """f from the triangle and diagonal rules of ``structure_constants_of`` at
+    the lowered triples that hold a generator of one set: every generator, or
+    (``formed_only``) the first generator of each class.
+
+    A pair A < B is *touched* when its S_AB or A_AB is in the set.  The
+    triangle rule runs over the triangles with a touched side, each from the
+    first of its sides AB, BC, AC that is touched, and keeps the patterns that
+    hold a generator of the set.  The diagonal rule runs over (H, S_AB, A_AB)
+    for every pair when H is in the set, and for every touched pair when it is
+    not.  So each lowered triple that holds a generator of the set comes once,
+    and no other: with every generator in the set, that is every triangle, from
+    its side AB, and every H with every pair.  Each entry is formed from its
+    own triple alone, the entries of distinct triples have distinct keys, and
+    one sort puts them in the order of ``Nonzeros``: they are the entries of
+    all of f whose keys hold a generator of the set, in the same order, with
+    the same floats.  Every array holds O(n^2) entries where the set has O(1)
+    generators.
+    """
+    class_of, (lo, hi), pair_of, (diag, h) = _layout(scheme, n, p, _FLOATS)
     d = class_of.size
-    # pair_of[kind][A, B] is the generator S_AB (kind 0) or A_AB (kind 1)
-    pair_of = np.zeros((2, n, n), dtype=np.intp)
-    a, kind, A, B = pairs.T
-    pair_of[kind, A, B] = a
     gram = np.full(d, 2.0)  # |1|^2 + |1|^2 = |i|^2 + |-i|^2 for a pair generator
     gram[diag] = (h * h).cumsum(axis=1)[:, -1]
+    member = np.zeros(d + 1, dtype=bool)  # member[d] is False: pair_of's d of A >= B
+    if formed_only:
+        member[[start for start, _ in _first_rows(class_sizes(scheme, n, p))]] = True
+    else:
+        member[:d] = True
+    touched = member[pair_of].any(axis=0)
+    side = touched[lo, hi].nonzero()[0]
 
     # the lowered triples (x, y, z), with Im(T_x T_y T_z) of each one's one or
-    # two cycles: the triangles, then (H, S_AB, A_AB) for each H and pair.  The
-    # four triangle patterns (S, S, A), (S, A, S), (A, S, S) and (A, A, A) on
-    # the pairs (ab, bc, ac) of each triangle are one gather into pair_of.
-    idx = np.arange(n)
-    lo, hi = (idx[:, None] < idx).nonzero()  # the pairs
-    ta, tb, tc = ((idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx)).nonzero()
-    kinds = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [1, 0, 0, 1]])[:, :, None]
-    triangles = pair_of[kinds, np.array([ta, tb, ta])[:, None], np.array([tb, tc, tc])[:, None]]
-    with_diag = np.empty((3, diag.size, lo.size), dtype=np.intp)
-    with_diag[0] = diag[:, None]
-    with_diag[1:] = pair_of[:, lo, hi][:, None]
-    xyz = np.concatenate([triangles.reshape(3, -1), with_diag.reshape(3, -1)], axis=1)
-    im1 = np.concatenate([np.array([-1.0, 1.0, 1.0, 1.0]).repeat(ta.size), h[:, hi].ravel()])
-    im2 = np.concatenate([np.zeros(4 * ta.size), -h[:, lo].ravel()])
+    # two cycles: first the triangles.  A touched side (A, B) and a third index
+    # C make the triangle (A, B, C) with that side AB when C > B, (C, A, B) with
+    # it BC when C < A, and (A, C, B) with it AC between them.  The four
+    # patterns (S, S, A), (S, A, S), (A, S, S) and (A, A, A) on the sides
+    # (ab, bc, ac) of each triangle are one gather into pair_of.
+    A, B, C = lo[side, None], hi[side, None], np.arange(n)
+    ta, tc = np.minimum(A, C), np.maximum(B, C)
+    tb = A + B + C - ta - tc
+    # from its first touched side: AB, else BC, else AC (C = A or C = B makes
+    # no triangle: its AB or BC is then the touched side itself, and fails)
+    k, t = ((C > B) | ~touched[ta, tb] & ((C < A) | ~touched[tb, tc])).nonzero()
+    ta, tb, tc = ta[k, t], tb[k, t], tc[k, t]
+    triangles = pair_of[_KINDS, np.array([ta, tb, ta])[:, None], np.array([tb, tc, tc])[:, None]]
+    pattern, t = member[triangles].any(axis=0).nonzero()
+    # then (H, S_AB, A_AB): each H in the set with every pair, each other H with
+    # every touched pair
+    inside = member[diag]
+    H_in, H_out = inside.nonzero()[0], (~inside).nonzero()[0]
+    r = np.concatenate([H_in.repeat(lo.size), H_out.repeat(side.size)])
+    j = np.concatenate([np.arange(H_in.size * lo.size) % lo.size,
+                        side[np.arange(H_out.size * side.size) % side.size]])
+    A, B = lo[j], hi[j]
+    xyz = np.empty((3, t.size + j.size), dtype=np.intp)
+    xyz[:, :t.size] = triangles[:, pattern, t]
+    xyz[0, t.size:] = diag[r]
+    xyz[1:, t.size:] = pair_of[:, A, B]
+    # Im of the one or two cycles: (-1 or 1, 0) for a triangle, (h_B, -h_A) for (H, S_AB, A_AB)
+    im = np.zeros((2, xyz.shape[1]))
+    im[0, :t.size] = _TRIANGLE_IM[pattern]
+    im[0, t.size:] = h[r, B]
+    im[1, t.size:] = -h[r, A]
 
     # f^c_ab with c each of x, y and z, in one pass over the three rotations:
     # (a, b) in cyclic order has the lowered triple's sign and the swapped order
     # the opposite one
-    cab = xyz[[[2, 0, 1], [0, 1, 2], [1, 2, 0]]].reshape(3, -1)
-    gram_c = gram[cab[0]].reshape(3, -1)  # one row per rotation
-    t1, t2 = ((2.0 * im1) / gram_c).ravel(), ((2.0 * im2) / gram_c).ravel()
+    cab = xyz[_ROTATIONS].reshape(3, -1)
+    t1, t2 = ((2.0 * im[:, None]) / gram[cab[0]].reshape(3, -1)).reshape(2, -1)
     total = t1 + t2
     live = (np.abs(total) > CANCEL_RTOL * (np.abs(t1) + np.abs(t2))).nonzero()[0]
-    c, a, b = cab.take(live, axis=1)
+    cab = cab.take(live, axis=1)
     # the six permutations: (c, a, b) with f, then (c, b, a) with -f
-    index = np.empty((3, 2, live.size), dtype=np.intp)
-    index[0] = c
-    index[1] = a, b
-    index[2] = b, a
-    index = index.reshape(3, -1)
-    # the keys are distinct: sorted in the narrowest type that holds d^3 - 1, faster, same order
-    order = ((index[0] * d + index[1]) * d + index[2]).astype(np.min_scalar_type(d**3 - 1)).argsort()
+    index = np.concatenate([cab, cab[[0, 2, 1]]], axis=1)
+    order = row_major_order(index, (d, d, d))
     total = total[live]
     nonzeros = Nonzeros((d, d, d), tuple(index.take(order, axis=1)),
                         np.concatenate([total, -total])[order])
     return StructureConstants(d=d, nonzeros=nonzeros, gram_diag=gram, scheme=scheme,
-                              n=n, p=p, class_of=class_of)
+                              n=n, p=p, class_of=class_of, formed_only=formed_only)
 
 
 def _gram_diagonal(d: int, n: int, gen, row, col, val) -> np.ndarray:
@@ -553,12 +634,14 @@ def _identity_deviations(sc: StructureConstants) -> tuple[float, float, float]:
     within ``_JACOBI_PAIR_BUDGET`` products where one d allows: a block joins
     only the entries (d, e, u) of its own d, its terms keep their relative
     order, and each of its sums is the one of the whole, bit for bit.  Raises
-    ValueError when the Jacobi keys, d^4 of them, overflow int64.
+    ValueError when the Jacobi keys, d^4 of them, overflow int64, and on the f of
+    ``formed_structure_constants``.
     """
     d = sc.d
     check_key_range(d, d, d, d)
-    c, a, b = sc.nonzeros.index
-    v = sc.nonzeros.values
+    f = sc.all_of_f()
+    c, a, b = f.index
+    v = f.values
 
     def key(*idx):
         return np.ravel_multi_index(idx, (d,) * len(idx))
@@ -598,7 +681,7 @@ def _identity_deviations(sc: StructureConstants) -> tuple[float, float, float]:
 def exact_validate(basis: GeneratorBasis) -> dict:
     """Symbolically exact check of the basis and f identities (small n only).
 
-    Materializes the basis description of (scheme, n, p) with sympy (the
+    Materializes the basis layout of (scheme, n, p) with sympy (the
     diagonal mixes carry square roots, so exact means algebraic numbers, not
     plain rationals) and verifies: that it matches the given generators and
     classes to 1e-14 (``matches_basis``), Hermiticity, zero trace,

@@ -147,8 +147,9 @@ class EinsteinSystem:
 
     @cached_property
     def structure_constants(self) -> liealg.StructureConstants:
-        """``liealg.structure_constants_of(scheme, n, p)``, built on first use."""
-        return liealg.structure_constants_of(self.scheme, self.n, self.p)
+        """``liealg.formed_structure_constants(scheme, n, p)``, the entries of f
+        that a verdict reads, built on first use."""
+        return liealg.formed_structure_constants(self.scheme, self.n, self.p)
 
     def full_x(self, v: np.ndarray) -> np.ndarray:
         """The full gauge-fixed x of unknowns of shape (k,) or (B, k), as an

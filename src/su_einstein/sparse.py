@@ -16,7 +16,8 @@ a subset of the keys whose terms keep their relative order gives the same
 floats.  That lets a caller split a large sum into blocks of keys
 (``blocks``) to bound its memory.  Output indices become keys by row-major
 arithmetic; ``check_key_range`` rejects a key range that int64 cannot hold,
-where the arithmetic would wrap silently.
+where the arithmetic would wrap silently, and ``row_major_order`` sorts
+distinct entries lexicographically there instead.
 """
 
 from __future__ import annotations
@@ -117,6 +118,20 @@ def sum_by_key(key: np.ndarray, values: np.ndarray):
     total = np.bincount(group, weights=values, minlength=uniq.size)
     scale = np.bincount(group, weights=np.abs(values), minlength=uniq.size)
     return uniq, total, scale
+
+
+def row_major_order(index: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """The permutation that sorts distinct entries by their row-major linear
+    index: one sort of the linear keys, in the narrowest integer type that
+    holds them, or ``np.lexsort`` (about ten times slower) where they overflow
+    int64.  The keys are distinct, so both give the one order."""
+    size = math.prod(shape)
+    if size - 1 > _INT64_MAX:
+        return np.lexsort(index[::-1])
+    key = index[0]
+    for idx, k in zip(index[1:], shape[1:]):
+        key = key * k + idx
+    return key.astype(np.min_scalar_type(size - 1)).argsort()
 
 
 def check_key_range(*dims: int) -> None:

@@ -3,7 +3,7 @@
 import numpy.testing as npt
 import pytest
 
-from su_einstein import cache
+from su_einstein import cache, liealg
 from conftest import sc_for
 
 
@@ -30,6 +30,13 @@ def test_scheme1_header_p_is_read_as_none(tmp_path):
     path = cache.save_structure_constants(tmp_path / "s1.sc", sc_for(1, 4))
     assert path.read_text().split()[2] == "0"
     assert cache.load_structure_constants(path).p is None
+
+
+def test_save_refuses_the_formed_rows(tmp_path):
+    # the f of a verdict is not all of f: no file of it is written
+    with pytest.raises(ValueError, match="formed rows"):
+        cache.save_structure_constants(tmp_path / "x.sc", liealg.formed_structure_constants(1, 4))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_filename_convention():

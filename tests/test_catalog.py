@@ -146,21 +146,22 @@ class TestEnumerate:
 
 
 class TestStructureConstantOwnership:
-    """Each configuration's f is built by its own solver systems, once, and is
-    freed with them: nothing keeps it for the rest of the process."""
+    """Each configuration's f (the formed-row f that its verdicts read) is built
+    by its own solver systems, once, and is freed with them: nothing keeps it
+    for the rest of the process."""
 
     @staticmethod
     def spy(monkeypatch):
         built, alive = [], []
-        original = liealg.structure_constants_of
+        original = liealg.formed_structure_constants
 
-        def structure_constants_of(scheme, n, p=None):
+        def formed_structure_constants(scheme, n, p=None):
             sc = original(scheme, n, p)
             built.append((scheme, n, p))
             alive.append(weakref.ref(sc))
             return sc
 
-        monkeypatch.setattr(liealg, "structure_constants_of", structure_constants_of)
+        monkeypatch.setattr(liealg, "formed_structure_constants", formed_structure_constants)
         return built, alive
 
     def test_catalog_frees_each_configurations_f(self, monkeypatch):

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -36,15 +37,16 @@ def counted_structure_constants(monkeypatch) -> list:
 
 
 def counted_rule_builds(monkeypatch) -> list:
-    """Record the n of every ``structure_constants_of`` call from here on."""
+    """Record the n of every ``formed_structure_constants`` call, the f of a
+    verdict, from here on."""
     built = []
-    original = liealg.structure_constants_of
+    original = liealg.formed_structure_constants
 
     def counted(scheme, n, p=None):
         built.append(n)
         return original(scheme, n, p)
 
-    monkeypatch.setattr(liealg, "structure_constants_of", counted)
+    monkeypatch.setattr(liealg, "formed_structure_constants", counted)
     return built
 
 
@@ -160,6 +162,18 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--scheme", "1", "--n", "4",
                          "--x", "7,-1,7")
         assert code == 2
+
+    @pytest.mark.parametrize("x, message", [
+        ("1,1", "expected 3 metric constants, got 2"),
+        ("1,-1,1", "metric constants must be finite and strictly positive, got (1.0, -1.0, 1.0)"),
+    ])
+    def test_bad_x_is_refused_before_f_is_built(self, capsys, monkeypatch, x, message):
+        # the verdict's own message, at an n whose f would not fit in memory
+        built = counted_rule_builds(monkeypatch)
+        code, out, err = run(capsys, "check", "--scheme", "1", "--n", "20000", "--x", x)
+        assert (code, out, err, built) == (2, "", f"error: --x: {message}\n", [])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            curvature.einstein_verdict(liealg.formed_structure_constants(1, 4), x.split(","))
 
     @pytest.mark.parametrize("x", ["nan,1,1", "inf,1,1", "7,1,-inf"])
     def test_non_finite_x_usage_error(self, capsys, x):
@@ -285,7 +299,8 @@ PUBLIC_NAMES = [
     "MetricSpec", "StructureConstants", "build_basis", "build_scheme1_basis",
     "build_scheme2_basis", "class_ricci_eigenvalues", "closed_form_scheme1",
     "closed_form_scheme2", "einstein_residual", "einstein_verdict",
-    "enumerate_metrics", "exact_validate", "frame_weights", "invariant_I1", "levi_civita",
+    "enumerate_metrics", "exact_validate", "formed_structure_constants", "frame_weights",
+    "invariant_I1", "levi_civita",
     "lower_riemann", "multistart_search", "newton_solve", "paper_count", "ricci",
     "riem_norm_sq", "riemann", "scheme1_system", "scheme2_system", "solve_configuration",
     "structure_constants", "structure_constants_of", "validate_basis",
@@ -593,7 +608,7 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, error):
     def too_large(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(liealg, "structure_constants_of", too_large)
+    monkeypatch.setattr(liealg, "formed_structure_constants", too_large)
     code, out, err = run(capsys, "check", "--scheme", "1", "--n", "300", "--x", "1,1,1")
     assert code == 2
     assert out == ""
@@ -606,7 +621,7 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch, error):
     def broken(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(liealg, "structure_constants_of", broken)
+    monkeypatch.setattr(liealg, "formed_structure_constants", broken)
     code, out, err = run(capsys, "check", "--scheme", "1", "--n", "4", "--x", "7,1,7")
     assert code == 3
     assert out == ""

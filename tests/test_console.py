@@ -107,6 +107,18 @@ def test_module_entry_point_returns_mains_exit_codes():
     assert scripts.split("\n[")[0].strip() == 'su-einstein = "su_einstein.cli:main"'
 
 
+def second_family(n: int) -> tuple[str, float]:
+    """--x of the scheme-1 second family x1 = x3 = (3n+2)/(n-2), and its I1."""
+    X = (3 * n + 2) / (n - 2)
+    I1 = (2 * n * n + 3 * n + 2) * (n - 1) * (3 * n + 4) / (n * (5 * n + 6))
+    return f"{X!r},1.0,{X!r}", I1
+
+
+def limit_address_space():
+    """2 GB of address space, in the child only."""
+    resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+
+
 def test_check_n64_second_family_in_bounded_memory():
     # |Riem|^2 from its table (no Gamma over all of f, no Riemann rows): below 300 MB
     n = 64
@@ -131,13 +143,45 @@ def test_catalog_n40_every_closed_form_passes_in_bounded_memory():
     assert not bad, bad
 
 
-def test_check_too_large_for_the_address_space_is_a_usage_error():
-    # 2 GB of address space, in the child only: exit 2 with one error line,
-    # not the NOT-EINSTEIN code 1
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2_000_000 * 1024,) * 2)
+def test_check_n128_second_family_in_bounded_memory():
+    # f holds only the entries of the formed rows, O(n^2): below 300 MB at n = 128
+    x, I1 = second_family(128)
+    code, out, _, peak_mb = run_child("check", "--scheme", "1", "--n", "128", "--x", x,
+                                      "--format", "json")
+    r = json.loads(out)["results"]
+    assert code == 0 and r["verdict"] == "EINSTEIN" and abs(r["I1"] - I1) <= 1e-8 * I1, (code, r)
+    assert peak_mb < 300, peak_mb
 
-    code, _, err, _ = run_child("check", "--scheme", "1", "--n", "300", "--x", "1,1,1",
+
+def test_catalog_n64_every_closed_form_passes_in_bounded_memory():
+    code, out, _, peak_mb = run_child("catalog", "--n", "64", "--starts", "0", "--format", "json")
+    assert code == 0 and peak_mb < 200, (code, peak_mb)
+    d = json.loads(out)
+    assert d["results"]["count_inequivalent"] == 63, d["results"]["count_inequivalent"]
+    bad = {k: v["invalid_closed_forms"]
+           for k, v in d["diagnostics"]["configurations"].items() if v["invalid_closed_forms"]}
+    assert not bad, bad
+
+
+def test_check_too_large_for_the_address_space_is_a_usage_error():
+    # exit 2 with one error line, not the NOT-EINSTEIN code 1: at n = 20000 one
+    # float64 array of length d is 3.2 GB
+    code, _, err, _ = run_child("check", "--scheme", "1", "--n", "20000", "--x", "1,1,1",
                                 preexec_fn=limit_address_space)
     assert code == 2
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, err
+
+
+def test_check_n300_fits_the_address_space():
+    # the f of a verdict is O(n^2): n = 300 runs in the same 2 GB
+    code, out, _, _ = run_child("check", "--scheme", "1", "--n", "300", "--x", "1,1,1",
+                                "--format", "json", preexec_fn=limit_address_space)
+    r = json.loads(out)["results"]
+    assert code == 0 and abs(r["I1"] - (300**2 - 1)) <= 1e-8 * (300**2 - 1), (code, r)
+
+
+def test_bad_x_is_refused_before_f_is_built():
+    # the count of --x is checked before any allocation, with the verdict's message
+    code, out, err, _ = run_child("check", "--scheme", "1", "--n", "20000", "--x", "1,1",
+                                  preexec_fn=limit_address_space)
+    assert (code, out, err) == (2, "", "error: --x: expected 3 metric constants, got 2\n")

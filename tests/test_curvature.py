@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su_einstein as se
-from su_einstein import curvature
+from su_einstein import curvature, liealg
 from su_einstein.curvature import (
     lower_riemann,
     ricci_fast,
@@ -285,6 +285,29 @@ class TestNonzeroEngine:
             if dropped == 2:
                 break
         assert dropped == 2 or first.size == 1  # one class: y_c - y_a + y_b = y
+
+    @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
+    def test_formed_rows_give_the_fit_of_all_of_f(self, scheme, n, p, rng):
+        # _ricci_diagonal reads only entries with a formed generator in some
+        # slot, so the verdict's f gives its bits; x = (1, 2, 3, 1) makes
+        # levi_civita drop entries
+        full = sc_for(scheme, n, p)
+        formed = liealg.formed_structure_constants(scheme, n, p)
+        for x in [random_x(rng, full.num_classes) for _ in range(2)] + [(1.0, 2.0, 3.0, 1.0)]:
+            x = x[:full.num_classes]
+            m = se.MetricSpec.from_x(full, x)
+            assert (curvature._ricci_diagonal(formed, m).tobytes()
+                    == curvature._ricci_diagonal(full, m).tobytes())
+            assert se.einstein_verdict(formed, x, tol=1e300) == se.einstein_verdict(full, x, tol=1e300)
+
+    def test_full_f_readers_refuse_the_formed_rows(self):
+        full, formed = sc_for(2, 4, 2), liealg.formed_structure_constants(2, 4, 2)
+        m = se.MetricSpec.from_x(full, (1.0, 2.0, 1.0, 0.5))
+        gamma = se.levi_civita(full, m)
+        for read in (lambda: se.levi_civita(formed, m), lambda: ricci_fast(gamma, formed),
+                     lambda: se.riemann(np.asarray(gamma), formed)):
+            with pytest.raises(ValueError, match="formed rows"):
+                read()
 
     @pytest.mark.parametrize("scheme,n,p", RICCI_ROW_CONFIGS)
     def test_f_pattern_is_closed_under_the_ricci_partners(self, scheme, n, p):

@@ -21,6 +21,7 @@ CALLS = {
     "class_sizes": lambda s, n, p: liealg.class_sizes(s, n, p),
     "build_basis": lambda s, n, p: liealg.build_basis(s, n, p),
     "structure_constants_of": lambda s, n, p: liealg.structure_constants_of(s, n, p),
+    "formed_structure_constants": lambda s, n, p: liealg.formed_structure_constants(s, n, p),
     "EinsteinSystem": lambda s, n, p: solver.EinsteinSystem(s, n, p),
     "closed_form_scheme1": lambda s, n, p: solver.closed_form_scheme1(n),
     "closed_form_scheme2": lambda s, n, p: solver.closed_form_scheme2(n, p),
@@ -30,13 +31,14 @@ CALLS = {
 SOLVING = ("EinsteinSystem", "solve_configuration")
 
 # (scheme, n, p), the quoted value, and the functions that take the bad part of it
+F_BUILDERS = ("structure_constants_of", "formed_structure_constants")
 BAD = [
-    ((2, 5, None), "p=None", ("class_sizes", "build_basis", "structure_constants_of", "closed_form_scheme2") + SOLVING),
-    ((3, 5, 2), "scheme 3", ("class_sizes", "build_basis", "structure_constants_of") + SOLVING),
-    ((1, 0, None), "n=0", ("class_sizes", "build_basis", "structure_constants_of", "closed_form_scheme1",
+    ((2, 5, None), "p=None", ("class_sizes", "build_basis", *F_BUILDERS, "closed_form_scheme2") + SOLVING),
+    ((3, 5, 2), "scheme 3", ("class_sizes", "build_basis", *F_BUILDERS) + SOLVING),
+    ((1, 0, None), "n=0", ("class_sizes", "build_basis", *F_BUILDERS, "closed_form_scheme1",
                            "enumerate_metrics") + SOLVING),
-    ((1, 5, 3), "p=3", ("class_sizes", "build_basis", "structure_constants_of") + SOLVING),
-    ((2, 4, 5), "p=5", ("class_sizes", "build_basis", "structure_constants_of", "closed_form_scheme2") + SOLVING),
+    ((1, 5, 3), "p=3", ("class_sizes", "build_basis", *F_BUILDERS) + SOLVING),
+    ((2, 4, 5), "p=5", ("class_sizes", "build_basis", *F_BUILDERS, "closed_form_scheme2") + SOLVING),
     # a basis, but not a system to solve: the balance class is empty
     ((2, 5, 0), "p=0", ("closed_form_scheme2",) + SOLVING),
 ]

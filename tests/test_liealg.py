@@ -19,7 +19,7 @@ from su_einstein import (
     validate_basis,
 )
 from su_einstein.sparse import Nonzeros
-from conftest import sc_for
+from conftest import formed_entries, sc_for
 
 SQ2 = np.sqrt(2.0)
 
@@ -443,19 +443,19 @@ class TestOneDescription:
         from su_einstein import solver
 
         built, made = [], []
-        original = liealg.structure_constants_of
+        original = liealg.formed_structure_constants
 
         def spy(scheme, n, p=None):
             built.append(n)
             made.append(original(scheme, n, p))
             return made[-1]
 
-        monkeypatch.setattr(liealg, "structure_constants_of", spy)
+        monkeypatch.setattr(liealg, "formed_structure_constants", spy)
         records = solver.solve_configuration(2, 5, 2, n_starts=0).records
         assert records and all(r.I1 is not None for r in records)
         assert built == [5]
-        fresh = structure_constants(build_basis(2, 5, 2)).nonzeros
-        assert made[0].nonzeros.values.tobytes() == fresh.values.tobytes()
+        _, fresh = formed_entries(structure_constants(build_basis(2, 5, 2)))
+        assert made[0].nonzeros.values.tobytes() == fresh.tobytes()
 
 
 # scheme 1 at n = 2..16, every split with n <= 12, and three larger bases
@@ -501,6 +501,41 @@ class TestBracketRule:
         assert rule.nonzeros.values.tobytes() == trace.nonzeros.values.tobytes()
         assert rule.gram_diag.tobytes() == trace.gram_diag.tobytes()
         assert np.array_equal(rule.class_of, trace.class_of)
+
+
+# RULE_CONFIGS (which holds test_curvature's RICCI_ROW_CONFIGS) and four larger bases
+FORMED_CONFIGS = RULE_CONFIGS + [(1, 32, None), (2, 32, 15), (1, 64, None), (2, 64, 31)]
+
+
+class TestFormedRows:
+    """``formed_structure_constants`` is all of f restricted to the entries
+    with a formed generator in some slot: the same entries, floats and order."""
+
+    @pytest.mark.parametrize("scheme,n,p", FORMED_CONFIGS)
+    def test_the_entries_of_all_of_f_at_the_formed_rows(self, scheme, n, p):
+        full = liealg.structure_constants_of(scheme, n, p)
+        formed = liealg.formed_structure_constants(scheme, n, p)
+        assert (formed.d, formed.scheme, formed.n, formed.p) == (full.d, scheme, n, p)
+        assert formed.formed_only and not full.formed_only
+        index, values = formed_entries(full)
+        for got, want in zip(formed.nonzeros.index, index):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert formed.nonzeros.values.tobytes() == values.tobytes()
+        assert formed.gram_diag.tobytes() == full.gram_diag.tobytes()
+        assert formed.class_of.tobytes() == full.class_of.tobytes()
+
+    @pytest.mark.parametrize("scheme,n,p,nnz", [(1, 16, None, 1140), (1, 64, None, 13956),
+                                                (2, 32, 15, 2958), (2, 64, 31, 9102)])
+    def test_about_3_4_n_squared_entries(self, scheme, n, p, nnz):
+        # the counts of the formed rows' entries in all of f, at (1, 64) against 1,761,984
+        assert liealg.formed_structure_constants(scheme, n, p).nonzeros.nnz == nnz
+
+    def test_full_f_readers_refuse_it(self):
+        formed = liealg.formed_structure_constants(1, 4)
+        for read in (lambda sc: sc.f, lambda sc: sc.all_of_f(), liealg._identity_deviations):
+            with pytest.raises(ValueError, match="formed rows"):
+                read(formed)
+        assert liealg.structure_constants_of(1, 4).all_of_f().nnz > formed.nonzeros.nnz
 
 
 def masked_frame_weights(sc):

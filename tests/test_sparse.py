@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su_einstein.sparse import blocks, check_key_range, join, sum_by_key
+from su_einstein.sparse import blocks, check_key_range, join, row_major_order, sum_by_key
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -112,6 +112,19 @@ def test_blocks_cover_the_items_in_order_within_budget(cost, budget):
         # greedy: the next item would have broken the budget
         if hi < len(cost):
             assert sum(cost[lo:hi + 1]) > budget
+
+
+@pytest.mark.parametrize("dim", [7, 2**21 - 1, 2**21 + 1, 3 * 10**6])
+def test_row_major_order_on_both_sides_of_the_int64_edge(dim, rng):
+    # distinct entries of a (dim, dim, dim) tensor, many with a slot in common:
+    # past 2^21 the keys overflow int64 and the order comes from np.lexsort;
+    # it is the lexicographic one
+    drawn = np.concatenate([rng.integers(0, 5, (200, 3)), rng.integers(0, dim, (200, 3))])
+    entries = sorted({tuple(t) for t in drawn.tolist()})
+    index = np.array(entries).T
+    shuffled = rng.permutation(len(entries))
+    order = row_major_order(index[:, shuffled], (dim, dim, dim))
+    assert np.array_equal(shuffled[order], np.arange(len(entries)))
 
 
 def test_check_key_range_at_the_int64_edge():
