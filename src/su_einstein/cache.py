@@ -68,7 +68,10 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
     lines = path.read_text().splitlines()
     try:
         scheme, n, p, d, nnz = (int(t) for t in lines[0].split())
-        p = None if scheme == 1 else p  # the header writes 0 for scheme 1
+        if scheme == 1:  # the header writes p = 0 for scheme 1, which has no p
+            if p != 0:
+                raise ValueError(f"scheme 1 with p={p}")
+            p = None
         gram_diag = np.array([float(t) for t in lines[1].split()])
         rows = [line.split() for line in lines[2:] if line.strip()]
         if any(len(r) != 4 for r in rows):
@@ -95,7 +98,6 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
     check(bool(np.all(np.diff(key) > 0)), "records are not distinct and in order")
     check(bool(np.all(np.isfinite(values) & (values != 0.0))), "a value is zero or not finite")
     return StructureConstants(
-        d=d,
         nonzeros=Nonzeros((d, d, d), (c, a, b), values),
         gram_diag=gram_diag,
         scheme=scheme,
@@ -107,10 +109,16 @@ def load_structure_constants(path: str | Path) -> StructureConstants:
 
 def fetch_structure_constants(scheme: int, n: int, p: int | None,
                               cache_dir: str | Path | None = None) -> StructureConstants:
-    """Load structure constants from the cache, computing and storing on miss."""
+    """Load structure constants from the cache, computing and storing on miss.
+    Raises CacheError when the file under the configuration's name holds
+    another configuration."""
     path = None if cache_dir is None else Path(cache_dir) / cache_filename(scheme, n, p)
     if path is not None and path.exists():
-        return load_structure_constants(path)
+        sc = load_structure_constants(path)
+        if (sc.scheme, sc.n, sc.p) != (scheme, n, p):
+            raise CacheError(f"{path}: holds scheme={sc.scheme} n={sc.n} p={sc.p}, not "
+                             f"scheme={scheme} n={n} p={p}; delete the file to rebuild it")
+        return sc
     sc = liealg.structure_constants_of(scheme, n, p)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -28,8 +28,9 @@ of f (``_ricci_diagonal``); its docstring proves that the reduction is exact.
 ``riemann_norm_sq(sc, metric)`` evaluates one exact table of its class-level
 form, whose integers hold at every n and split (its docstring has the proof).
 So the verdict's cross-check of a record, the fit on f, stays independent of
-the table.  ``levi_civita`` and the Ricci rows by joins, ``ricci_fast(gamma,
-sc)``, are the tests' oracles of the diagonal; the dense ``riemann``,
+the table.  ``levi_civita``, which forms Gamma with the same factor
+(``_koszul``), and the full Ricci matrix by joins, ``ricci_fast(gamma, sc)``,
+are the tests' oracles of the diagonal; the dense ``riemann``,
 ``ricci``, ``lower_riemann`` and ``riem_norm_sq`` remain as test oracles, and
 tests/test_riemann_table.py holds the row-based |Riem|^2 that the table
 replaced.
@@ -119,15 +120,19 @@ def levi_civita(sc: StructureConstants, metric: MetricSpec) -> Nonzeros:
     """
     f = sc.all_of_f()
     c, a, b = f.index
-    y = metric.g / sc.gram_diag
-    values = f.values * (y[c] - y[a] + y[b]) / (2.0 * y[c])
+    values = _koszul(f.values, metric.g / sc.gram_diag, c, a, b)
     keep = values != 0.0
     return Nonzeros(f.shape, (c[keep], a[keep], b[keep]), values[keep])
 
 
-def ricci_fast(gamma: Nonzeros, sc: StructureConstants,
-               rows: np.ndarray | None = None) -> np.ndarray:
-    """Rows Ric[c, :] of the Ricci matrix for c in ``rows``, from the nonzeros of Gamma and f.
+def _koszul(f: np.ndarray, y: np.ndarray, c, a, b) -> np.ndarray:
+    """Gamma^c_ab = f^c_ab (y_c - y_a + y_b) / (2 y_c) at the entries (c, a, b)
+    with values f, y = g / G: the one place a Gamma value is formed."""
+    return f * (y[c] - y[a] + y[b]) / (2.0 * y[c])
+
+
+def ricci_fast(gamma: Nonzeros, sc: StructureConstants) -> np.ndarray:
+    """The d x d Ricci matrix, from the nonzeros of Gamma and f.
 
     The same contraction as ricci(riemann(...)),
 
@@ -137,13 +142,9 @@ def ricci_fast(gamma: Nonzeros, sc: StructureConstants,
     Its third term v_e Gamma^e_bc, v_e = Gamma^a_ae, vanishes: Gamma lives on
     the nonzeros of f, and f^a_ae = 0 because the lowered f is totally
     antisymmetric.
-    The row c is the last index of one Gamma entry in each term, so only the
-    Gamma entries (., ., c) with c in ``rows`` take part on that side; the
-    result is a (len(rows), d) array, and each of its entries sums the same
-    terms in the same order as the full matrix.  ``rows`` defaults to every
-    row, which gives the full d x d matrix.  No verdict calls it: it is the
-    tests' oracle of ``_ricci_diagonal``, and perfbench's probes time it.
-    Raises ValueError on the f of ``formed_structure_constants``.
+    No verdict calls it: it is the tests' oracle of ``_ricci_diagonal``, and
+    perfbench's probes time it.  Raises ValueError on the f of
+    ``formed_structure_constants``.
     """
     d = sc.d
     gc, ga, gb = gamma.index
@@ -151,28 +152,19 @@ def ricci_fast(gamma: Nonzeros, sc: StructureConstants,
     f = sc.all_of_f()
     fc, fa, fb = f.index
     fv = f.values
-    if rows is None:
-        rows = np.arange(d)
-    # rc, ra, rv: the Gamma entries whose last index is an output row;
-    # out: that row's position in the result
-    nrows = len(rows)
-    position = np.full(d, -1)
-    position[rows] = np.arange(nrows)
-    sel = np.flatnonzero(position[gb] >= 0)
-    rc, ra, rv, out = gc[sel], ga[sel], gv[sel], position[gb[sel]]
     # Gamma^a_be Gamma^e_ac: entries (a, b, e) and (e, a, c)
-    i, j = join(gc * d + gb, ra * d + rc)
+    i, j = join(gc * d + gb, ga * d + gc)
     # f^e_ab Gamma^a_ec: entries (e, a, b) and (a, e, c)
-    k, m = join(fa * d + fc, rc * d + ra)
-    keys = np.concatenate([out[j] * d + ga[i], out[m] * d + fb[k]])
-    terms = np.concatenate([-gv[i] * rv[j], -fv[k] * rv[m]])
-    return np.bincount(keys, weights=terms, minlength=nrows * d).reshape(nrows, d)
+    k, m = join(fa * d + fc, gc * d + ga)
+    keys = np.concatenate([gb[j] * d + ga[i], gb[m] * d + fb[k]])
+    terms = np.concatenate([-gv[i] * gv[j], -fv[k] * gv[m]])
+    return np.bincount(keys, weights=terms, minlength=d * d).reshape(d, d)
 
 
 def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     """Ric_cc for each c in ``sc.class_rows[0]``, in class order, straight from
     the nonzeros of f: the same floats as the diagonal entries of the rows
-    ``ricci_fast(levi_civita(sc, metric), sc, first)``, with no join and no
+    ``ricci_fast(levi_civita(sc, metric), sc)[first]``, with no join and no
     Gamma over all of f.  Every entry it reads has the formed generator c in
     some slot, and the other entries only drop out of its filters, so the f
     of ``formed_structure_constants`` gives the same floats as all of f.
@@ -185,12 +177,13 @@ def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     Gamma entries (a, c, e) in f's order, each with its partner (e, a, c), then
     those over the f entries (e, a, c) in f's order, each with the Gamma entry
     (a, e, c).  Here the sums run over the f entries at the same indices, in
-    the same order, and each Gamma value is formed as ``levi_civita`` forms
-    it, so every term ``ricci_fast`` adds is the same float.  The partners are
-    f entries too: f_abc = f^c_ab G_cc is totally antisymmetric, so (a, c, e)
-    is an entry of f iff (e, a, c) and (a, e, c) are.  Every partner ends in
-    the row c, so its position comes from ``searchsorted`` on the sorted
-    keys (e, a, position of c) of the f entries that end in a formed row.
+    the same order, and each Gamma value is formed by ``_koszul``, as in
+    ``levi_civita``, so every term ``ricci_fast`` adds is the same float.
+    The partners are f entries too: f_abc = f^c_ab G_cc is totally
+    antisymmetric, so (a, c, e) is an entry of f iff (e, a, c) and (a, e, c)
+    are.  Every partner ends in the row c, so its position comes from
+    ``searchsorted`` on the sorted keys (e, a, position of c) of the f
+    entries that end in a formed row.
 
     The only terms added here that ``ricci_fast`` does not add are those whose
     Gamma factor ``levi_civita`` drops, as y_c - y_a + y_b is 0 there; such a
@@ -217,11 +210,11 @@ def _ricci_diagonal(sc: StructureConstants, metric: MetricSpec) -> np.ndarray:
     last = formed[fb].nonzero()[0]
     e, a, c = fc[last], fa[last], fb[last]
     key = (e * d + a) * first.size + position[c]
-    gamma = fv[last] * (y[e] - y[a] + y[c]) / (2.0 * y[e])
+    gamma = _koszul(fv[last], y, e, a, c)
     # Gamma^a_ce Gamma^e_ac: entries (a, c, e) and (e, a, c)
     mid = formed[fa].nonzero()[0]
     a1, c1, e1 = fc[mid], fa[mid], fb[mid]
-    left = fv[mid] * (y[a1] - y[c1] + y[e1]) / (2.0 * y[a1])
+    left = _koszul(fv[mid], y, a1, c1, e1)
     right = gamma[key.searchsorted((e1 * d + a1) * first.size + position[c1])]
     # f^e_ac Gamma^a_ec: entries (e, a, c) and (a, e, c)
     partner = gamma[key.searchsorted((a * d + e) * first.size + position[c])]

@@ -129,7 +129,6 @@ class StructureConstants:
     through ``all_of_f``, which refuses such an object.
     """
 
-    d: int
     nonzeros: Nonzeros    # f^c_ab at (c, a, b), shape (d, d, d)
     gram_diag: np.ndarray  # (d,), the diagonal G_aa of the (diagonal) Gram matrix
     scheme: int
@@ -174,6 +173,11 @@ class StructureConstants:
         first.flags.writeable = False
         size.flags.writeable = False
         return first, size
+
+    @property
+    def d(self) -> int:
+        """The dimension, one Gram entry per generator."""
+        return self.gram_diag.size
 
     @property
     def num_classes(self) -> int:
@@ -328,7 +332,6 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
     key = np.ravel_multi_index((c[live], gen[first][live], gen[second][live]), (d, d, d))
     nonzeros = Nonzeros.from_sums((d, d, d), key, term[live])
     return StructureConstants(
-        d=d,
         nonzeros=nonzeros,
         gram_diag=gram_diag,
         scheme=basis.scheme,
@@ -483,8 +486,8 @@ def _bracket_rules(scheme: int, n: int, p: int | None, formed_only: bool) -> Str
     total = total[live]
     nonzeros = Nonzeros((d, d, d), tuple(index.take(order, axis=1)),
                         np.concatenate([total, -total])[order])
-    return StructureConstants(d=d, nonzeros=nonzeros, gram_diag=gram, scheme=scheme,
-                              n=n, p=p, class_of=class_of, formed_only=formed_only)
+    return StructureConstants(nonzeros=nonzeros, gram_diag=gram, scheme=scheme, n=n, p=p,
+                              class_of=class_of, formed_only=formed_only)
 
 
 def _gram_diagonal(d: int, n: int, gen, row, col, val) -> np.ndarray:

@@ -157,11 +157,6 @@ class EinsteinSystem:
         constants of empty classes are 1."""
         return np.stack(np.broadcast_arrays(*self._columns(v)[0]), axis=-1)
 
-    def _reported_x(self, x) -> tuple[float, ...]:
-        """The full gauge-fixed x as a record reports it: floats, with the
-        constant of each empty class 1."""
-        return tuple(float(t) if c in self._rows else 1.0 for c, t in enumerate(x))
-
     def _columns(self, v: np.ndarray):
         """The full gauge-fixed x and lambda for unknowns of shape (k,) or (B, k).
 
@@ -265,7 +260,7 @@ class EinsteinSystem:
         The constant of an empty class multiplies nothing; the record reports
         it as 1.
         """
-        x = self._reported_x(x)
+        x = tuple(float(t) if c in self._rows else 1.0 for c, t in enumerate(x))
         sc = self.structure_constants
         residual, lam_best, I1 = curvature.einstein_verdict(sc, x, tol=engine_tol)
         valid = I1 is not None
@@ -630,28 +625,19 @@ def closed_form_scheme2(n: int, p: int,
 
     At q = 1 (or p = 1) both branches collapse onto the bi-invariant solution;
     at p = q the + branch does.  Constants of empty blocks are reported as 1.
-    A branch whose reported x and input lambda are bit-equal to those of an
-    earlier record takes that record's verdict with its own provenance, so
-    the engine validates each distinct closed form once.
+    Each closed form is validated by the engine on its own, coincident or not.
     """
     system = EinsteinSystem(2, n, p)
     q = n - p
-    verdicts = {}  # the bytes of a reported x and input lambda -> their record
-
-    def record(x, lam, provenance):
-        key = np.array(system._reported_x(x) + (lam,)).tobytes()
-        if key in verdicts:
-            return replace(verdicts[key], provenance=provenance)
-        verdicts[key] = system.record(x, lam, provenance=provenance, engine_tol=engine_tol)
-        return verdicts[key]
-
-    records = [record((1.0, 1.0, 1.0, 2.0 / (p * q * n)), n / 8.0, "closed_form_1")]
+    records = [system.record((1.0, 1.0, 1.0, 2.0 / (p * q * n)), n / 8.0,
+                             provenance="closed_form_1", engine_tol=engine_tol)]
     for sign, provenance in ((+1, "closed_form_2_plus"), (-1, "closed_form_2_minus")):
         x1 = branch_x1(n, p, sign)
         x2 = q / p * x1
         x4, lam = branch_x4_lambda(n, p, x1)
         x4_printed, lam_printed = printed_branch_x4_lambda(n, p, x1)
-        rec = record((x1, x2, 1.0, x4), lam, provenance)
+        rec = system.record((x1, x2, 1.0, x4), lam, provenance=provenance,
+                            engine_tol=engine_tol)
         if not (math.isclose(x4, x4_printed, rel_tol=1e-9)
                 and math.isclose(lam, lam_printed, rel_tol=1e-9)):
             note = (f"transcribed closed form gives x4={x4_printed:.9g}, "

@@ -32,6 +32,14 @@ def test_scheme1_header_p_is_read_as_none(tmp_path):
     assert cache.load_structure_constants(path).p is None
 
 
+def test_scheme1_header_with_a_p_is_malformed(tmp_path):
+    path = cache.save_structure_constants(tmp_path / "s1.sc", sc_for(1, 4))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["1 4 2 " + lines[0].split(" ", 3)[3]] + lines[1:]) + "\n")
+    with pytest.raises(cache.CacheError, match="malformed"):
+        cache.load_structure_constants(path)
+
+
 def test_save_refuses_the_formed_rows(tmp_path):
     # the f of a verdict is not all of f: no file of it is written
     with pytest.raises(ValueError, match="formed rows"):
@@ -49,6 +57,14 @@ def test_fetch_computes_then_hits(tmp_path):
     assert (tmp_path / "f_s1_n3_p0.sc").exists()
     sc2 = cache.fetch_structure_constants(1, 3, None, tmp_path)
     npt.assert_array_equal(sc1.f, sc2.f)
+
+
+def test_fetch_refuses_another_configurations_file(tmp_path):
+    # a file under the name of (1, 4) that holds the f of (1, 5)
+    cache.save_structure_constants(tmp_path / cache.cache_filename(1, 4, None), sc_for(1, 5))
+    with pytest.raises(cache.CacheError,
+                       match=r"holds scheme=1 n=5 p=None, not scheme=1 n=4 p=None"):
+        cache.fetch_structure_constants(1, 4, None, tmp_path)
 
 
 def test_fetch_without_dir_computes():

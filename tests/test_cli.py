@@ -393,6 +393,14 @@ class TestSolve:
         assert [r["provenance"] for r in doc["results"]] == ["closed_form_1"]
         assert doc["diagnostics"]["invalid_closed_forms"] == ["closed_form_2"]
 
+    def test_table_warns_about_closed_forms_the_search_missed(self, capsys):
+        # no starts: no root matches a closed form
+        code, out, _ = run(capsys, "solve", "--scheme", "1", "--n", "4", "--starts", "0")
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "2 distinct Einstein metric(s)",
+            "WARNING: multistart missed closed forms: closed_form_1, closed_form_2"]
+
 
 class TestCatalog:
     def test_n3(self, capsys):
@@ -424,6 +432,13 @@ class TestCatalog:
         assert "inequivalent classes (by I1): 2" in out
         assert "agreement: True" in out
         assert "WARNING" not in out
+
+    def test_table_warns_about_an_under_resolved_search(self, capsys):
+        code, out, _ = run(capsys, "catalog", "--n", "4", "--starts", "0")
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "agreement: False",
+            "WARNING: search under-resolved for at least one configuration"]
 
     def test_table_warns_about_closed_forms_the_engine_rejects(self, capsys):
         # the (4, 2) bi-invariant and + branch closed forms have residual 0, so they pass

@@ -356,7 +356,7 @@ def synthetic_sc(d):
     """Structure constants of dimension d with no nonzero f: a key range to test."""
     empty = np.zeros(0, dtype=np.intp)
     return liealg.StructureConstants(
-        d=d, nonzeros=Nonzeros((d, d, d), (empty, empty, empty), np.zeros(0)),
+        nonzeros=Nonzeros((d, d, d), (empty, empty, empty), np.zeros(0)),
         gram_diag=np.ones(d), scheme=1, n=0, p=None, class_of=np.zeros(d, dtype=np.intp))
 
 

@@ -733,19 +733,6 @@ class TestClosedFormScheme2:
         for rec in recs[1:]:
             assert rec.notes is not None and "transcribed" in rec.notes
 
-    @pytest.mark.parametrize("n,p,verdicts", [
-        (4, 2, 2), (6, 3, 2), (8, 4, 2),  # the + branch is the bi-invariant metric
-        (6, 1, 2), (7, 1, 2), (10, 1, 2), (12, 1, 2),  # both branches, 1 ulp off it
-        (5, 1, 1), (4, 3, 1),  # every closed form is the bi-invariant metric
-        (5, 2, 3), (7, 3, 3)])
-    def test_coincident_closed_forms_share_one_verdict(self, n, p, verdicts, monkeypatch):
-        calls = []
-        verdict = se.curvature.einstein_verdict
-        monkeypatch.setattr(se.curvature, "einstein_verdict",
-                            lambda *args, **kwargs: calls.append(args) or verdict(*args, **kwargs))
-        assert len(se.closed_form_scheme2(n, p)) == 3
-        assert len(calls) == verdicts
-
     @pytest.mark.parametrize("n", range(2, 13))
     def test_a_shared_verdict_is_the_records_own(self, n):
         for p in range(1, n):
