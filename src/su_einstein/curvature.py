@@ -332,8 +332,8 @@ def riemann_norm_sq(sc: StructureConstants, metric: MetricSpec) -> float:
 
 def riemann(gamma, sc: StructureConstants) -> np.ndarray:
     """Dense frame Riemann tensor Riem[d, c, a, b], i.e. R(e_a, e_b) e_c = Riem[d,c,a,b] e_d.
-    Raises ValueError on the f of ``formed_structure_constants`` (``sc.f``)."""
-    f = sc.f
+    Raises ValueError on the f of ``formed_structure_constants`` (``sc.all_of_f``)."""
+    f = np.asarray(sc.all_of_f())
     gamma = np.asarray(gamma)
     t1 = np.einsum("dae,ebc->dcab", gamma, gamma, optimize=True)
     t2 = np.einsum("dcab->dcba", t1)

@@ -150,14 +150,6 @@ class StructureConstants:
         return self.nonzeros
 
     @cached_property
-    def f(self) -> np.ndarray:
-        """Dense f[c, a, b], materialized from the nonzeros (d^3 floats: for
-        tests, not for the engine)."""
-        f = np.asarray(self.all_of_f())
-        f.flags.writeable = False
-        return f
-
-    @cached_property
     def class_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, size): the first generator of each nonempty class and the
         size of that class, in class order (``_first_rows``).  The engine forms

@@ -3,8 +3,9 @@
 ``perfbench/layers.py`` replaces the functions and methods it lists by name
 for a traced pass, and the probes, workloads and runner call su_einstein's
 modules as ``module.attr(...)``, so renaming or removing one of them breaks
-the benchmark.  The files are run or read by path, not imported, so nothing
-is written under ``perfbench/``.
+the benchmark.  The cache probe, which calls ``cache.*`` outside any
+workload, runs here too.  The files are run or read by path, not imported, so
+nothing is written under ``perfbench/``.
 """
 
 import importlib
@@ -16,6 +17,7 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERS = runpy.run_path(str(PERFBENCH / "layers.py"))
+PROBES = runpy.run_path(str(PERFBENCH / "probes.py"))
 
 
 def _called_names() -> list[tuple[str, str]]:
@@ -60,3 +62,12 @@ def test_spanned_function_exists(module, attr):
 def test_wrapped_method_exists(module, cls, attr):
     owner = getattr(importlib.import_module(f"su_einstein.{module}"), cls)
     assert callable(getattr(owner, attr, None))
+
+
+def test_cache_probe_measures_a_save_and_a_load(tmp_path):
+    # the traced run calls the probe outside any workload, so a cache change
+    # that breaks it fails no workload's oracle
+    metrics = PROBES["cache_probe"](tmp_path)
+    assert sorted(metrics) == ["cache.file_bytes", "cache.load.s", "cache.save.s"]
+    assert all(value > 0 for value, _ in metrics.values())
+    assert list(tmp_path.iterdir()) == []

@@ -32,7 +32,7 @@ def gram_diagonal(basis):
 
 def lowered(sc):
     """Fully lowered tensor f_abc = f^e_ab G_ec (totally antisymmetric), dense."""
-    return np.moveaxis(sc.f, 0, -1) * sc.gram_diag
+    return np.moveaxis(np.asarray(sc.nonzeros), 0, -1) * sc.gram_diag
 
 
 def counted_sizes(basis):
@@ -180,8 +180,8 @@ class TestScheme2Basis:
         b1 = build_scheme1_basis(4)
         b2 = build_scheme2_basis(4, 4)
         npt.assert_array_equal(b1.generators, b2.generators)
-        f1 = structure_constants(b1).f
-        f2 = structure_constants(b2).f
+        f1 = np.asarray(structure_constants(b1).nonzeros)
+        f2 = np.asarray(structure_constants(b2).nonzeros)
         npt.assert_allclose(f1, f2, atol=0)
 
     def test_rejects_bad_p(self):
@@ -201,18 +201,18 @@ class TestClassSizes:
 
 class TestStructureConstants:
     def test_su2_values(self):
-        sc = sc_for(1, 2)
+        f = np.asarray(sc_for(1, 2).nonzeros)
         # the commutator of the two off-diagonal generators lies along the
         # diagonal one with coefficient of magnitude 2*sqrt(2)
-        assert abs(sc.f[2, 0, 1]) == pytest.approx(2 * SQ2, rel=1e-15)
-        assert abs(sc.f[0, 1, 2]) == pytest.approx(SQ2, rel=1e-15)
-        assert abs(sc.f[1, 2, 0]) == pytest.approx(SQ2, rel=1e-15)
+        assert abs(f[2, 0, 1]) == pytest.approx(2 * SQ2, rel=1e-15)
+        assert abs(f[0, 1, 2]) == pytest.approx(SQ2, rel=1e-15)
+        assert abs(f[1, 2, 0]) == pytest.approx(SQ2, rel=1e-15)
 
     @pytest.mark.parametrize("scheme,n,p", [(1, 2, None), (1, 4, None), (2, 5, 2)])
     def test_antisymmetry_and_diagonal_zero(self, scheme, n, p):
-        sc = sc_for(scheme, n, p)
-        npt.assert_allclose(sc.f, -np.transpose(sc.f, (0, 2, 1)), atol=0)
-        npt.assert_allclose(np.einsum("caa->ca", sc.f), 0.0, atol=0)
+        f = np.asarray(sc_for(scheme, n, p).nonzeros)
+        npt.assert_allclose(f, -np.transpose(f, (0, 2, 1)), atol=0)
+        npt.assert_allclose(np.einsum("caa->ca", f), 0.0, atol=0)
 
     def test_su3_lowered_totally_antisymmetric(self):
         low = lowered(sc_for(1, 3))
@@ -222,7 +222,7 @@ class TestStructureConstants:
 
     @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 5, None), (2, 4, 2), (2, 6, 3)])
     def test_jacobi(self, scheme, n, p):
-        f = sc_for(scheme, n, p).f
+        f = np.asarray(sc_for(scheme, n, p).nonzeros)
         jac = np.einsum("eab,dec->abcd", f, f, optimize=True)
         jac += np.einsum("ebc,dea->abcd", f, f, optimize=True)
         jac += np.einsum("eca,deb->abcd", f, f, optimize=True)
@@ -235,7 +235,7 @@ class TestStructureConstants:
         sc = sc_for(scheme, n, p)
         T = basis.generators
         comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
-        rebuilt = 1j * np.einsum("cab,cij->abij", sc.f, T)
+        rebuilt = 1j * np.einsum("cab,cij->abij", np.asarray(sc.nonzeros), T)
         npt.assert_allclose(comm, rebuilt, atol=1e-12)
 
     @pytest.mark.parametrize("scheme,n,p", [(1, 3, None), (1, 6, None), (2, 5, 2), (2, 6, 6)])
@@ -247,7 +247,7 @@ class TestStructureConstants:
         comm = np.einsum("aij,bjk->abik", T, T) - np.einsum("bij,ajk->abik", T, T)
         proj = np.real(np.einsum("abij,dji->abd", -1.0j * comm, T))
         dense = np.einsum("cd,abd->cab", np.linalg.inv(gram), proj)
-        npt.assert_allclose(structure_constants(basis).f, dense, rtol=0, atol=1e-14)
+        npt.assert_allclose(np.asarray(structure_constants(basis).nonzeros), dense, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("scheme,n,p", [(1, n, None) for n in range(2, 10)]
                              + [(2, n, p) for n in range(2, 10) for p in range(n + 1)])
@@ -309,7 +309,7 @@ class TestValidateBasis:
 def dense_identity_deviations(sc):
     """The dense oracle: f antisymmetry, Jacobi sum and lowered-f antisymmetry
     from the d^3 array f and d^4 einsums."""
-    f = sc.f
+    f = np.asarray(sc.nonzeros)
     f_anti = np.abs(f + np.transpose(f, (0, 2, 1))).max()
     jac = np.einsum("eab,dec->abcd", f, f)
     jac += np.einsum("ebc,dea->abcd", f, f)
@@ -532,7 +532,7 @@ class TestFormedRows:
 
     def test_full_f_readers_refuse_it(self):
         formed = liealg.formed_structure_constants(1, 4)
-        for read in (lambda sc: sc.f, lambda sc: sc.all_of_f(), liealg._identity_deviations):
+        for read in (lambda sc: sc.all_of_f(), liealg._identity_deviations):
             with pytest.raises(ValueError, match="formed rows"):
                 read(formed)
         assert liealg.structure_constants_of(1, 4).all_of_f().nnz > formed.nonzeros.nnz
