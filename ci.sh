@@ -3,10 +3,10 @@
 #
 #     sh ci.sh
 #
-# Runs the Tier-1 tests, an untraced and a traced smoke run of every benchmark
-# workload, and the benchmark self-test. Each step runs even when an earlier
-# one failed; each prints one PASS or FAIL line, and the exit status is 1 if
-# any step failed.
+# Runs the Tier-1 tests, the mutation gate, an untraced and a traced smoke run
+# of every benchmark workload, and the benchmark self-test. Each step runs
+# even when an earlier one failed; each prints one PASS or FAIL line, and the
+# exit status is 1 if any step failed.
 
 cd "$(dirname "$0")" || exit 1
 failed=0
@@ -37,6 +37,8 @@ traced_smoke() {
 }
 
 step "Tier-1 tests" tier1
+# every listed mutant of the engine fails a fast Tier-1 subset
+step "mutation gate" python3 tests/mutation_gate.py
 # every workload once, each output checked against its oracle
 step "benchmark oracles (untraced smoke run)" python3 perfbench/run.py --workload all --smoke --seconds 1
 step "traced smoke run and the multistart span" traced_smoke

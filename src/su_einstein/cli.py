@@ -135,8 +135,6 @@ def _validate(args: argparse.Namespace) -> None:
         raise UsageError(f"--seed must be non-negative (got {args.seed})")
     if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be finite and strictly positive (got {args.tol})")
-    if args.format == "csv" and args.command in ("basis", "check"):
-        raise UsageError(f"csv output is not defined for '{args.command}'")
     if "x" in args:  # before f is built, so that a bad x of a large n allocates nothing
         try:
             curvature.checked_x(len(liealg.class_sizes(args.scheme, args.n, args.p)), args.x)
@@ -319,21 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Left-invariant Einstein metrics on SU(n) from structure constants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scheme=True):
+    def common(p, scheme=True, formats=("table", "json", "csv")):
         if scheme:
             p.add_argument("--scheme", type=int, choices=(1, 2), required=True)
             p.add_argument("--p", type=int, default=None,
                            help="block size for scheme 2 (q = n - p)")
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        p.add_argument("--format", choices=formats, default="table")
 
     p_basis = sub.add_parser("basis", help="build and validate a generator basis")
-    common(p_basis)
+    common(p_basis, formats=("table", "json"))
     p_basis.add_argument("--exact", action="store_true",
                          help="additionally run the symbolic exact validation (small n)")
 
     p_check = sub.add_parser("check", help="Einstein check for a metric x-vector")
-    common(p_check)
+    common(p_check, formats=("table", "json"))
     p_check.add_argument("--x", required=True,
                          help="comma-separated metric constants, e.g. 7,1,7")
     p_check.add_argument("--tol", type=float, default=curvature.DEFAULT_EINSTEIN_TOL)

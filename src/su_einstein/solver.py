@@ -386,13 +386,13 @@ def _line_search(system: EinsteinSystem, v: np.ndarray, step: np.ndarray,
     iterates, their max-norms).  Rows and norms of a start with j = -1 are
     undefined.
 
-    ``v`` and ``step`` are (B, k).  A trial is accepted when its residual
-    max-norm is at most ``rnorm``, or when its step fraction is at most 1e-8
-    and ``rnorm`` is below NEWTON_TOL: a start off the root never takes a
-    step that grows its residual.  With rate = max(-step_i / v_i), the
-    reciprocal of the largest positive step fraction, and f the exponent with
-    2^(f-1) <= max(rate, 1/2) < 2^f, the first positive halving is f or a
-    later one:
+    ``v`` and ``step`` are (B, k).  A trial is accepted when its iterate is
+    positive and its residual max-norm is at most ``rnorm``, or its step
+    fraction is at most 1e-8 and ``rnorm`` is below NEWTON_TOL: a start off
+    the root never takes a step that grows its residual.  With
+    rate = max(-step_i / v_i), the reciprocal of the largest positive step
+    fraction, and f the exponent with 2^(f-1) <= max(rate, 1/2) < 2^f, the
+    first positive halving is f or a later one:
 
     - a quotient of floats that rounds to at least 2^(f-1) is at least
       2^(f-1), so every halving j < f is at least the largest positive step
@@ -402,41 +402,35 @@ def _line_search(system: EinsteinSystem, v: np.ndarray, step: np.ndarray,
       step fraction grows; so halving f is positive unless a product
       underflows, and positivity holds from one halving on.
 
-    The residual is evaluated at halving f; when every start's iterate there
-    is positive and accepted, that is the answer.  Otherwise only the starts
-    it rejects, or whose iterate there is not positive, try every later
-    halving.  Internally the unknowns run along axis 0, so that reductions
-    over them run along the starts.  ``newton_solve`` passes transposed views
-    of its (k, m) arrays, which are therefore not copied, and the residual
-    rows come back as a transposed view of a (k, m) array.
+    The residual is evaluated at halving f of every start; when every
+    start's iterate there is positive and accepted, that is the answer.
+    Otherwise the starts it does not accept try every later halving.  Each
+    round evaluates every trial it builds and applies the one rule above
+    (``accepted``), which rejects an iterate that is not positive, whose
+    residual may be inf or nan.  Internally the unknowns run along axis 0, so
+    that reductions over them run along the starts.  ``newton_solve`` passes
+    transposed views of its (k, m) arrays, which are therefore not copied,
+    and the residual rows come back as a transposed view of a (k, m) array.
     """
-    m, k = v.shape
     v, step = v.T, step.T
     # f is the exponent of min(step_i / v_i, -1/2) = -max(rate, 1/2), and 0 where that is -inf
     f = np.frexp((step / v).min(axis=0, initial=-0.5))[1]
     j = np.minimum(f, 59)  # where f >= 60, halving 59 < f is not positive
 
-    # halving f of every start that has one, in one residual call
+    # halving f of every start, in one residual call
     trial = v + _HALVINGS[j] * step
-    if trial.min() > 0:
-        take = slice(None)
-        res = system.residual(trial.T)
-        norms = np.abs(res).max(axis=1)
-        if (norms <= rnorm).all():
-            return j, res, norms
-        rows = res.T  # the residual's own (k, m) array also takes the later halvings' rows
-    else:
-        take = np.flatnonzero((trial > 0).all(axis=0))
-        res = system.residual(trial[:, take].T)
-        rows, norms = np.empty((k, m)), np.empty(m)
-        rows[:, take], norms[take] = res.T, np.abs(res).max(axis=1)
+    res = system.residual(trial.T)
+    norms = np.abs(res).max(axis=1)
+    if trial.min() > 0 and (norms <= rnorm).all():
+        return j, res, norms
+    rows = res.T  # the residual's own (k, m) array also takes the later halvings' rows
     forced = rnorm < NEWTON_TOL  # may take a step fraction <= 1e-8 that grows the residual
 
-    def accepted(norm, start, j):
-        return (norm <= rnorm[start]) | ((j >= _SMALL_HALVING) & forced[start])
+    def accepted(trial, norm, start, j):
+        return (trial > 0).all(axis=0) & ((norm <= rnorm[start])
+                                          | ((j >= _SMALL_HALVING) & forced[start]))
 
-    pick = np.full(m, -1)
-    pick[take] = np.where(accepted(norms[take], take, j[take]), j[take], -1)
+    pick = np.where(accepted(trial, norms, slice(None), j), j, -1)
 
     # every later halving of the rest, in (start, j) order
     todo = np.flatnonzero(pick < 0)
@@ -444,10 +438,9 @@ def _line_search(system: EinsteinSystem, v: np.ndarray, step: np.ndarray,
     if j.size:
         start = todo[start]
         trial = v[:, start] + _HALVINGS[j] * step[:, start]
-        take = slice(None) if trial.min() > 0 else np.flatnonzero((trial > 0).all(axis=0))
-        start, j, res = start[take], j[take], system.residual(trial[:, take].T)
+        res = system.residual(trial.T)
         norm = np.abs(res).max(axis=1)
-        ok = np.flatnonzero(accepted(norm, start, j))
+        ok = np.flatnonzero(accepted(trial, norm, start, j))
         lead = np.ones(ok.size, dtype=bool)
         lead[1:] = start[ok[1:]] != start[ok[:-1]]
         ok = ok[lead]

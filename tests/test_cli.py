@@ -617,6 +617,21 @@ def test_parser_usage_error_is_one_line(capsys, argv):
     assert capsys.readouterr().err == captured.err
 
 
+@pytest.mark.parametrize("argv", [["basis", "--scheme", "1", "--n", "3"],
+                                  ["check", "--scheme", "1", "--n", "4", "--x", "7,1,7"]],
+                         ids=["basis", "check"])
+def test_csv_is_refused_where_it_is_not_written(capsys, argv):
+    # basis and check write no records: their parsers offer table and json only
+    assert "--format {table,json}" in cli.build_parser().commands[argv[0]].format_help()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--format", "csv"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert "--format" in captured.err
+
+
 @pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 715. MiB")])
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, error):
     # a run too large for the host is not the NOT-EINSTEIN code 1

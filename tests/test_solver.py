@@ -533,12 +533,12 @@ class TestLineSearch:
         step[:, 0] = [3.0, -4.0, -(2.0**59 - 2.0**7), -2.0**59]  # first positive halving 0, 3, 59, none
         with np.errstate(all="ignore"):
             pick, _ = line_search(system, v, step, np.full(4, np.inf))
-            assert list(pick) == [0, 3, 59, -1] and calls == [3]
+            assert list(pick) == [0, 3, 59, -1] and calls == [4]
             calls.clear()
             # rnorm 0 rejects the first positive halving unless its step fraction is <= 1e-8
             pick, _ = line_search(system, v, step, np.zeros(4))
         assert list(pick) == [27, 27, 59, -1]
-        assert calls == [3, 59 + 56]  # then halvings 1..59 and 4..59 of the rejected two
+        assert calls == [4, 59 + 56]  # then halvings 1..59 and 4..59 of the rejected two
 
     def test_no_forced_step_off_the_root(self):
         # every trial near v = 1 has a residual far above 1e-6: off the root no
